@@ -18,7 +18,7 @@ from run import ROOT, SRC
 sys.path.insert(0, str(SRC))
 
 from workloads import (  # noqa: E402
-    REFERENCE_FILE, REFERENCE_SEED, FewshotGrid, needle)
+    REFERENCE_FILE, REFERENCE_SEED, FewshotGrid)
 
 
 def main() -> int:
@@ -26,7 +26,7 @@ def main() -> int:
     work.mkdir(parents=True, exist_ok=True)
     try:
         wl = FewshotGrid(work, REFERENCE_SEED, tiny=False)
-        wl.data_seed, _, _ = needle(REFERENCE_SEED)
+        wl.choose_datasets()
         wl.setup()
         ops = []
         for op in wl.pass_ops(0):

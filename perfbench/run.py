@@ -17,9 +17,11 @@ count, failures by kind, and per-slice figures.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
+import re
 import resource
 import shutil
 import statistics
@@ -39,6 +41,9 @@ SRC = ROOT / "src"
 SETUP_REPS = 5
 LOOP_DEADLINE_S = 120  # no new pass starts after this, whatever min_passes
 TAIL_LEVELS = (99, 95, 90, 75, 50)
+REFERENCE_MS = 3.0  # nominal time of reference_kernel; see speed_scale
+_REFERENCE_TEXT = "dense cribriform glands, hyperchromatic pleomorphic nuclei t03"
+_REFERENCE_TOKEN = re.compile(r"[a-z0-9]+")
 
 
 def tail_level(n: int) -> int:
@@ -144,6 +149,7 @@ def run_passes(wl, tracer=None, passes=None, seconds=None, first=0):
             rec.latency = time.perf_counter() - t0
             if tracer is not None:
                 tracer.op_id, tracer.enabled = -1, False
+            rec.ref = timed(reference_kernel)
             if isinstance(out, Exception):
                 rec.fail(f"{type(out).__name__}: {out}", mismatch=False)
             else:
@@ -170,17 +176,50 @@ def timed(fn) -> float:
     return time.perf_counter() - t0
 
 
-def calibration_ms() -> float:
-    """Median time of a fixed pure-Python loop: how fast this machine was
-    around the run, for reading its figures against other runs. The speed
-    of a shared machine can drift by tens of percent over minutes."""
-    def spin():
-        return sum(i * i for i in range(200_000))
+@functools.cache
+def _reference_arrays():
+    import numpy as np
 
-    return 1e3 * statistics.median(timed(spin) for _ in range(5))
+    rng = np.random.default_rng(0)
+    return rng.standard_normal((8, 32)), rng.standard_normal((16384, 32))
 
 
-def end_to_end(wl, records, setup_s: float) -> tuple[dict, dict]:
+def reference_kernel() -> float:
+    """Fixed work that calls no slipmil code, of the kinds the workloads do:
+    an integer loop, small numpy products and reductions, tokenizing a
+    string into a dict, and one pass over a 4 MB array. Its time says how
+    fast the machine ran just then."""
+    import numpy as np
+
+    small, big = _reference_arrays()
+    total = 0
+    for i in range(6000):
+        total += i * i
+    for _ in range(120):
+        total += float((small @ small.T).sum())
+    for _ in range(100):
+        total += float(np.linalg.norm(small.mean(axis=0)))
+    vocab: dict[str, int] = {}
+    for _ in range(150):
+        total += sum(vocab.setdefault(word, len(vocab))
+                     for word in _REFERENCE_TOKEN.findall(_REFERENCE_TEXT))
+    return total + float((big @ small.T).max())
+
+
+def speed_scale(refs: list) -> tuple[float, float]:
+    """(REFERENCE_MS / median reference time, that median in ms).
+
+    The speed of a shared machine drifts by tens of percent over minutes,
+    and fresh processes land in different spells, so every time the run
+    reports is multiplied by this factor: it is the time the op would have
+    taken had the machine run the reference kernel in REFERENCE_MS.
+    """
+    ref_ms = 1e3 * statistics.median(refs)
+    return REFERENCE_MS / ref_ms, ref_ms
+
+
+def end_to_end(wl, records, setup_s: float,
+               setup_refs: list) -> tuple[dict, dict]:
     import numpy as np
 
     ok = [r for r in records if r.error is None]
@@ -201,17 +240,21 @@ def end_to_end(wl, records, setup_s: float) -> tuple[dict, dict]:
         work += sum(r.work for r in good) / len(rs)
         if good:
             typical.append(np.median([r.latency for r in good]) * 1e3)
-    values = {
+    measured = {
         "setup_s": setup_s,
         "runs_per_s": float(runs / busy),
         "patches_per_s": float(work / busy),
         "op_p50_ms": float(np.median(typical)) if ok else 0.0,
         "op_tail_ms": float(np.percentile(lat, level)) if ok else 0.0,
-        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        / 1024,
     }
+    scale, ref_ms = speed_scale([r.ref for r in records] + setup_refs)
+    values = {name: value / scale if name.endswith("_per_s")
+              else value * scale for name, value in measured.items()}
+    values["peak_rss_mb"] = resource.getrusage(
+        resource.RUSAGE_SELF).ru_maxrss / 1024
     info = {"op_tail_ms": f"p{level}", "latency_n": len(ok),
-            "passes": records[-1].pass_index + 1}
+            "passes": records[-1].pass_index + 1, "unscaled": measured,
+            "reference_ms": ref_ms, "speed_scale": scale}
     return values, info
 
 
@@ -232,15 +275,17 @@ def summarize(wl, records) -> dict:
 
 
 def measure(wl, seconds: int, import_s: float) -> tuple[dict, list, dict]:
-    before = calibration_ms()
     wl.prepare()
-    setup = statistics.median(timed(wl.setup) for _ in range(SETUP_REPS))
+    reference_kernel()  # make its arrays before the first timing
+    setup, setup_refs = [], []
+    for _ in range(SETUP_REPS):
+        setup.append(timed(wl.setup))
+        setup_refs.append(timed(reference_kernel))
+    setup = statistics.median(setup)
     records = run_passes(wl, seconds=seconds)
-    after = calibration_ms()
     wl.final_check(records)
-    values, info = end_to_end(wl, records, import_s + setup)
-    info.update(setup_import_s=import_s, setup_workload_s=setup,
-                calibration_ms=[round(before, 2), round(after, 2)])
+    values, info = end_to_end(wl, records, import_s + setup, setup_refs)
+    info.update(setup_import_s=import_s, setup_workload_s=setup)
     return values, records, info
 
 

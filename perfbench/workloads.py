@@ -34,6 +34,7 @@ class Record:
     op: object
     pass_index: int
     latency: float = 0.0
+    ref: float = 0.0  # time of the reference kernel run right after the op
     work: int = 0  # patches scored, or generated + written + read back
     error: str | None = None
     mismatch: bool = False  # the op completed but its output is wrong
@@ -112,14 +113,23 @@ SHOTS = (1, 2, 4, 8)
 MINORITY_TAU = 0.001
 REFERENCE_SEED = 0
 REFERENCE_FILE = Path(__file__).with_name("fewshot_reference.json")
+# The second needle dataset of workload seed s is drawn from s + this; the
+# first from s itself.
+SECOND_DATASET_OFFSET = 10 ** 9
+
+
+def train_seeds(seed: int, tiny: bool) -> tuple:
+    """One training seed per needle dataset: the first trains on dataset 0,
+    the second on dataset 1."""
+    return (2 * seed + 1, 2 * seed + 2)[:1 if tiny else 2]
 
 
 def fewshot_ops(seed: int, tiny: bool) -> list[tuple]:
     """(pooling, shots, training seed, tau) for one pass, in seeded order."""
-    train_seeds = (2 * seed + 1, 2 * seed + 2)[:1 if tiny else 2]
+    seeds = train_seeds(seed, tiny)
     shots = SHOTS[:2] if tiny else SHOTS
-    ops = [(p, s, t, TAU) for p in POOLINGS for s in shots for t in train_seeds]
-    ops += [(p, 1, t, MINORITY_TAU) for p in POOLINGS for t in train_seeds]
+    ops = [(p, s, t, TAU) for p in POOLINGS for s in shots for t in seeds]
+    ops += [(p, 1, t, MINORITY_TAU) for p in POOLINGS for t in seeds]
     order = np.random.default_rng(seed).permutation(len(ops))
     return [ops[int(i)] for i in order]
 
@@ -134,8 +144,10 @@ def load_reference() -> dict:
 class FewshotGrid(Workload):
     """The paper's main experiment: each op is one CLI `train` on needle,
     which trains prompts on the few-shot split and evaluates the held-out
-    pool. The grid crosses pooling, shots and two training seeds, plus a
-    tau = 0.001 slice. Encoder and trainer do most of the work."""
+    pool. The grid crosses pooling, shots and two needle datasets, each
+    with its own training seed, plus a tau = 0.001 slice. Two datasets
+    rather than one halve how much one draw of class names and bag sizes
+    sets the cost of a run. Encoder and trainer do most of the work."""
 
     name = "fewshot-grid"
     min_passes = 4
@@ -144,11 +156,22 @@ class FewshotGrid(Workload):
     def __init__(self, work, seed, tiny):
         super().__init__(work, seed, tiny)
         self.epochs = 2 if tiny else 50
-        self.data = work / "needle.bin"
         self.ops = fewshot_ops(seed, tiny)
+        self.data = {t: work / f"needle-{i}.bin"
+                     for i, t in enumerate(train_seeds(seed, tiny))}
         self.first: dict = {}
-        self.patches = 0
         self.reference = load_reference()
+
+    def choose_datasets(self) -> None:
+        """The needle dataset seeds, the patches in each, and any seeds the
+        preset's sampler gave up on."""
+        self.data_seeds, self.patches, self.skipped = {}, {}, []
+        for i, t in enumerate(self.data):
+            data_seed, dataset, skipped = needle(
+                self.seed + i * SECOND_DATASET_OFFSET)
+            self.data_seeds[t] = data_seed
+            self.patches[t] = sum(bag.num_patches for bag in dataset.bags)
+            self.skipped += skipped
 
     def _train(self, data: Path, op, epochs: int, out: Path):
         pooling, shots, train_seed, tau = op
@@ -168,8 +191,7 @@ class FewshotGrid(Workload):
     def prepare(self):
         # The recorded shots=1 slice of the reference seed runs on every
         # workload seed, so the recorded values are checked on each run.
-        self.data_seed, dataset, self.skipped = needle(self.seed)
-        self.patches = sum(bag.num_patches for bag in dataset.bags)
+        self.choose_datasets()
         data = self.work / "reference.bin"
         self._synth(data, REFERENCE_SEED)
         for key in fewshot_ops(REFERENCE_SEED, tiny=False):
@@ -184,18 +206,19 @@ class FewshotGrid(Workload):
                 self.problems.append(f"reference {key}: {problem}")
 
     def setup(self):
-        self._synth(self.data, self.data_seed)
+        for t, data in self.data.items():
+            self._synth(data, self.data_seeds[t])
 
     def pass_ops(self, p):
         return self.ops
 
     def run(self, op):
-        return self._train(self.data, op, self.epochs,
+        return self._train(self.data[op[2]], op, self.epochs,
                            self.work / "report.json")
 
     def check(self, op, out, rec):
         rc, _, err = out
-        rec.work = self.patches
+        rec.work = self.patches[op[2]]
         recorded = self.seed == REFERENCE_SEED and not self.tiny
         if rc != 0:
             rec.fail(f"exit {rc}: {_last_line(err)}", mismatch=recorded
@@ -222,7 +245,7 @@ class FewshotGrid(Workload):
                 entry["ok_ms"].append(r.latency * 1e3)
             else:
                 entry["failed"] += 1
-        return {"dataset_seed": self.data_seed,
+        return {"dataset_seeds": sorted(self.data_seeds.values()),
                 "skipped_dataset_seeds": self.skipped, "slices": {
             k: {"p50_ms": round(float(np.median(v["ok_ms"])), 2)
                 if v["ok_ms"] else None, "failed": v["failed"]}
