@@ -59,18 +59,27 @@ def _coerce(value: str):
     return value
 
 
+def _reject_unknown_keys(path, keys, allowed) -> None:
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise CliInputError(
+            f"{path}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"expected one of {', '.join(sorted(allowed))}"
+        )
+
+
 def _apply_config_defaults(parser, args_list):
+    """Install --config values as defaults of the chosen subcommand, whose
+    flags (with - spelled _) are the only keys accepted."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(args_list)
-    if known.config:
-        defaults = {k: _coerce(v)
-                    for k, v in _load_config_file(known.config).items()}
-        parser.set_defaults(**defaults)
-        # subparsers re-apply their own defaults over the parent namespace,
-        # so config values must be installed on each of them as well
-        for sub in getattr(parser, "_command_parsers", {}).values():
-            sub.set_defaults(**defaults)
+    sub = parser._command_parsers.get(args_list[0]) if args_list else None
+    if known.config and sub is not None:
+        values = _load_config_file(known.config)
+        flags = {a.dest for a in sub._actions} - {"help", "config"}
+        _reject_unknown_keys(known.config, values, flags)
+        sub.set_defaults(**{k: _coerce(v) for k, v in values.items()})
 
 
 def _require_seed(value):
@@ -111,15 +120,11 @@ def _context_payload(prompts: TrainedPrompts) -> dict:
 def _prompts_from_payload(payload) -> TrainedPrompts:
     if not isinstance(payload, dict) or "vectors" not in payload:
         raise SchemaError("report has no trained context")
-    shared = bool(payload.get("shared", True))
-    contexts = [
-        PromptContext(np.asarray(v, dtype=np.float64),
-                      shared_across_classes=shared)
-        for v in payload["vectors"]
-    ]
+    contexts = [PromptContext(np.asarray(v, dtype=np.float64))
+                for v in payload["vectors"]]
     if not contexts:
         raise SchemaError("report context has no vectors")
-    return TrainedPrompts(contexts, shared=shared)
+    return TrainedPrompts(contexts, shared=bool(payload.get("shared", True)))
 
 
 def _write_prompt_file(path, lines, header):
@@ -289,11 +294,17 @@ def _cell(value) -> str:
     return str(value)
 
 
+GRID_REQUIRED = ("data", "classes", "poolings", "shots", "tissues", "seeds")
+GRID_OPTIONAL = ("tau", "lr", "epochs", "context_length", "d_t", "d_v",
+                 "encoder_seed", "topk_k")
+
+
 def cmd_ablate(args) -> None:
     grid = _load_config_file(args.grid)
-    for key in ("data", "classes", "poolings", "shots", "tissues", "seeds"):
+    for key in GRID_REQUIRED:
         if key not in grid:
             raise CliInputError(f"grid file missing required key {key!r}")
+    _reject_unknown_keys(args.grid, grid, GRID_REQUIRED + GRID_OPTIONAL)
     bags, num_classes = read_dataset(grid["data"])
     class_names = read_prompt_lines(grid["classes"])
     if len(class_names) != num_classes:

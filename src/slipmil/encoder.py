@@ -4,6 +4,16 @@ A hashing vocabulary maps tokens to rows of a frozen seeded table; the
 encoder mean-pools the sequence (optionally prefixed by learnable context
 vectors), projects to the visual dimension and unit-normalizes. Gradients
 with respect to the context are analytic.
+
+Because of the mean pooling, a text's embedding depends on its M context
+rows only through their sum:
+
+    encode_text(text, ctx) = normalize(((sum_rows ctx + tok_sum) / L) @ P)
+
+with tok_sum the sum of the text's token embeddings and L = M + n_tokens.
+Every context row therefore receives the same gradient, (P @ g_e) / L.
+`token_sums`, `encode_context_sums` and `context_sum_grad` apply this to
+many texts at once, so a training loop tokenizes its class names once.
 """
 from __future__ import annotations
 
@@ -81,7 +91,6 @@ class PromptContext:
     """Learnable context vectors; the only trainable parameters anywhere."""
 
     vectors: np.ndarray  # M x d_t, M may be 0
-    shared_across_classes: bool = True
 
     def __post_init__(self):
         arr = np.asarray(self.vectors, dtype=np.float64)
@@ -97,9 +106,8 @@ class PromptContext:
 
     @classmethod
     def init(cls, rng: np.random.Generator, length: int, d_t: int,
-             scale: float = 0.01, shared: bool = True) -> "PromptContext":
-        return cls(rng.uniform(-scale, scale, size=(length, d_t)),
-                   shared_across_classes=shared)
+             scale: float = 0.01) -> "PromptContext":
+        return cls(rng.uniform(-scale, scale, size=(length, d_t)))
 
 
 def _sequence(weights: FrozenEncoderWeights, context, text: str) -> np.ndarray:
@@ -148,3 +156,44 @@ def encode_text_grad(weights: FrozenEncoderWeights, text: str,
     g_h = weights.projection @ g_e
     row_grad = g_h / seq.shape[0]
     return np.tile(row_grad, (context.length, 1))
+
+
+def token_sums(weights: FrozenEncoderWeights, texts,
+               context_length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per text, the sum of its token embeddings (T x d_t) and its sequence
+    length L = context_length + n_tokens (T,)."""
+    texts = list(texts)
+    ids = [weights.vocab.tokenize(t) for t in texts]
+    lengths = np.array([context_length + len(i) for i in ids],
+                       dtype=np.float64)
+    if np.any(lengths == 0):
+        text = texts[int(np.argmin(lengths))]
+        raise EmptySequenceError(f"no tokens and no context for text {text!r}")
+    sums = np.stack([weights.token_table[i].sum(axis=0) for i in ids])
+    return sums, lengths
+
+
+def encode_context_sums(weights: FrozenEncoderWeights, tok_sums: np.ndarray,
+                        lengths: np.ndarray, context_sums: np.ndarray):
+    """encode_text for every text at once, from the sum of its context rows
+    (T x d_t, or one d_t row shared by all texts).
+
+    Returns the unit embeddings (T x d_v) and their norms before
+    normalization (T,), which context_sum_grad needs.
+    """
+    e = ((context_sums + tok_sums) / lengths[:, None]) @ weights.projection
+    n = np.sqrt(np.einsum("td,td->t", e, e))
+    if n.min() < NORM_EPS:
+        raise ZeroVectorError(
+            f"projected embedding norm {n.min():.3e} < 1e-12")
+    return e / n[:, None], n
+
+
+def context_sum_grad(weights: FrozenEncoderWeights, embeddings: np.ndarray,
+                     norms: np.ndarray, lengths: np.ndarray,
+                     upstream: np.ndarray) -> np.ndarray:
+    """encode_text_grad for every text at once: row t is the gradient that
+    each context row of text t receives for upstream row t (T x d_v)."""
+    along = np.einsum("td,td->t", upstream, embeddings)[:, None]
+    g_e = (upstream - along * embeddings) / norms[:, None]
+    return (g_e @ weights.projection.T) / lengths[:, None]

@@ -12,10 +12,11 @@ from .pooling import (
     ClassPromptSet,
     SlideFeature,
     TissuePromptSet,
+    pooled_feature,
     tissue_wsi_similarity,
     zero_shot_scores,
 )
-from .trainer import TrainConfig, TrainedPrompts, pooled_feature, train_prompts
+from .trainer import TrainConfig, TrainedPrompts, train_prompts
 
 
 def classify(f_wsi: SlideFeature, classes: ClassPromptSet) -> int:
@@ -91,21 +92,15 @@ class Pipeline:
             )
         return self._cache["frozen"]
 
-    def _pool_cfg(self) -> TrainConfig:
-        return TrainConfig(tau=self.tau, pooling=self.pooling,
-                           topk_k=self.topk_k, d_t=self.weights.d_t,
-                           d_v=self.weights.d_v,
-                           encoder_seed=self.weights.seed)
-
     def slide_feature(self, bag: WsiBag) -> SlideFeature:
         if self.pooling == "zero":
             raise ValueError("zero-shot pipeline has no slide feature")
-        cfg = self._pool_cfg()
         if self.pooling == "slip" and "s_wsi" not in self._cache:
             self._cache["s_wsi"] = tissue_wsi_similarity(
                 self.pooling_classes(), self.tissues, self.tau
             )
-        return pooled_feature(bag, self.tissues, self.pooling_classes(), cfg,
+        return pooled_feature(bag, self.tissues, self.pooling_classes(),
+                              self.pooling, self.tau, self.topk_k,
                               s_wsi=self._cache.get("s_wsi"))
 
     def predict(self, bag: WsiBag) -> int:

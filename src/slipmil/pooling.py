@@ -26,6 +26,8 @@ from .errors import DimensionMismatchError, KOutOfRangeError, ZeroVectorError
 
 DEFAULT_TOPK = 16
 
+POOLING_VARIANTS = ("slip", "topk", "avg")
+
 
 @dataclass(frozen=True)
 class TissuePromptSet:
@@ -189,6 +191,26 @@ def pool_topk(bag: WsiBag, classes: ClassPromptSet, k: int) -> SlideFeature:
         top = np.sort(order[:k])  # fixed summation order
         cols.append(normalize_vector(bag.patches.data[top].mean(axis=0)))
     return SlideFeature(np.stack(cols, axis=1))
+
+
+def pooled_feature(bag: WsiBag, tissues: TissuePromptSet,
+                   frozen_classes: ClassPromptSet, pooling: str, tau: float,
+                   topk_k: int, s_wsi: SimilarityMatrix | None = None
+                   ) -> SlideFeature:
+    """Slide feature for one bag under one of POOLING_VARIANTS; slip
+    pooling reuses s_wsi when given."""
+    if pooling == "slip":
+        if s_wsi is None:
+            s_wsi = tissue_wsi_similarity(frozen_classes, tissues, tau)
+        s_patch = patch_tissue_similarity(bag, tissues, tau)
+        return slip_pool(bag, s_patch, s_wsi)
+    if pooling == "topk":
+        return pool_topk(bag, frozen_classes, min(topk_k, bag.num_patches))
+    if pooling == "avg":
+        # one vector replicated per class column
+        v = pool_average(bag)
+        return SlideFeature(np.tile(v[:, None], (1, frozen_classes.size)))
+    raise ValueError(f"pooling must be one of {POOLING_VARIANTS}")
 
 
 def zero_shot_scores(bag: WsiBag, classes: ClassPromptSet,

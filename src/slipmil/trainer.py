@@ -3,20 +3,32 @@
 Only the prompt context is trainable. Slide features are pooled with
 context-free class prompts, so they stay constant during training and are
 precomputed once per bag.
+
+The training loop runs in closed form. The encoder mean-pools
+[context; tokens], so class c's embedding is
+normalize(((sum_rows ctx_c + tok_sum_c) / L_c) @ P) with L_c = M +
+n_tokens_c, and the loss gradient reaches every context row of class c as
+the same row (P @ g_e) / L_c; a shared context receives the sum over
+classes. The class names are tokenized once per call and every step works
+on C x d_t and d_v x C arrays. `infonce_loss` and `infonce_grad` are the
+per-container reference the loop agrees with to rounding.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import WsiBag
 from .encoder import (
     DEFAULT_D_T,
     DEFAULT_D_V,
     FrozenEncoderWeights,
     PromptContext,
+    context_sum_grad,
+    encode_context_sums,
     encode_text_grad,
+    token_sums,
 )
 from .errors import (
     DimensionMismatchError,
@@ -27,16 +39,12 @@ from .errors import (
 from .pooling import (
     ClassPromptSet,
     DEFAULT_TOPK,
+    POOLING_VARIANTS,
     SlideFeature,
     TissuePromptSet,
-    patch_tissue_similarity,
-    pool_average,
-    pool_topk,
-    slip_pool,
+    pooled_feature,
     tissue_wsi_similarity,
 )
-
-POOLING_VARIANTS = ("slip", "topk", "avg")
 
 DEFAULT_ENCODER_SEED = 42
 
@@ -156,28 +164,13 @@ def infonce_grad(f_wsi: SlideFeature, classes: ClassPromptSet, label: int,
     return grads
 
 
-def pooled_feature(bag: WsiBag, tissues: TissuePromptSet,
-                   frozen_classes: ClassPromptSet, cfg: TrainConfig,
-                   s_wsi=None) -> SlideFeature:
-    """Slide feature for one bag under the configured pooling variant."""
-    if cfg.pooling == "slip":
-        if s_wsi is None:
-            s_wsi = tissue_wsi_similarity(frozen_classes, tissues, cfg.tau)
-        s_patch = patch_tissue_similarity(bag, tissues, cfg.tau)
-        return slip_pool(bag, s_patch, s_wsi)
-    if cfg.pooling == "topk":
-        k = min(cfg.topk_k, bag.num_patches)
-        return pool_topk(bag, frozen_classes, k)
-    # avg: one vector replicated per class column
-    v = pool_average(bag)
-    return SlideFeature(np.tile(v[:, None], (1, frozen_classes.size)))
-
-
 def train_prompts(dataset, tissue_descriptions, class_names,
                   cfg: TrainConfig,
                   weights: FrozenEncoderWeights | None = None):
     """Plain SGD over the prompt context, batch size one.
 
+    Each step is the closed form of infonce_loss + infonce_grad on the
+    class names' token sums (see the module docstring).
     Returns (TrainedPrompts, TrainHistory); deterministic given cfg.seed.
     """
     dataset = list(dataset)
@@ -198,50 +191,59 @@ def train_prompts(dataset, tissue_descriptions, class_names,
         weights = cfg.encoder_weights()
     rng = np.random.default_rng(cfg.seed)
     n_ctx = 1 if cfg.shared_context else num_classes
-    contexts = [
-        PromptContext.init(rng, cfg.context_length, weights.d_t,
-                           shared=cfg.shared_context)
+    # n_ctx x M x d_t; a shared context is the single entry
+    ctx = np.stack([
+        PromptContext.init(rng, cfg.context_length, weights.d_t).vectors
         for _ in range(n_ctx)
-    ]
+    ])
 
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     frozen_classes = ClassPromptSet.from_names(weights, class_names)
     s_wsi = tissue_wsi_similarity(frozen_classes, tissues, cfg.tau)
-    features = [
-        pooled_feature(bag, tissues, frozen_classes, cfg, s_wsi=s_wsi)
+    features = np.stack([
+        pooled_feature(bag, tissues, frozen_classes, cfg.pooling, cfg.tau,
+                       cfg.topk_k, s_wsi=s_wsi).columns
         for bag in dataset
-    ]
+    ])  # B x d_v x C
+    tok_sums, lengths = token_sums(weights, class_names, cfg.context_length)
 
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
         for idx in order:
             idx = int(idx)
-            bag = dataset[idx]
-            prompts = TrainedPrompts(contexts, shared=cfg.shared_context)
-            classes = ClassPromptSet.from_names(
-                weights, class_names, prompts.as_list(num_classes)
-            )
-            loss = infonce_loss(features[idx], classes, bag.label, cfg.tau,
-                                cfg.include_positive_pair)
-            grad = infonce_grad(features[idx], classes, bag.label, cfg.tau,
-                                prompts, weights, cfg.include_positive_pair)
+            label = dataset[idx].label
+            emb, norms = encode_context_sums(weights, tok_sums, lengths,
+                                             ctx.sum(axis=1))
+            f = features[idx]
+            loss, dz = _infonce_step(f.T @ emb.T, label, cfg.tau,
+                                     cfg.include_positive_pair)
+            row_grads = context_sum_grad(weights, emb, norms, lengths,
+                                         (f @ dz).T)  # C x d_t
             if cfg.shared_context:
-                contexts = [PromptContext(
-                    contexts[0].vectors - cfg.learning_rate * grad,
-                    shared_across_classes=True,
-                )]
-            else:
-                contexts = [
-                    PromptContext(ctx.vectors - cfg.learning_rate * g,
-                                  shared_across_classes=False)
-                    for ctx, g in zip(contexts, grad)
-                ]
+                row_grads = row_grads.sum(axis=0, keepdims=True)
+            ctx = ctx - cfg.learning_rate * row_grads[:, None, :]
             history.records.append((epoch, idx, loss))
 
-    final = TrainedPrompts(contexts, shared=cfg.shared_context)
+    final = TrainedPrompts([PromptContext(v) for v in ctx],
+                           shared=cfg.shared_context)
     history.final_prompts = final
     return final, history
+
+
+def _infonce_step(z: np.ndarray, label: int, tau: float,
+                  include_positive: bool):
+    """infonce_loss and d loss / d z for pair logits z, in one pass."""
+    zs = z / tau
+    m = zs.max()
+    e = np.exp(zs - m)
+    if not include_positive:
+        e[label, label] = 0.0
+    total = e.sum()
+    dz = e / total
+    dz[label, label] -= 1.0
+    dz /= tau
+    return math.log(total) - float(zs[label, label] - m), dz
 
 
 def _pair_logits(f_wsi: SlideFeature, classes: ClassPromptSet) -> np.ndarray:

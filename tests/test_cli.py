@@ -136,6 +136,33 @@ class TestTrainCommand:
         assert doc["config"]["shots"] == 1
         assert doc["config"]["seed"] == 9
 
+    def test_config_file_unknown_keys(self, synth_paths, capsys):
+        # typos must not fall back silently to the flag defaults
+        cfg = synth_paths["dir"] / "typo.cfg"
+        cfg.write_text("epoch = 2\nsede = 3\n")
+        report = synth_paths["dir"] / "typo.json"
+        code, _, err = run(capsys, "train", "--config", str(cfg),
+                           "--data", synth_paths["data"],
+                           "--tissues", synth_paths["tissues"],
+                           "--classes", synth_paths["classes"],
+                           "--seed", "1", "--out", str(report))
+        assert code == 2
+        assert "'epoch'" in err and "'sede'" in err
+        assert not report.exists()
+
+    def test_config_key_of_other_command(self, synth_paths, capsys):
+        # a synth flag means nothing to train
+        cfg = synth_paths["dir"] / "other.cfg"
+        cfg.write_text("preset = needle\n")
+        code, _, err = run(capsys, "train", "--config", str(cfg),
+                           "--data", synth_paths["data"],
+                           "--tissues", synth_paths["tissues"],
+                           "--classes", synth_paths["classes"],
+                           "--seed", "1",
+                           "--out", str(synth_paths["dir"] / "o.json"))
+        assert code == 2
+        assert "'preset'" in err
+
 
 class TestEvalCommand:
     def test_eval_from_report(self, synth_paths, capsys):
@@ -204,6 +231,24 @@ class TestAblateCommand:
         code, _, err = run(capsys, "ablate", "--grid", str(grid))
         assert code == 2
         assert "grid file missing" in err
+
+    def test_unknown_key(self, synth_paths, capsys):
+        grid = synth_paths["dir"] / "grid.cfg"
+        grid.write_text(
+            f"data = {synth_paths['data']}\n"
+            f"classes = {synth_paths['classes']}\n"
+            f"tissues = {synth_paths['tissues']}\n"
+            "poolings = avg\n"
+            "shots = 1\n"
+            "seeds = 0\n"
+            "epoch = 2\n"
+        )
+        out = synth_paths["dir"] / "rows.json"
+        code, _, err = run(capsys, "ablate", "--grid", str(grid),
+                           "--out", str(out))
+        assert code == 2
+        assert "'epoch'" in err
+        assert not out.exists()
 
 
 class TestHeatmapCommand:

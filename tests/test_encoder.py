@@ -8,10 +8,13 @@ from slipmil.encoder import (
     FrozenEncoderWeights,
     PromptContext,
     Vocabulary,
+    context_sum_grad,
+    encode_context_sums,
     encode_text,
     encode_text_grad,
+    token_sums,
 )
-from slipmil.errors import EmptySequenceError
+from slipmil.errors import EmptySequenceError, ZeroVectorError
 
 
 def rel_err(a, b):
@@ -150,3 +153,34 @@ class TestEncodeTextGrad:
             g = encode_text_grad(w, text, u, ctx)
             worst = max(worst, rel_err(g, fd_grad(w, text, u, ctx)))
         assert worst < 1e-6
+
+
+class TestContextSumHelpers:
+    TEXTS = ["solid", "", "poorly differentiated tumor"]
+
+    def test_match_per_text_encoder(self, weights):
+        # one context per text, the middle text without tokens
+        rng = np.random.default_rng(9)
+        ctxs = [PromptContext(rng.uniform(-0.5, 0.5, (3, 16)))
+                for _ in self.TEXTS]
+        upstream = rng.standard_normal((len(self.TEXTS), 32))
+        sums, lengths = token_sums(weights, self.TEXTS, 3)
+        emb, norms = encode_context_sums(
+            weights, sums, lengths, np.stack([c.vectors.sum(axis=0)
+                                              for c in ctxs]))
+        rows = context_sum_grad(weights, emb, norms, lengths, upstream)
+        for t, (text, ctx) in enumerate(zip(self.TEXTS, ctxs)):
+            assert np.max(np.abs(emb[t] - encode_text(weights, text, ctx))
+                          ) < 1e-14
+            g = encode_text_grad(weights, text, upstream[t], ctx)
+            assert np.max(np.abs(np.tile(rows[t], (3, 1)) - g)) < 1e-14
+
+    def test_empty_sequence(self, weights):
+        with pytest.raises(EmptySequenceError):
+            token_sums(weights, self.TEXTS, 0)
+
+    def test_zero_embedding(self, weights):
+        # a context that cancels the tokens leaves nothing to normalize
+        sums, lengths = token_sums(weights, self.TEXTS[:1], 2)
+        with pytest.raises(ZeroVectorError):
+            encode_context_sums(weights, sums, lengths, -sums)

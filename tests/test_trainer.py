@@ -9,7 +9,13 @@ from slipmil.errors import (
     MissingClassError,
 )
 from slipmil.oracles import oracle_infonce
-from slipmil.pooling import ClassPromptSet, SlideFeature
+from slipmil.pooling import (
+    ClassPromptSet,
+    SlideFeature,
+    TissuePromptSet,
+    pooled_feature,
+    tissue_wsi_similarity,
+)
 from slipmil.trainer import (
     TrainConfig,
     TrainedPrompts,
@@ -282,3 +288,69 @@ class TestTrainPrompts:
         prompts, _ = train_prompts(bags, TISSUES, CLASSES, cfg)
         assert not prompts.shared
         assert len(prompts.contexts) == len(CLASSES)
+
+
+def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
+    """The step-by-step loop: rebuild the prompted class set every step and
+    take infonce_loss / infonce_grad from the public reference functions."""
+    rng = np.random.default_rng(cfg.seed)
+    n_ctx = 1 if cfg.shared_context else len(class_names)
+    contexts = [PromptContext.init(rng, cfg.context_length, weights.d_t)
+                for _ in range(n_ctx)]
+    tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
+    frozen = ClassPromptSet.from_names(weights, class_names)
+    s_wsi = tissue_wsi_similarity(frozen, tissues, cfg.tau)
+    features = [pooled_feature(bag, tissues, frozen, cfg.pooling, cfg.tau,
+                               cfg.topk_k, s_wsi=s_wsi) for bag in bags]
+    records = []
+    for epoch in range(cfg.epochs):
+        for idx in rng.permutation(len(bags)):
+            idx = int(idx)
+            prompts = TrainedPrompts(contexts, shared=cfg.shared_context)
+            classes = class_set_with(weights, class_names, prompts)
+            label = bags[idx].label
+            loss = infonce_loss(features[idx], classes, label, cfg.tau,
+                                cfg.include_positive_pair)
+            grad = infonce_grad(features[idx], classes, label, cfg.tau,
+                                prompts, weights, cfg.include_positive_pair)
+            grads = [grad] if cfg.shared_context else grad
+            contexts = [PromptContext(ctx.vectors - cfg.learning_rate * g)
+                        for ctx, g in zip(contexts, grads)]
+            records.append((epoch, idx, loss))
+    return contexts, records
+
+
+class TestClosedFormEquivalence:
+    @pytest.mark.parametrize("pooling", ["slip", "topk", "avg"])
+    @pytest.mark.parametrize("context_length", [0, 4])
+    @pytest.mark.parametrize("include_positive", [True, False])
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_matches_step_by_step_reference(self, weights, pooling,
+                                            context_length, include_positive,
+                                            shared):
+        rng = np.random.default_rng(47)
+        bags = small_dataset(rng, num_classes=3)
+        cfg = TrainConfig(tau=0.1, learning_rate=0.05, epochs=4, seed=13,
+                          pooling=pooling, context_length=context_length,
+                          topk_k=2, shared_context=shared,
+                          include_positive_pair=include_positive)
+        prompts, history = train_prompts(bags, TISSUES, NAMES3, cfg,
+                                         weights=weights)
+        contexts, records = reference_train(bags, TISSUES, NAMES3, cfg,
+                                            weights)
+        assert prompts.shared == shared
+        assert len(prompts.contexts) == len(contexts)
+        for got, want in zip(prompts.contexts, contexts):
+            assert got.vectors.shape == want.vectors.shape
+            assert np.max(np.abs(got.vectors - want.vectors),
+                          initial=0.0) <= 1e-12
+        assert [r[:2] for r in history.records] == [r[:2] for r in records]
+        losses = np.array([r[2] for r in history.records])
+        want_losses = np.array([r[2] for r in records])
+        assert np.max(np.abs(losses - want_losses)) <= 1e-12
+        if context_length:
+            # the comparison is only meaningful if training moved the context
+            init = PromptContext.init(np.random.default_rng(13),
+                                      context_length, weights.d_t)
+            drift = np.abs(prompts.contexts[0].vectors - init.vectors).max()
+            assert drift > 1e-6
