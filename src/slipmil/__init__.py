@@ -1,6 +1,5 @@
 """Dual-similarity pooling and few-shot prompt training for bag-of-patches
-classification, with synthetic data, brute-force oracles, and bit-exact
-file formats."""
+classification, with synthetic data and bit-exact file formats."""
 
 from .core import (
     EmbeddingMatrix,

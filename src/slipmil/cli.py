@@ -14,7 +14,8 @@ import numpy as np
 
 from .encoder import FrozenEncoderWeights, PromptContext
 from .errors import SchemaError, SlipError
-from .evaluation import Pipeline, evaluate, run_ablation, run_single
+from .evaluation import Pipeline, evaluate, run_ablation, run_single, \
+    select_few_shot
 from .io_formats import (
     export_heatmap,
     read_dataset,
@@ -23,8 +24,8 @@ from .io_formats import (
     write_dataset,
     write_report,
 )
-from .pooling import TissuePromptSet, patch_slide_correlation, \
-    patch_tissue_similarity, tissue_wsi_similarity
+from .pooling import ClassPromptSet, TissuePromptSet, \
+    patch_slide_correlation, patch_tissue_similarity, tissue_wsi_similarity
 from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import DEFAULT_ENCODER_SEED, TrainConfig, TrainedPrompts
 
@@ -88,14 +89,18 @@ def _require_seed(value):
     return int(value)
 
 
-def _threads(args) -> int:
-    raw = getattr(args, "threads", None)
-    if raw is None:
-        raw = os.environ.get("SLIP_THREADS", "1")
-    n = int(raw)
-    if n < 1:
-        raise CliInputError(f"--threads must be >= 1, got {n}")
-    return n
+def _check_dataset(bags, num_classes, class_names, d_v, source) -> None:
+    """Reject a dataset whose class count or d_v differs from `source`'s."""
+    if len(class_names) != num_classes:
+        raise CliInputError(
+            f"{source}: {len(class_names)} class names, but the dataset "
+            f"declares {num_classes} classes"
+        )
+    if bags[0].patches.cols != d_v:
+        raise CliInputError(
+            f"{source}: d_v={d_v}, but the dataset has "
+            f"d_v={bags[0].patches.cols}"
+        )
 
 
 def _shots_value(raw):
@@ -134,19 +139,28 @@ def _write_prompt_file(path, lines, header):
             fh.write(line + "\n")
 
 
+# synth flags that set a SynthSpec field; an absent one takes its default
+SPEC_FLAGS = ("num_classes", "num_tissues", "n_min", "n_max",
+              "bags_per_class", "signal_fraction", "noise_sigma", "dv", "dt")
+
+
 def cmd_synth(args) -> None:
     seed = _require_seed(args.seed)
+    given = {k: getattr(args, k) for k in SPEC_FLAGS if hasattr(args, k)}
     if args.preset:
+        if given:
+            flags = ", ".join("--" + k.replace("_", "-") for k in given)
+            raise CliInputError(f"--preset {args.preset} fixes the dataset "
+                                f"spec; drop {flags}")
         spec = preset_spec(args.preset, seed=seed,
                            encoder_seed=args.encoder_seed)
     else:
+        lo, hi = SynthSpec.n_range
         spec = SynthSpec(
-            num_classes=args.num_classes, num_tissues=args.num_tissues,
-            n_range=(args.n_min, args.n_max),
-            bags_per_class=args.bags_per_class,
-            signal_fraction=args.signal_fraction,
-            noise_sigma=args.noise_sigma, d_v=args.dv, d_t=args.dt,
-            seed=seed, encoder_seed=args.encoder_seed,
+            n_range=(given.pop("n_min", lo), given.pop("n_max", hi)),
+            d_v=given.pop("dv", SynthSpec.d_v),
+            d_t=given.pop("dt", SynthSpec.d_t),
+            seed=seed, encoder_seed=args.encoder_seed, **given,
         )
     data = generate(spec)
     write_dataset(args.out, data.bags)
@@ -184,26 +198,17 @@ def _train_config_from_args(args, seed) -> TrainConfig:
 
 def cmd_train(args) -> None:
     seed = _require_seed(args.seed)
-    _threads(args)
     bags, num_classes = read_dataset(args.data)
     tissue_descriptions = read_prompt_lines(args.tissues)
     class_names = read_prompt_lines(args.classes)
-    if len(class_names) != num_classes:
-        raise CliInputError(
-            f"class file has {len(class_names)} names, "
-            f"dataset declares {num_classes} classes"
-        )
-    if bags[0].patches.cols != args.dv:
-        raise CliInputError(
-            f"dataset d_v={bags[0].patches.cols} != --dv {args.dv}"
-        )
+    _check_dataset(bags, num_classes, class_names, args.dv, "--classes/--dv")
     cfg = _train_config_from_args(args, seed)
     prompts, history, metrics, pool_size = run_single(
         bags, class_names, tissue_descriptions, cfg
     )
     config_echo = {
         "tau": cfg.tau, "lr": cfg.learning_rate, "epochs": cfg.epochs,
-        "batch_size": cfg.batch_size, "shots": cfg.shots, "seed": cfg.seed,
+        "shots": cfg.shots, "seed": cfg.seed,
         "pooling": cfg.pooling, "context_length": cfg.context_length,
         "d_t": cfg.d_t, "d_v": cfg.d_v, "encoder_seed": cfg.encoder_seed,
         "topk_k": cfg.topk_k, "data": os.path.basename(args.data),
@@ -216,7 +221,7 @@ def cmd_train(args) -> None:
                      indent=2, sort_keys=True))
 
 
-def _pipeline_from_report(doc, bags) -> tuple[Pipeline, dict]:
+def _pipeline_from_report(doc) -> Pipeline:
     cfg = doc["config"]
     weights = FrozenEncoderWeights.create(
         int(cfg["encoder_seed"]), d_t=int(cfg["d_t"]), d_v=int(cfg["d_v"])
@@ -225,32 +230,25 @@ def _pipeline_from_report(doc, bags) -> tuple[Pipeline, dict]:
         weights, doc["tissue_descriptions"]
     )
     prompts = _prompts_from_payload(doc.get("context"))
-    pipeline = Pipeline(
+    return Pipeline(
         weights=weights, tissues=tissues,
         class_names=tuple(doc["class_names"]), tau=float(cfg["tau"]),
         pooling=cfg["pooling"], topk_k=int(cfg["topk_k"]), prompts=prompts,
     )
-    return pipeline, cfg
 
 
 def cmd_eval(args) -> None:
-    _threads(args)
     bags, num_classes = read_dataset(args.data)
     if args.zero_shot:
         if not args.classes:
             raise CliInputError("--zero-shot requires --classes")
         class_names = read_prompt_lines(args.classes)
-        if len(class_names) != num_classes:
-            raise CliInputError(
-                f"class file has {len(class_names)} names, "
-                f"dataset declares {num_classes} classes"
-            )
+        _check_dataset(bags, num_classes, class_names, args.dv,
+                       "--classes/--dv")
         weights = FrozenEncoderWeights.create(args.encoder_seed,
                                               d_t=args.dt, d_v=args.dv)
-        tissue_descriptions = (read_prompt_lines(args.tissues)
-                               if args.tissues else list(class_names))
-        tissues = TissuePromptSet.from_descriptions(weights,
-                                                    tissue_descriptions)
+        # Zero-shot scoring never looks at tissues; the set is a placeholder.
+        tissues = TissuePromptSet.from_descriptions(weights, class_names)
         pipeline = Pipeline(weights=weights, tissues=tissues,
                             class_names=tuple(class_names), tau=args.tau,
                             pooling="zero")
@@ -261,12 +259,14 @@ def cmd_eval(args) -> None:
     if not args.report:
         raise CliInputError("provide --report or --zero-shot")
     doc = read_report(args.report)
-    pipeline, cfg = _pipeline_from_report(doc, bags)
+    cfg = doc["config"]
+    _check_dataset(bags, num_classes, doc["class_names"], int(cfg["d_v"]),
+                   f"report {args.report}")
+    pipeline = _pipeline_from_report(doc)
     shots = cfg.get("shots", "all")
     if shots == "all":
         eval_bags = bags
     else:
-        from .evaluation import select_few_shot
         _, eval_bags = select_few_shot(bags, int(shots))
     metrics = evaluate(eval_bags, pipeline)
     print(json.dumps({"mode": "trained", "metrics": metrics},
@@ -307,8 +307,8 @@ def cmd_ablate(args) -> None:
     _reject_unknown_keys(args.grid, grid, GRID_REQUIRED + GRID_OPTIONAL)
     bags, num_classes = read_dataset(grid["data"])
     class_names = read_prompt_lines(grid["classes"])
-    if len(class_names) != num_classes:
-        raise CliInputError("class file does not match dataset class count")
+    d_v = int(grid.get("d_v", bags[0].patches.cols))
+    _check_dataset(bags, num_classes, class_names, d_v, f"grid {args.grid}")
     poolings = [p.strip() for p in grid["poolings"].split(",") if p.strip()]
     shots_list = [int(s) for s in grid["shots"].split(",") if s.strip()]
     seeds = [int(s) for s in grid["seeds"].split(",") if s.strip()]
@@ -321,7 +321,7 @@ def cmd_ablate(args) -> None:
         epochs=int(grid.get("epochs", 50)),
         context_length=int(grid.get("context_length", 4)),
         d_t=int(grid.get("d_t", 16)),
-        d_v=int(grid.get("d_v", bags[0].patches.cols)),
+        d_v=d_v,
         encoder_seed=int(grid.get("encoder_seed", DEFAULT_ENCODER_SEED)),
         topk_k=int(grid.get("topk_k", 16)),
     )
@@ -347,7 +347,6 @@ def cmd_heatmap(args) -> None:
     weights = FrozenEncoderWeights.create(args.encoder_seed, d_t=args.dt,
                                           d_v=bag.patches.cols)
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
-    from .pooling import ClassPromptSet
     classes = ClassPromptSet.from_names(weights, class_names)
     s_patch = patch_tissue_similarity(bag, tissues, args.tau)
     s_wsi = tissue_wsi_similarity(classes, tissues, args.tau)
@@ -364,9 +363,6 @@ def cmd_heatmap(args) -> None:
 
 def _add_common(sub):
     sub.add_argument("--config", help="flat key = value file of defaults")
-    sub.add_argument("--threads", type=int,
-                     help="worker threads (SLIP_THREADS fallback; "
-                          "reductions stay fixed-order)")
 
 
 def _add_encoder_flags(sub):
@@ -390,14 +386,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_encoder_flags(p)
     p.add_argument("--preset", choices=sorted(PRESETS),
-                   help="named preset; flags below are ignored when set")
-    p.add_argument("--num-classes", type=int, default=3)
-    p.add_argument("--num-tissues", type=int, default=3)
-    p.add_argument("--n-min", type=int, default=8)
-    p.add_argument("--n-max", type=int, default=16)
-    p.add_argument("--bags-per-class", type=int, default=8)
-    p.add_argument("--signal-fraction", type=float, default=0.9)
-    p.add_argument("--noise-sigma", type=float, default=0.05)
+                   help="named preset; the spec flags below (and --dv, "
+                        "--dt) cannot be combined with it")
+    p.add_argument("--num-classes", type=int)
+    p.add_argument("--num-tissues", type=int)
+    p.add_argument("--n-min", type=int)
+    p.add_argument("--n-max", type=int)
+    p.add_argument("--bags-per-class", type=int)
+    p.add_argument("--signal-fraction", type=float)
+    p.add_argument("--noise-sigma", type=float)
+    # Spec flags left off the command line stay unset, so cmd_synth can
+    # tell an explicit flag from SynthSpec's default.
+    for action in p._actions:
+        if action.dest in SPEC_FLAGS:
+            action.default = argparse.SUPPRESS
     p.add_argument("--seed", type=int, help="required; never implicit")
     p.add_argument("--out", required=True)
     p.add_argument("--tissues-out")
@@ -435,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="report with trained context")
     p.add_argument("--zero-shot", action="store_true")
     p.add_argument("--classes", help="class names file (zero-shot mode)")
-    p.add_argument("--tissues", help="tissue file (zero-shot mode, optional)")
     p.add_argument("--tau", type=float, default=0.01,
                    help="softmax temperature (default 0.01)")
     p.set_defaults(func=cmd_eval)
@@ -475,10 +476,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         args.func(args)
         return 0
-    except SlipError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (SlipError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:

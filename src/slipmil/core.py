@@ -16,8 +16,6 @@ from .errors import (
     ZeroVectorError,
 )
 
-SEMANTICS = ("patch", "tissue_text", "class_text")
-
 NORM_EPS = 1e-12
 
 
@@ -34,15 +32,12 @@ def _as_matrix(data) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EmbeddingMatrix:
-    """Row-major matrix of feature vectors with declared row semantics."""
+    """Row-major matrix of feature vectors."""
 
     data: np.ndarray
-    semantics: str = "patch"
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_matrix(self.data))
-        if self.semantics not in SEMANTICS:
-            raise ValueError(f"unknown semantics tag {self.semantics!r}")
 
     @property
     def rows(self) -> int:
@@ -51,9 +46,6 @@ class EmbeddingMatrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
 
 
 @dataclass(frozen=True)
@@ -113,7 +105,7 @@ def l2_normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
     if np.any(norms < NORM_EPS):
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} has norm {norms[bad]:.3e} < 1e-12")
-    return EmbeddingMatrix(m.data / norms[:, None], semantics=m.semantics)
+    return EmbeddingMatrix(m.data / norms[:, None])
 
 
 def normalize_vector(v: np.ndarray) -> np.ndarray:

@@ -56,7 +56,6 @@ class FrozenEncoderWeights:
     token_table: np.ndarray  # hash_buckets x d_t
     projection: np.ndarray  # d_t x d_v
     vocab: Vocabulary
-    seed: int
 
     @classmethod
     def create(
@@ -64,17 +63,16 @@ class FrozenEncoderWeights:
         seed: int,
         d_t: int = DEFAULT_D_T,
         d_v: int = DEFAULT_D_V,
-        hash_buckets: int = DEFAULT_HASH_BUCKETS,
     ) -> "FrozenEncoderWeights":
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(d_t)
-        token_table = rng.uniform(-scale, scale, size=(hash_buckets, d_t))
+        token_table = rng.uniform(-scale, scale,
+                                  size=(DEFAULT_HASH_BUCKETS, d_t))
         projection = rng.uniform(-scale, scale, size=(d_t, d_v))
         return cls(
             token_table=token_table,
             projection=projection,
-            vocab=Vocabulary(hash_buckets=hash_buckets, seed=seed),
-            seed=seed,
+            vocab=Vocabulary(seed=seed),
         )
 
     @property

@@ -1,7 +1,7 @@
 """Classification, few-shot split construction, metrics and ablation sweeps."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,9 +53,12 @@ def select_few_shot(dataset, shots: int):
     return train, pool
 
 
-@dataclass
+@dataclass(frozen=True)
 class Pipeline:
-    """Everything needed to score a bag: encoder, prompt sets, pooling."""
+    """Everything needed to score a bag: encoder, prompt sets, pooling.
+
+    Pooling uses the context-free class prompts, scoring the prompted ones;
+    both, and S_wsi for slip pooling, are computed at construction."""
 
     weights: FrozenEncoderWeights
     tissues: TissuePromptSet
@@ -64,49 +67,40 @@ class Pipeline:
     pooling: str = "slip"  # slip | topk | avg | zero
     topk_k: int = 16
     prompts: TrainedPrompts | None = None
-    # Re-derive the tissue-class relevance from prompted embeddings instead
-    # of frozen class names (comparison flag; off by default).
-    prompted_pooling: bool = False
-    _cache: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.class_names = tuple(self.class_names)
+        names = tuple(self.class_names)
+        frozen = ClassPromptSet.from_names(self.weights, names)
+        scoring = frozen
+        if self.prompts is not None:
+            scoring = ClassPromptSet.from_names(
+                self.weights, names, self.prompts.as_list(len(names))
+            )
+        s_wsi = None
+        if self.pooling == "slip":
+            s_wsi = tissue_wsi_similarity(frozen, self.tissues, self.tau)
+        object.__setattr__(self, "class_names", names)
+        object.__setattr__(self, "_frozen", frozen)
+        object.__setattr__(self, "_scoring", scoring)
+        object.__setattr__(self, "_s_wsi", s_wsi)
 
     def scoring_classes(self) -> ClassPromptSet:
         """Class prompts used on the text side of classification."""
-        if "scoring" not in self._cache:
-            ctxs = None
-            if self.prompts is not None:
-                ctxs = self.prompts.as_list(len(self.class_names))
-            self._cache["scoring"] = ClassPromptSet.from_names(
-                self.weights, self.class_names, ctxs
-            )
-        return self._cache["scoring"]
+        return self._scoring
 
     def pooling_classes(self) -> ClassPromptSet:
-        if self.prompted_pooling and self.prompts is not None:
-            return self.scoring_classes()
-        if "frozen" not in self._cache:
-            self._cache["frozen"] = ClassPromptSet.from_names(
-                self.weights, self.class_names
-            )
-        return self._cache["frozen"]
+        return self._frozen
 
     def slide_feature(self, bag: WsiBag) -> SlideFeature:
         if self.pooling == "zero":
             raise ValueError("zero-shot pipeline has no slide feature")
-        if self.pooling == "slip" and "s_wsi" not in self._cache:
-            self._cache["s_wsi"] = tissue_wsi_similarity(
-                self.pooling_classes(), self.tissues, self.tau
-            )
-        return pooled_feature(bag, self.tissues, self.pooling_classes(),
-                              self.pooling, self.tau, self.topk_k,
-                              s_wsi=self._cache.get("s_wsi"))
+        return pooled_feature(bag, self.tissues, self._frozen, self.pooling,
+                              self.tau, self.topk_k, s_wsi=self._s_wsi)
 
     def predict(self, bag: WsiBag) -> int:
         if self.pooling == "zero":
             # Zero-shot: raw class names, per-patch softmax averaged.
-            scores = zero_shot_scores(bag, self.pooling_classes(), self.tau)
+            scores = zero_shot_scores(bag, self._frozen, self.tau)
             return int(np.argmax(scores))
         return classify(self.slide_feature(bag), self.scoring_classes())
 

@@ -90,8 +90,6 @@ def read_dataset(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
-    if len(blob) < len(MAGIC):
-        raise TruncatedFileError("file shorter than magic")
     magic = r.take(len(MAGIC))
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
@@ -136,7 +134,7 @@ def read_dataset(path):
             raise CorruptHeaderError(f"bag {b}: non-finite embedding values")
         try:
             bags.append(WsiBag(
-                patches=EmbeddingMatrix(emb, semantics="patch"),
+                patches=EmbeddingMatrix(emb),
                 coords=coords, label=label, patient_id=pid,
             ))
         except (ValueError, FormatError) as exc:
@@ -160,10 +158,6 @@ def read_prompt_lines(path):
     if not prompts:
         raise EmptyPromptSetError(f"{path}: no usable prompt lines")
     return prompts
-
-
-# Alias matching the tissue-file contract; class-name files share the format.
-read_tissue_prompts = read_prompt_lines
 
 
 def export_heatmap(bag: WsiBag, correlation, class_index: int,
@@ -215,8 +209,7 @@ _REPORT_REQUIRED = ("schema_version", "config", "class_names",
 
 
 def write_report(path, config: dict, history_records, metrics: dict,
-                 class_names, tissue_descriptions, context=None,
-                 extra: dict | None = None) -> dict:
+                 class_names, tissue_descriptions, context=None) -> dict:
     """Serialize a run report as one JSON document and return it.
 
     `context` is None or {"shared": bool, "vectors": [[...]] per context}.
@@ -232,11 +225,8 @@ def write_report(path, config: dict, history_records, metrics: dict,
         "history": [[int(e), int(i), float(l)] for e, i, l in history_records],
         "metrics": metrics,
     }
-    if extra:
-        doc.update(extra)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(doc, sort_keys=True) + "\n")
     return doc
 
 

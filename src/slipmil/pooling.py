@@ -7,7 +7,7 @@ patch-averaged zero-shot scoring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .core import (
     SimilarityMatrix,
     WsiBag,
     cosine_matrix,
-    l2_normalize_rows,
     normalize_vector,
     softmax_rows,
     NORM_EPS,
@@ -45,8 +44,7 @@ class TissuePromptSet:
     def from_descriptions(cls, weights: FrozenEncoderWeights,
                           descriptions) -> "TissuePromptSet":
         emb = np.stack([encode_text(weights, d) for d in descriptions])
-        return cls(tuple(descriptions),
-                   EmbeddingMatrix(emb, semantics="tissue_text"))
+        return cls(tuple(descriptions), EmbeddingMatrix(emb))
 
     @property
     def size(self) -> int:
@@ -59,7 +57,6 @@ class ClassPromptSet:
 
     class_names: tuple
     embeddings: EmbeddingMatrix
-    with_context: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "class_names", tuple(self.class_names))
@@ -83,8 +80,7 @@ class ClassPromptSet:
         emb = np.stack(
             [encode_text(weights, n, ctx) for n, ctx in zip(names, per_class)]
         )
-        return cls(names, EmbeddingMatrix(emb, semantics="class_text"),
-                   with_context=contexts is not None)
+        return cls(names, EmbeddingMatrix(emb))
 
     @property
     def size(self) -> int:
@@ -105,10 +101,6 @@ class SlideFeature:
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise ValueError("slide feature columns must be unit-norm")
         object.__setattr__(self, "columns", arr)
-
-    @property
-    def d_v(self) -> int:
-        return self.columns.shape[0]
 
     @property
     def num_classes(self) -> int:
@@ -195,13 +187,11 @@ def pool_topk(bag: WsiBag, classes: ClassPromptSet, k: int) -> SlideFeature:
 
 def pooled_feature(bag: WsiBag, tissues: TissuePromptSet,
                    frozen_classes: ClassPromptSet, pooling: str, tau: float,
-                   topk_k: int, s_wsi: SimilarityMatrix | None = None
+                   topk_k: int, s_wsi: SimilarityMatrix | None
                    ) -> SlideFeature:
     """Slide feature for one bag under one of POOLING_VARIANTS; slip
-    pooling reuses s_wsi when given."""
+    pooling needs s_wsi, the tissue-class similarity of frozen_classes."""
     if pooling == "slip":
-        if s_wsi is None:
-            s_wsi = tissue_wsi_similarity(frozen_classes, tissues, tau)
         s_patch = patch_tissue_similarity(bag, tissues, tau)
         return slip_pool(bag, s_patch, s_wsi)
     if pooling == "topk":

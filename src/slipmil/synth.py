@@ -8,7 +8,7 @@ prompt land exactly on the archetype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -174,7 +174,7 @@ def generate(spec: SynthSpec) -> SynthDataset:
             width = math.ceil(math.sqrt(n))
             coords = tuple((i % width, i // width) for i in range(n))
             bags.append(WsiBag(
-                patches=EmbeddingMatrix(patches, semantics="patch"),
+                patches=EmbeddingMatrix(patches),
                 coords=coords,
                 label=c,
                 patient_id=f"pt{c}_{b:03d}",

@@ -51,12 +51,11 @@ DEFAULT_ENCODER_SEED = 42
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for prompt training. batch_size is fixed at 1."""
+    """Hyperparameters for prompt training."""
 
     tau: float = 0.01
     learning_rate: float = 2e-4
     epochs: int = 50
-    batch_size: int = 1
     shots: int | str = "all"
     seed: int = 0
     pooling: str = "slip"
@@ -75,8 +74,6 @@ class TrainConfig:
             raise ValueError("learning rate must be non-negative")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.batch_size != 1:
-            raise ValueError("batch_size is fixed at 1")
         if self.pooling not in POOLING_VARIANTS:
             raise ValueError(f"pooling must be one of {POOLING_VARIANTS}")
         if self.context_length < 0:
@@ -100,9 +97,6 @@ class TrainedPrompts:
     def __post_init__(self):
         object.__setattr__(self, "contexts", tuple(self.contexts))
 
-    def for_class(self, c: int) -> PromptContext:
-        return self.contexts[0] if self.shared else self.contexts[c]
-
     def as_list(self, num_classes: int):
         if self.shared:
             return [self.contexts[0]] * num_classes
@@ -111,10 +105,9 @@ class TrainedPrompts:
 
 @dataclass
 class TrainHistory:
-    """Per-step (epoch, bag index, loss) records and the final prompts."""
+    """Per-step (epoch, bag index, loss) records."""
 
     records: list = field(default_factory=list)
-    final_prompts: TrainedPrompts | None = None
 
 
 def infonce_loss(f_wsi: SlideFeature, classes: ClassPromptSet, label: int,
@@ -225,10 +218,8 @@ def train_prompts(dataset, tissue_descriptions, class_names,
             ctx = ctx - cfg.learning_rate * row_grads[:, None, :]
             history.records.append((epoch, idx, loss))
 
-    final = TrainedPrompts([PromptContext(v) for v in ctx],
-                           shared=cfg.shared_context)
-    history.final_prompts = final
-    return final, history
+    return (TrainedPrompts([PromptContext(v) for v in ctx],
+                           shared=cfg.shared_context), history)
 
 
 def _infonce_step(z: np.ndarray, label: int, tau: float,

@@ -16,7 +16,7 @@ def unit_rows(rng, n, d):
 
 
 def random_bag(rng, n, d, label=0, patient_id="p0"):
-    patches = EmbeddingMatrix(unit_rows(rng, n, d), semantics="patch")
+    patches = EmbeddingMatrix(unit_rows(rng, n, d))
     coords = tuple((i, 0) for i in range(n))
     return WsiBag(patches=patches, coords=coords, label=label,
                   patient_id=patient_id)

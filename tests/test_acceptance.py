@@ -20,11 +20,6 @@ from slipmil.evaluation import (
     select_few_shot,
 )
 from slipmil.io_formats import read_dataset, read_report, write_dataset
-from slipmil.oracles import (
-    oracle_infonce,
-    oracle_similarity,
-    oracle_slip_pool,
-)
 from slipmil.pooling import (
     ClassPromptSet,
     TissuePromptSet,
@@ -45,6 +40,11 @@ from slipmil.trainer import (
 )
 
 from conftest import random_bag, unit_rows
+from oracles import (
+    oracle_infonce,
+    oracle_similarity,
+    oracle_slip_pool,
+)
 
 
 def report_line(capsys, number: int, ok: bool, description: str) -> None:
@@ -57,11 +57,11 @@ def make_sets(rng, n, k, c, d=8):
     bag = random_bag(rng, n, d, label=int(rng.integers(c)), patient_id="p")
     tissues = TissuePromptSet(
         tuple(f"t{i}" for i in range(k)),
-        EmbeddingMatrix(unit_rows(rng, k, d), semantics="tissue_text"),
+        EmbeddingMatrix(unit_rows(rng, k, d)),
     )
     classes = ClassPromptSet(
         tuple(f"c{i}" for i in range(c)),
-        EmbeddingMatrix(unit_rows(rng, c, d), semantics="class_text"),
+        EmbeddingMatrix(unit_rows(rng, c, d)),
     )
     return bag, tissues, classes
 
@@ -227,7 +227,7 @@ class TestAcceptance:
             uniform_f = SlideFeature(np.tile(v[:, None], (1, c)))
             uniform_classes = ClassPromptSet(
                 tuple(f"u{i}" for i in range(c)),
-                EmbeddingMatrix(np.tile(v, (c, 1)), semantics="class_text"))
+                EmbeddingMatrix(np.tile(v, (c, 1))))
             loss = infonce_loss(uniform_f, uniform_classes, 0, 0.5)
             if abs(loss - np.log(c * c)) > 1e-12:
                 failures.append(f"uniform C={c} loss off log(C^2)")
@@ -327,8 +327,7 @@ class TestAcceptance:
         for bag in bags:
             perm = rng.permutation(bag.num_patches)
             shuffled.append(WsiBag(
-                patches=EmbeddingMatrix(bag.patches.data[perm],
-                                        semantics="patch"),
+                patches=EmbeddingMatrix(bag.patches.data[perm]),
                 coords=tuple(bag.coords[i] for i in perm),
                 label=bag.label, patient_id=bag.patient_id))
         other = evaluate(shuffled, pipe)
@@ -379,7 +378,7 @@ class TestAcceptance:
         rng2 = np.random.default_rng(105)
         data = rng2.normal(size=(4, 4))
         data /= np.linalg.norm(data, axis=1, keepdims=True)
-        bag = WsiBag(patches=EmbeddingMatrix(data, semantics="patch"),
+        bag = WsiBag(patches=EmbeddingMatrix(data),
                      coords=((0, 0), (1, 0), (0, 1), (1, 1)),
                      label=0, patient_id="hm")
         corr = np.array([[0.0], [1 / 3], [2 / 3], [1.0]])

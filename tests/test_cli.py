@@ -1,9 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from slipmil.cli import main
-from slipmil.io_formats import read_report
+from slipmil.io_formats import read_dataset, read_report
+from slipmil.synth import SynthSpec, generate
 
 
 def run(capsys, *argv):
@@ -56,6 +58,40 @@ class TestSynthCommand:
         assert code == 0
         summary = json.loads(stdout)
         assert summary["num_classes"] == 2 and summary["bags"] == 4
+
+    @pytest.mark.parametrize("flags", [["--dv", "64"],
+                                       ["--num-classes", "5", "--n-min", "2"]])
+    def test_preset_rejects_spec_flags(self, tmp_path, capsys, flags):
+        out = tmp_path / "d.bin"
+        code, _, err = run(capsys, "synth", "--preset", "needle",
+                           "--seed", "0", *flags, "--out", str(out))
+        assert code == 2
+        for flag in flags[::2]:
+            assert flag in err
+        assert not out.exists()
+
+    def test_preset_rejects_spec_key_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("dv = 64\n")
+        code, _, err = run(capsys, "synth", "--config", str(cfg),
+                           "--preset", "needle", "--seed", "0",
+                           "--out", str(tmp_path / "d.bin"))
+        assert code == 2
+        assert "--dv" in err
+
+    def test_defaults_are_synth_spec_defaults(self, tmp_path, capsys):
+        out = tmp_path / "d.bin"
+        code, _, err = run(capsys, "synth", "--seed", "4", "--out", str(out))
+        assert code == 0, err
+        want = generate(SynthSpec(seed=4))
+        bags, _ = read_dataset(out)
+        assert len(bags) == len(want.bags)
+        for got, ref in zip(bags, want.bags):
+            rounded = ref.patches.data.astype(np.float32).astype(np.float64)
+            assert np.array_equal(got.patches.data, rounded)
+            assert got.coords == ref.coords and got.label == ref.label
+        with open(str(out) + ".classes.txt", encoding="utf-8") as fh:
+            assert [ln.strip() for ln in fh][1:] == list(want.class_names)
 
 
 class TestTrainCommand:
@@ -183,6 +219,28 @@ class TestEvalCommand:
         # same split rebuilt from the stored shots value
         assert eval_metrics == train_metrics
 
+    @pytest.mark.parametrize("synth_flags, message", [
+        (["--num-classes", "4", "--num-tissues", "4"], "declares 4 classes"),
+        (["--dv", "24"], "d_v=24"),
+    ])
+    def test_report_rejects_mismatched_dataset(self, synth_paths, capsys,
+                                               synth_flags, message):
+        report = synth_paths["dir"] / "r.json"
+        code, _, err = run(capsys, "train", "--data", synth_paths["data"],
+                           "--tissues", synth_paths["tissues"],
+                           "--classes", synth_paths["classes"],
+                           "--shots", "2", "--epochs", "1",
+                           "--seed", "1", "--out", str(report))
+        assert code == 0, err
+        other = synth_paths["dir"] / "other.bin"
+        code, _, err = run(capsys, "synth", "--seed", "5", *synth_flags,
+                           "--out", str(other))
+        assert code == 0, err
+        code, stdout, err = run(capsys, "eval", "--data", str(other),
+                                "--report", str(report))
+        assert code == 2
+        assert message in err and stdout == ""
+
     def test_zero_shot(self, synth_paths, capsys):
         code, stdout, err = run(capsys, "eval",
                                 "--data", synth_paths["data"],
@@ -289,18 +347,8 @@ class TestParserSurface:
         code = main(["frobnicate"])
         assert code == 2
 
-    def test_threads_flag_accepted(self, synth_paths, capsys):
-        report = synth_paths["dir"] / "t.json"
+    def test_threads_flag_rejected(self, synth_paths, capsys):
         code, _, err = run(capsys, "train", "--threads", "2",
-                           "--data", synth_paths["data"],
-                           "--tissues", synth_paths["tissues"],
-                           "--classes", synth_paths["classes"],
-                           "--shots", "1", "--epochs", "1",
-                           "--seed", "0", "--out", str(report))
-        assert code == 0, err
-
-    def test_bad_threads(self, synth_paths, capsys):
-        code, _, err = run(capsys, "train", "--threads", "0",
                            "--data", synth_paths["data"],
                            "--tissues", synth_paths["tissues"],
                            "--classes", synth_paths["classes"],
@@ -308,3 +356,4 @@ class TestParserSurface:
                            "--seed", "0",
                            "--out", str(synth_paths["dir"] / "x.json"))
         assert code == 2
+        assert "--threads" in err

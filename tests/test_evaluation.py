@@ -10,18 +10,18 @@ from slipmil.evaluation import (
     run_ablation,
     select_few_shot,
 )
-from slipmil.oracles import oracle_classify
 from slipmil.pooling import ClassPromptSet, SlideFeature, TissuePromptSet
 from slipmil.trainer import TrainConfig
 from slipmil.synth import generate, preset_spec
 
 from conftest import random_bag, unit_rows
+from oracles import oracle_classify
 
 
 def class_set(rows):
     return ClassPromptSet(
         tuple(f"class {i}" for i in range(len(rows))),
-        EmbeddingMatrix(rows, semantics="class_text"),
+        EmbeddingMatrix(rows),
     )
 
 
@@ -56,7 +56,7 @@ class TestClassify:
         # positive scaling of every class prompt scales all diagonal scores
         scaled = ClassPromptSet(
             ("a", "b", "c"),
-            EmbeddingMatrix(rows, semantics="class_text"))
+            EmbeddingMatrix(rows))
         assert classify(f, scaled) == base
 
 

@@ -19,8 +19,8 @@ from slipmil.io_formats import (
     MAGIC,
     export_heatmap,
     read_dataset,
+    read_prompt_lines,
     read_report,
-    read_tissue_prompts,
     write_dataset,
     write_report,
 )
@@ -143,19 +143,19 @@ class TestPromptFiles:
     def test_reads_lines(self, tmp_path):
         p = tmp_path / "tissues.txt"
         p.write_text("dense stroma\n\n# comment\ntumor nests\n")
-        assert read_tissue_prompts(p) == ["dense stroma", "tumor nests"]
+        assert read_prompt_lines(p) == ["dense stroma", "tumor nests"]
 
     def test_eighteen_lines(self, tmp_path):
         p = tmp_path / "tissues.txt"
         lines = [f"tissue kind {i}" for i in range(18)]
         p.write_text("\n".join(lines) + "\n")
-        assert read_tissue_prompts(p) == lines
+        assert read_prompt_lines(p) == lines
 
     def test_comments_only(self, tmp_path):
         p = tmp_path / "tissues.txt"
         p.write_text("# a\n# b\n\n")
         with pytest.raises(EmptyPromptSetError):
-            read_tissue_prompts(p)
+            read_prompt_lines(p)
 
 
 def grid_bag(scores_shape_n, d=4):
@@ -164,7 +164,7 @@ def grid_bag(scores_shape_n, d=4):
     coords = tuple((i % side, i // side) for i in range(scores_shape_n))
     data = rng.normal(size=(scores_shape_n, d))
     data /= np.linalg.norm(data, axis=1, keepdims=True)
-    return WsiBag(patches=EmbeddingMatrix(data, semantics="patch"),
+    return WsiBag(patches=EmbeddingMatrix(data),
                   coords=coords, label=0, patient_id="hm")
 
 
@@ -209,7 +209,7 @@ class TestHeatmap:
         rng = np.random.default_rng(73)
         data = rng.normal(size=(2, 4))
         data /= np.linalg.norm(data, axis=1, keepdims=True)
-        bag = WsiBag(patches=EmbeddingMatrix(data, semantics="patch"),
+        bag = WsiBag(patches=EmbeddingMatrix(data),
                      coords=((0, 0), (2, 1)), label=0, patient_id="sp")
         export_heatmap(bag, np.array([[0.2], [0.9]]), 0,
                        tmp_path / "s.csv", tmp_path / "s.pgm")

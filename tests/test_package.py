@@ -1,0 +1,71 @@
+"""Package hygiene: runtime modules import only what they use, and the
+runtime package does not pull in test-only dependencies."""
+import ast
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = sorted(p for p in (SRC / "slipmil").glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by import statements that the module never reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+class TestUnusedImports:
+    def test_detects_unused_name(self):
+        source = "import os\nfrom json import dumps, loads\nloads('1')\n"
+        assert unused_imports(source) == ["dumps (line 2)", "os (line 1)"]
+
+    def test_attribute_base_and_annotation_count_as_use(self):
+        source = ("from __future__ import annotations\nimport numpy as np\n"
+                  "from pathlib import Path\n"
+                  "def f(p: Path) -> None:\n    np.zeros(1)\n")
+        assert unused_imports(source) == []
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_runtime_module(self, path):
+        assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+class TestTestOnlyDependencies:
+    def test_import_leaves_out_mpmath(self):
+        code = "import sys, slipmil; print('mpmath' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}
+                             ).stdout
+        assert out.strip() == "False"
+
+    def test_no_runtime_module_imports_mpmath(self):
+        offenders = [path.name for path in MODULES
+                     if "mpmath" in _imported_modules(path)]
+        assert offenders == []
+
+
+def _imported_modules(path: Path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            names.add(node.module.split(".")[0])
+    return names

@@ -3,13 +3,6 @@ import pytest
 
 from slipmil.core import EmbeddingMatrix, WsiBag, softmax_rows
 from slipmil.errors import KOutOfRangeError, ZeroVectorError
-from slipmil.oracles import (
-    oracle_pool_average,
-    oracle_pool_topk,
-    oracle_similarity,
-    oracle_slip_pool,
-    oracle_zero_shot,
-)
 from slipmil.pooling import (
     ClassPromptSet,
     TissuePromptSet,
@@ -23,19 +16,26 @@ from slipmil.pooling import (
 )
 
 from conftest import random_bag, unit_rows
+from oracles import (
+    oracle_pool_average,
+    oracle_pool_topk,
+    oracle_similarity,
+    oracle_slip_pool,
+    oracle_zero_shot,
+)
 
 
 def class_set(rows):
     return ClassPromptSet(
         tuple(f"class {i}" for i in range(len(rows))),
-        EmbeddingMatrix(rows, semantics="class_text"),
+        EmbeddingMatrix(rows),
     )
 
 
 def tissue_set(rows):
     return TissuePromptSet(
         tuple(f"tissue {i}" for i in range(len(rows))),
-        EmbeddingMatrix(rows, semantics="tissue_text"),
+        EmbeddingMatrix(rows),
     )
 
 

@@ -11,7 +11,8 @@ from slipmil.synth import (
     generate,
     preset_spec,
 )
-from slipmil.oracles import oracle_softmax
+
+from oracles import oracle_softmax
 
 
 class TestGenerate:

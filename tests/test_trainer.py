@@ -8,7 +8,6 @@ from slipmil.errors import (
     LabelOutOfRangeError,
     MissingClassError,
 )
-from slipmil.oracles import oracle_infonce
 from slipmil.pooling import (
     ClassPromptSet,
     SlideFeature,
@@ -26,6 +25,7 @@ from slipmil.trainer import (
 from slipmil.synth import generate, preset_spec
 
 from conftest import random_bag, unit_rows
+from oracles import oracle_infonce
 
 
 def feature(rng, d, c):
@@ -70,8 +70,7 @@ class TestInfonceLoss:
         rng = np.random.default_rng(30)
         f = feature(rng, 8, 1)
         classes = ClassPromptSet(("only",),
-                                 EmbeddingMatrix(unit_rows(rng, 1, 8),
-                                                 semantics="class_text"))
+                                 EmbeddingMatrix(unit_rows(rng, 1, 8)))
         assert infonce_loss(f, classes, 0, 0.01) == 0.0
 
     def test_uniform_logits_log4(self):
@@ -81,8 +80,7 @@ class TestInfonceLoss:
         v[0] = 1.0
         f = SlideFeature(np.stack([v, v], axis=1))
         classes = ClassPromptSet(
-            ("a", "b"), EmbeddingMatrix(np.stack([v, v]),
-                                        semantics="class_text"))
+            ("a", "b"), EmbeddingMatrix(np.stack([v, v])))
         loss = infonce_loss(f, classes, 0, 0.5)
         assert loss == pytest.approx(1.3862943611198906, abs=1e-12)
 
@@ -90,8 +88,7 @@ class TestInfonceLoss:
         rng = np.random.default_rng(31)
         f = feature(rng, 8, 3)
         classes = ClassPromptSet(
-            NAMES3, EmbeddingMatrix(unit_rows(rng, 3, 8),
-                                    semantics="class_text"))
+            NAMES3, EmbeddingMatrix(unit_rows(rng, 3, 8)))
         z = f.columns.T @ classes.embeddings.data.T
         for label in range(3):
             got = infonce_loss(f, classes, label, 0.01)
@@ -102,8 +99,7 @@ class TestInfonceLoss:
         rng = np.random.default_rng(32)
         f = feature(rng, 8, 2)
         classes = ClassPromptSet(
-            ("a", "b"), EmbeddingMatrix(unit_rows(rng, 2, 8),
-                                        semantics="class_text"))
+            ("a", "b"), EmbeddingMatrix(unit_rows(rng, 2, 8)))
         for label in (-1, 2):
             with pytest.raises(LabelOutOfRangeError):
                 infonce_loss(f, classes, label, 0.01)
@@ -115,8 +111,7 @@ class TestInfonceLoss:
             f = feature(rng, 8, c)
             classes = ClassPromptSet(
                 tuple(f"c{i}" for i in range(c)),
-                EmbeddingMatrix(unit_rows(rng, c, 8),
-                                semantics="class_text"))
+                EmbeddingMatrix(unit_rows(rng, c, 8)))
             z = f.columns.T @ classes.embeddings.data.T
             tau = 0.1
             loss = infonce_loss(f, classes, 0, tau)
@@ -127,8 +122,7 @@ class TestInfonceLoss:
         rng = np.random.default_rng(34)
         f = feature(rng, 8, 3)
         classes = ClassPromptSet(
-            NAMES3, EmbeddingMatrix(unit_rows(rng, 3, 8),
-                                    semantics="class_text"))
+            NAMES3, EmbeddingMatrix(unit_rows(rng, 3, 8)))
         z = f.columns.T @ classes.embeddings.data.T
         got = infonce_loss(f, classes, 1, 0.1, include_positive=False)
         want = oracle_infonce(z.tolist(), 1, 0.1, include_positive=False)
@@ -209,7 +203,7 @@ class TestTrainPrompts:
         prompts, _ = train_prompts(bags, TISSUES, CLASSES, cfg)
         init_rng = np.random.default_rng(5)
         expected = PromptContext.init(init_rng, cfg.context_length, cfg.d_t)
-        assert np.array_equal(prompts.for_class(0).vectors, expected.vectors)
+        assert np.array_equal(prompts.contexts[0].vectors, expected.vectors)
 
     def test_single_step_history(self):
         rng = np.random.default_rng(41)
@@ -244,8 +238,8 @@ class TestTrainPrompts:
         cfg = TrainConfig(epochs=3, seed=11)
         p1, h1 = train_prompts(bags, TISSUES, CLASSES, cfg)
         p2, h2 = train_prompts(bags, TISSUES, CLASSES, cfg)
-        assert np.array_equal(p1.for_class(0).vectors,
-                              p2.for_class(0).vectors)
+        assert np.array_equal(p1.contexts[0].vectors,
+                              p2.contexts[0].vectors)
         assert h1.records == h2.records
 
     def test_single_step_descent(self, weights):
