@@ -357,3 +357,14 @@ class TestParserSurface:
                            "--out", str(synth_paths["dir"] / "x.json"))
         assert code == 2
         assert "--threads" in err
+
+    def test_bad_threads(self, synth_paths, capsys):
+        code, _, err = run(capsys, "train", "--threads", "0",
+                           "--data", synth_paths["data"],
+                           "--tissues", synth_paths["tissues"],
+                           "--classes", synth_paths["classes"],
+                           "--shots", "1", "--epochs", "1",
+                           "--seed", "0",
+                           "--out", str(synth_paths["dir"] / "x.json"))
+        assert code == 2
+        assert "--threads" in err
