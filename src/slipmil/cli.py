@@ -247,9 +247,7 @@ def cmd_eval(args) -> None:
                        "--classes/--dv")
         weights = FrozenEncoderWeights.create(args.encoder_seed,
                                               d_t=args.dt, d_v=args.dv)
-        # Zero-shot scoring never looks at tissues; the set is a placeholder.
-        tissues = TissuePromptSet.from_descriptions(weights, class_names)
-        pipeline = Pipeline(weights=weights, tissues=tissues,
+        pipeline = Pipeline(weights=weights, tissues=None,
                             class_names=tuple(class_names), tau=args.tau,
                             pooling="zero")
         metrics = evaluate(bags, pipeline)

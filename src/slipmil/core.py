@@ -17,6 +17,7 @@ from .errors import (
 )
 
 NORM_EPS = 1e-12
+COORD_MAX = 0xFFFFFFFF  # grid coordinates are stored as uint32 on disk
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -83,14 +84,23 @@ class WsiBag:
     patient_id: str = ""
 
     def __post_init__(self):
-        coords = tuple((int(x), int(y)) for x, y in self.coords)
-        object.__setattr__(self, "coords", coords)
-        if len(coords) != self.patches.rows:
+        # Accepts any N x 2 integer array-like. Stored as a tuple of
+        # (int, int) so that callers can compare and unpack plain pairs.
+        xy = np.asarray(self.coords)  # ragged rows raise ValueError here
+        if xy.shape != (self.patches.rows, 2):
             raise DimensionMismatchError(
-                f"{len(coords)} coords for {self.patches.rows} patches"
+                f"coords of shape {xy.shape} for {self.patches.rows} patches; "
+                f"need {self.patches.rows} x 2"
             )
-        if any(x < 0 or y < 0 for x, y in coords):
+        if xy.dtype.kind not in "iu":
+            raise ValueError(
+                f"grid coordinates must be integers, got {xy.dtype}")
+        if xy.min() < 0:
             raise ValueError("grid coordinates must be non-negative")
+        if xy.max() > COORD_MAX:
+            raise ValueError(f"grid coordinate {xy.max()} exceeds {COORD_MAX}")
+        object.__setattr__(self, "coords", tuple(zip(xy[:, 0].tolist(),
+                                                     xy[:, 1].tolist())))
         if self.label < 0:
             raise ValueError("label must be non-negative")
 

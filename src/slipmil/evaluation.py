@@ -58,10 +58,11 @@ class Pipeline:
     """Everything needed to score a bag: encoder, prompt sets, pooling.
 
     Pooling uses the context-free class prompts, scoring the prompted ones;
-    both, and S_wsi for slip pooling, are computed at construction."""
+    both, and S_wsi for slip pooling, are computed at construction. Only
+    slip pooling reads tissues; the other variants take tissues=None."""
 
     weights: FrozenEncoderWeights
-    tissues: TissuePromptSet
+    tissues: TissuePromptSet | None
     class_names: tuple
     tau: float = 0.01
     pooling: str = "slip"  # slip | topk | avg | zero
@@ -78,6 +79,8 @@ class Pipeline:
             )
         s_wsi = None
         if self.pooling == "slip":
+            if self.tissues is None:
+                raise ValueError("slip pooling needs a tissue prompt set")
             s_wsi = tissue_wsi_similarity(frozen, self.tissues, self.tau)
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "_frozen", frozen)
@@ -151,9 +154,10 @@ def evaluate(bags, pipeline: Pipeline) -> dict:
 
 
 def run_single(dataset, class_names, tissue_descriptions,
-               cfg: TrainConfig):
+               cfg: TrainConfig, weights: FrozenEncoderWeights | None = None):
     """Train on the few-shot split and evaluate on the held-out pool.
 
+    `weights` defaults to cfg.encoder_weights().
     Returns (prompts, history, metrics, eval_pool_size).
     """
     dataset = list(dataset)
@@ -161,7 +165,8 @@ def run_single(dataset, class_names, tissue_descriptions,
         train_bags, eval_bags = dataset, dataset
     else:
         train_bags, eval_bags = select_few_shot(dataset, int(cfg.shots))
-    weights = cfg.encoder_weights()
+    if weights is None:
+        weights = cfg.encoder_weights()
     prompts, history = train_prompts(train_bags, tissue_descriptions,
                                      class_names, cfg, weights=weights)
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
@@ -178,10 +183,12 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
     """Full grid sweep; one metrics row per (pooling, shots, tissues, seed).
 
     `tissue_sets` is a list of (name, descriptions). Pooling "zero" skips
-    training and evaluates the whole dataset, so its rows are constant
-    across shot counts.
+    training and reads no tissues: it scores the whole dataset once, and
+    every zero row carries those metrics.
     """
     dataset = list(dataset)
+    weights = base_cfg.encoder_weights()
+    zero_metrics = None
     rows = []
     for pooling in poolings:
         for shots in shots_list:
@@ -195,22 +202,20 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
                         "seed": int(seed),
                     }
                     if pooling == "zero":
-                        weights = base_cfg.encoder_weights()
-                        tissues = TissuePromptSet.from_descriptions(
-                            weights, descriptions
-                        )
-                        pipeline = Pipeline(
-                            weights=weights, tissues=tissues,
-                            class_names=tuple(class_names),
-                            tau=base_cfg.tau, pooling="zero",
-                        )
-                        metrics = evaluate(dataset, pipeline)
+                        if zero_metrics is None:
+                            zero_metrics = evaluate(dataset, Pipeline(
+                                weights=weights, tissues=None,
+                                class_names=tuple(class_names),
+                                tau=base_cfg.tau, pooling="zero",
+                            ))
+                        metrics = zero_metrics
                         row["final_loss"] = 0.0
                     else:
                         cfg = replace(base_cfg, pooling=pooling,
                                       shots=int(shots), seed=int(seed))
                         _, history, metrics, _ = run_single(
-                            dataset, class_names, descriptions, cfg
+                            dataset, class_names, descriptions, cfg,
+                            weights=weights,
                         )
                         row["final_loss"] = float(history.records[-1][2])
                     row["class_averaged_accuracy"] = (

@@ -76,8 +76,7 @@ def write_dataset(path, bags) -> None:
         parts.append(struct.pack("<II", bag.num_patches, bag.label))
         parts.append(struct.pack("<H", len(pid)))
         parts.append(pid)
-        for x, y in bag.coords:
-            parts.append(struct.pack("<II", x, y))
+        parts.append(np.asarray(bag.coords, dtype="<u4").tobytes())
         parts.append(
             np.asarray(bag.patches.data, dtype="<f4").tobytes()
         )
@@ -123,8 +122,7 @@ def read_dataset(path):
             pid = r.take(pid_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptHeaderError(f"bag {b}: patient id not UTF-8") from exc
-        coords_raw = struct.unpack(f"<{2 * n}I", r.take(8 * n))
-        coords = tuple(zip(coords_raw[0::2], coords_raw[1::2]))
+        coords = np.frombuffer(r.take(8 * n), dtype="<u4").reshape(n, 2)
         emb = np.frombuffer(r.take(4 * n * d_v), dtype="<f4")
         # corrupted bytes may decode to signaling NaNs; the cast warning is
         # moot because non-finite values are rejected right below
@@ -178,22 +176,19 @@ def export_heatmap(bag: WsiBag, correlation, class_index: int,
 
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("grid_x,grid_y,score\n")
-        for (x, y), s in zip(bag.coords, scores):
-            fh.write(f"{x},{y},{float(s)!r}\n")
+        fh.write("".join(f"{x},{y},{s!r}\n"
+                         for (x, y), s in zip(bag.coords, scores.tolist())))
 
     lo, hi = float(scores.min()), float(scores.max())
     if hi - lo < 1e-300:
         scaled = np.full(len(scores), 255, dtype=np.uint8)
     else:
-        scaled = np.array(
-            [int(round((s - lo) / (hi - lo) * 255)) for s in scores],
-            dtype=np.uint8,
-        )
-    width = max(x for x, _ in bag.coords) + 1
-    height = max(y for _, y in bag.coords) + 1
+        # rint, like round(), takes halves to even
+        scaled = np.rint((scores - lo) / (hi - lo) * 255).astype(np.uint8)
+    xy = np.asarray(bag.coords)
+    width, height = (int(m) + 1 for m in xy.max(axis=0))
     image = np.zeros((height, width), dtype=np.uint8)
-    for (x, y), v in zip(bag.coords, scaled):
-        image[y, x] = v
+    image[xy[:, 1], xy[:, 0]] = scaled
     with open(pgm_path, "wb") as fh:
         fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
         fh.write(image.tobytes())

@@ -133,12 +133,25 @@ def _draw_archetypes(rng, weights, k):
     return descriptions, np.stack(vectors)
 
 
-def _perturb(rng, archetype, sigma, d_v):
-    v = archetype + sigma * rng.standard_normal(d_v)
-    n = np.linalg.norm(v)
-    if n < 1e-12:  # practically unreachable for unit archetypes
-        return archetype.copy()
-    return v / n
+def _perturb_bag(rng, informative, distractor, n_signal, n, sigma):
+    """n unit rows: the first n_signal scatter around `informative`, the
+    rest around `distractor`, each with isotropic N(0, sigma^2) noise.
+
+    One (n, d_v) draw consumes the stream exactly as n draws of size d_v,
+    and each row norm is a per-row BLAS dot as in np.linalg.norm, so the
+    rows are bit-identical to perturbing one patch at a time.
+    """
+    v = rng.standard_normal((n, informative.shape[0]))
+    v *= sigma
+    v[:n_signal] += informative
+    v[n_signal:] += distractor
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    small = norms < 1e-12  # practically unreachable for unit archetypes
+    norms[small] = 1.0
+    v /= norms[:, None]
+    v[:n_signal][small[:n_signal]] = informative
+    v[n_signal:][small[n_signal:]] = distractor
+    return v
 
 
 def generate(spec: SynthSpec) -> SynthDataset:
@@ -167,15 +180,13 @@ def generate(spec: SynthSpec) -> SynthDataset:
             # One distractor tissue per bag: keeps the off-class content
             # coherent so averaging cannot wash it out.
             distractor = archetypes[pool[int(rng.integers(len(pool)))]]
-            patches = np.empty((n, spec.d_v))
-            for i in range(n):
-                base = informative if i < n_signal else distractor
-                patches[i] = _perturb(rng, base, spec.noise_sigma, spec.d_v)
+            patches = _perturb_bag(rng, informative, distractor, n_signal,
+                                   n, spec.noise_sigma)
             width = math.ceil(math.sqrt(n))
-            coords = tuple((i % width, i // width) for i in range(n))
+            index = np.arange(n)
             bags.append(WsiBag(
                 patches=EmbeddingMatrix(patches),
-                coords=coords,
+                coords=np.stack([index % width, index // width], axis=1),
                 label=c,
                 patient_id=f"pt{c}_{b:03d}",
             ))

@@ -331,7 +331,12 @@ class TestAcceptance:
                 coords=tuple(bag.coords[i] for i in perm),
                 label=bag.label, patient_id=bag.patient_id))
         other = evaluate(shuffled, pipe)
+        column_delta = max(
+            float(np.max(np.abs(pipe.slide_feature(a).columns
+                                - pipe.slide_feature(b).columns)))
+            for a, b in zip(bags, shuffled))
         delta = max(
+            column_delta,
             abs(base["class_averaged_accuracy"]
                 - other["class_averaged_accuracy"]),
             abs(base["bag_accuracy"] - other["bag_accuracy"]),
@@ -341,7 +346,8 @@ class TestAcceptance:
         ok = identical and delta <= 1e-12
         report_line(capsys, 7, ok,
                     f"reports bitwise-identical (timestamps aside) and "
-                    f"patch order irrelevant (metric delta {delta:.1e})")
+                    f"patch order irrelevant (metric and pooled-column "
+                    f"delta {delta:.1e})")
         assert ok
 
     def test_08_format_robustness(self, tmp_path, capsys):

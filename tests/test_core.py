@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from slipmil.core import (
+    COORD_MAX,
     EmbeddingMatrix,
     WsiBag,
     cosine_matrix,
@@ -152,3 +153,55 @@ class TestContainers:
         with pytest.raises(ValueError):
             WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]),
                    coords=((-1, 0),), label=0, patient_id="p")
+
+
+def two_patch_bag(coords):
+    return WsiBag(patches=EmbeddingMatrix([[1.0, 0.0], [0.0, 1.0]]),
+                  coords=coords, label=0, patient_id="p")
+
+
+class TestBagCoords:
+    def test_array_coords_stored_as_int_pairs(self):
+        for xy in (np.array([[3, 4], [5, 6]], dtype=np.uint32),
+                   np.array([[3, 4], [5, 6]], dtype=np.int64),
+                   ((3, 4), (5, 6)), [[3, 4], [5, 6]]):
+            bag = two_patch_bag(xy)
+            assert bag.coords == ((3, 4), (5, 6))
+            assert all(type(v) is int for pair in bag.coords for v in pair)
+
+    def test_largest_uint32_accepted(self):
+        bag = two_patch_bag(((COORD_MAX, 0), (0, COORD_MAX)))
+        assert bag.coords == ((COORD_MAX, 0), (0, COORD_MAX))
+
+    @pytest.mark.parametrize("coords", [
+        ((COORD_MAX + 1, 0), (0, 0)),
+        ((0, 0), (0, 2 ** 40)),
+    ])
+    def test_above_uint32_rejected(self, coords):
+        with pytest.raises(ValueError, match="exceeds"):
+            two_patch_bag(coords)
+
+    @pytest.mark.parametrize("coords", [
+        ((0, 1, 2), (3, 4, 5)),  # triples are not reshaped into pairs
+        ((0, 1, 2, 3),),
+        (0, 1, 2, 3),
+        ((0, 1),),
+        ((0, 1), (2, 3), (4, 5)),
+    ])
+    def test_non_n_by_2_rejected(self, coords):
+        with pytest.raises(DimensionMismatchError):
+            two_patch_bag(coords)
+
+    def test_ragged_rejected(self):
+        with pytest.raises(ValueError):
+            two_patch_bag(((0, 1), (2,)))
+
+    @pytest.mark.parametrize("coords", [
+        ((0.5, 1), (2, 3)),
+        ((True, False), (False, True)),
+        ((2 ** 70, 0), (0, 0)),
+        (("0", "1"), ("2", "3")),
+    ])
+    def test_non_integer_rejected(self, coords):
+        with pytest.raises(ValueError, match="integers"):
+            two_patch_bag(coords)

@@ -144,6 +144,23 @@ class TestEvaluate:
         assert metrics["class_averaged_accuracy"] == 1.0  # 2 of 3 votes
 
 
+class TestPipelineTissues:
+    def test_only_slip_needs_tissues(self, weights):
+        ds = generate(preset_spec("separable-easy", seed=3))
+        tissues = TissuePromptSet.from_descriptions(weights,
+                                                    ds.tissue_descriptions)
+        bag = ds.bags[0]
+        for pooling in ("zero", "avg", "topk"):
+            without = Pipeline(weights=weights, tissues=None,
+                               class_names=ds.class_names, pooling=pooling)
+            with_set = Pipeline(weights=weights, tissues=tissues,
+                                class_names=ds.class_names, pooling=pooling)
+            assert without.predict(bag) == with_set.predict(bag)
+        with pytest.raises(ValueError, match="tissue"):
+            Pipeline(weights=weights, tissues=None,
+                     class_names=ds.class_names, pooling="slip")
+
+
 class TestRunAblation:
     def test_single_cell(self):
         ds = generate(preset_spec("separable-easy", seed=3))
@@ -161,6 +178,30 @@ class TestRunAblation:
         assert len(rows) == 2
         assert (rows[0]["class_averaged_accuracy"]
                 == rows[1]["class_averaged_accuracy"])
+
+    def test_zero_shot_scored_once_per_call(self, monkeypatch):
+        import slipmil.evaluation as evaluation
+
+        calls = []
+        real = evaluation.evaluate
+
+        def counting(bags, pipeline):
+            calls.append(pipeline.pooling)
+            return real(bags, pipeline)
+
+        monkeypatch.setattr(evaluation, "evaluate", counting)
+        ds = generate(preset_spec("separable-easy", seed=3))
+        descriptions = list(ds.tissue_descriptions)
+        rows = run_ablation(list(ds.bags), ds.class_names, ["zero", "avg"],
+                            [1, 2], [("a", descriptions),
+                                     ("b", descriptions[:2])], [0, 5],
+                            TrainConfig(epochs=1))
+        assert calls.count("zero") == 1
+        assert calls.count("avg") == 8
+        zero = [r for r in rows if r["pooling"] == "zero"]
+        assert len(zero) == 8
+        assert len({r["class_averaged_accuracy"] for r in zero}) == 1
+        assert sorted({r["num_tissue_types"] for r in zero}) == [2, 3]
 
     def test_grid_shape_and_determinism(self):
         ds = generate(preset_spec("separable-easy", seed=3))

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from slipmil.core import EmbeddingMatrix, WsiBag
+from slipmil.core import COORD_MAX, EmbeddingMatrix, WsiBag
 from slipmil.errors import (
     BadMagicError,
     ClassOutOfRangeError,
@@ -57,6 +57,24 @@ class TestDatasetRoundTrip:
         path2 = tmp_path / "ds2.bin"
         write_dataset(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    @pytest.mark.parametrize("as_array", [True, False])
+    def test_coords_round_trip(self, tmp_path, as_array):
+        rng = np.random.default_rng(71)
+        pairs = [(0, 0), (COORD_MAX, 1), (7, COORD_MAX), (123456, 65536)]
+        coords = np.array(pairs, dtype=np.uint32) if as_array else tuple(pairs)
+        data = rng.normal(size=(4, 3))
+        bags = [WsiBag(patches=EmbeddingMatrix(data), coords=coords,
+                       label=1, patient_id="c")]
+        path = tmp_path / "c.bin"
+        write_dataset(path, bags)
+        loaded, _ = read_dataset(path)
+        assert loaded[0].coords == tuple(pairs)
+        assert all(type(v) is int for pair in loaded[0].coords for v in pair)
+        # the coordinate block sits right after the patient id
+        offset = len(MAGIC) + 16 + 8 + 2 + len("c")
+        raw = path.read_bytes()[offset:offset + 8 * len(pairs)]
+        assert raw == b"".join(struct.pack("<II", x, y) for x, y in pairs)
 
     def test_empty_dataset_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -216,6 +234,56 @@ class TestHeatmap:
         raw = (tmp_path / "s.pgm").read_bytes()
         _, pixels = raw.split(b"255\n", 1)
         assert list(pixels) == [0, 0, 0, 0, 0, 255]
+
+
+def reference_heatmap(bag, scores, csv_path, pgm_path):
+    """The per-patch writer: one line, one round() and one pixel at a time."""
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write("grid_x,grid_y,score\n")
+        for (x, y), s in zip(bag.coords, scores):
+            fh.write(f"{x},{y},{float(s)!r}\n")
+    lo, hi = float(scores.min()), float(scores.max())
+    if hi - lo < 1e-300:
+        scaled = [255] * len(scores)
+    else:
+        scaled = [int(round((s - lo) / (hi - lo) * 255)) for s in scores]
+    width = max(x for x, _ in bag.coords) + 1
+    height = max(y for _, y in bag.coords) + 1
+    image = np.zeros((height, width), dtype=np.uint8)
+    for (x, y), v in zip(bag.coords, scaled):
+        image[y, x] = v
+    with open(pgm_path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
+        fh.write(image.tobytes())
+
+
+class TestHeatmapMatchesPerPatchWriter:
+    def check(self, tmp_path, coords, scores):
+        bag = WsiBag(patches=EmbeddingMatrix(np.ones((len(scores), 2))),
+                     coords=coords, label=0, patient_id="hm")
+        corr = np.stack([scores, scores[::-1]], axis=1)
+        export_heatmap(bag, corr, 0, tmp_path / "a.csv", tmp_path / "a.pgm")
+        reference_heatmap(bag, scores, tmp_path / "b.csv", tmp_path / "b.pgm")
+        for suffix in ("csv", "pgm"):
+            assert ((tmp_path / f"a.{suffix}").read_bytes()
+                    == (tmp_path / f"b.{suffix}").read_bytes())
+
+    def test_random_bag(self, tmp_path):
+        rng = np.random.default_rng(74)
+        n = 700
+        width = 27
+        coords = [(i % width, i // width) for i in range(n)]
+        self.check(tmp_path, coords, rng.normal(size=n))
+
+    def test_halves_round_to_even(self, tmp_path):
+        # lo = 0, hi = 255: every scaled value is the score itself
+        scores = np.array([0.0, 0.5, 1.5, 2.5, 3.5, 126.5, 254.5, 255.0])
+        coords = [(i, 0) for i in range(len(scores))]
+        self.check(tmp_path, coords, scores)
+
+    def test_repeated_coords_last_write_wins(self, tmp_path):
+        coords = [(1, 1), (0, 0), (1, 1), (2, 0), (1, 1)]
+        self.check(tmp_path, coords, np.array([0.9, 0.1, 0.4, 0.0, 0.6]))
 
 
 class TestReport:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from slipmil.synth import (
     MAX_SEPARATION_COSINE,
     PRESETS,
     SynthSpec,
+    _draw_archetypes,
     generate,
     preset_spec,
 )
@@ -89,6 +92,66 @@ class TestGenerate:
         assert spec.signal_fraction == 0.1
         assert spec.bags_per_class == 20
         assert spec.num_classes == 3
+
+
+def reference_bags(spec):
+    """The per-patch generator: one draw, one norm and one divide per patch,
+    coordinates as Python pairs. Returns [(patches, coords, label, pid)]."""
+    rng = np.random.default_rng(spec.seed)
+    weights = FrozenEncoderWeights.create(spec.encoder_seed, d_t=spec.d_t,
+                                          d_v=spec.d_v)
+    _, archetypes = _draw_archetypes(rng, weights, spec.num_tissues)
+    non_informative = list(range(spec.num_classes, spec.num_tissues))
+    lo, hi = spec.n_range
+    out = []
+    for c in range(spec.num_classes):
+        pool = non_informative or [k for k in range(spec.num_tissues)
+                                   if k != c]
+        for b in range(spec.bags_per_class):
+            n = int(rng.integers(lo, hi + 1))
+            n_signal = max(1, int(round(spec.signal_fraction * n)))
+            distractor = archetypes[pool[int(rng.integers(len(pool)))]]
+            patches = np.empty((n, spec.d_v))
+            for i in range(n):
+                base = archetypes[c] if i < n_signal else distractor
+                v = base + spec.noise_sigma * rng.standard_normal(spec.d_v)
+                norm = np.linalg.norm(v)
+                patches[i] = base.copy() if norm < 1e-12 else v / norm
+            width = math.ceil(math.sqrt(n))
+            coords = tuple((i % width, i // width) for i in range(n))
+            out.append((patches, coords, c, f"pt{c}_{b:03d}"))
+    return out
+
+
+EQUIVALENCE_SPECS = {
+    "needle-0": preset_spec("needle", seed=0),
+    "needle-7": preset_spec("needle", seed=7),
+    "separable-easy": preset_spec("separable-easy", seed=3),
+    "sigma-0": SynthSpec(num_classes=2, num_tissues=3, n_range=(2, 9),
+                         bags_per_class=3, signal_fraction=0.5,
+                         noise_sigma=0.0, seed=5),
+    "one-patch": SynthSpec(num_classes=3, num_tissues=4, n_range=(1, 1),
+                           bags_per_class=2, signal_fraction=0.3,
+                           noise_sigma=0.2, seed=6),
+    "thousands": SynthSpec(num_classes=3, num_tissues=5,
+                           n_range=(1000, 3000), bags_per_class=1,
+                           signal_fraction=0.1, noise_sigma=0.1, seed=11),
+}
+
+
+class TestPerBagEquivalence:
+    @pytest.mark.parametrize("name", sorted(EQUIVALENCE_SPECS))
+    def test_bitwise_equal_to_per_patch_reference(self, name):
+        spec = EQUIVALENCE_SPECS[name]
+        bags = generate(spec).bags
+        reference = reference_bags(spec)
+        assert len(bags) == len(reference)
+        for bag, (patches, coords, label, pid) in zip(bags, reference):
+            assert np.array_equal(bag.patches.data, patches)
+            assert bag.coords == coords
+            assert all(type(x) is int and type(y) is int
+                       for x, y in bag.coords)
+            assert (bag.label, bag.patient_id) == (label, pid)
 
 
 class TestPresets:
