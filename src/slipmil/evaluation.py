@@ -154,10 +154,9 @@ def evaluate(bags, pipeline: Pipeline) -> dict:
 
 
 def run_single(dataset, class_names, tissue_descriptions,
-               cfg: TrainConfig, weights: FrozenEncoderWeights | None = None):
+               cfg: TrainConfig):
     """Train on the few-shot split and evaluate on the held-out pool.
 
-    `weights` defaults to cfg.encoder_weights().
     Returns (prompts, history, metrics, eval_pool_size).
     """
     dataset = list(dataset)
@@ -165,8 +164,7 @@ def run_single(dataset, class_names, tissue_descriptions,
         train_bags, eval_bags = dataset, dataset
     else:
         train_bags, eval_bags = select_few_shot(dataset, int(cfg.shots))
-    if weights is None:
-        weights = cfg.encoder_weights()
+    weights = cfg.encoder_weights()
     prompts, history = train_prompts(train_bags, tissue_descriptions,
                                      class_names, cfg, weights=weights)
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
@@ -187,7 +185,6 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
     every zero row carries those metrics.
     """
     dataset = list(dataset)
-    weights = base_cfg.encoder_weights()
     zero_metrics = None
     rows = []
     for pooling in poolings:
@@ -204,7 +201,8 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
                     if pooling == "zero":
                         if zero_metrics is None:
                             zero_metrics = evaluate(dataset, Pipeline(
-                                weights=weights, tissues=None,
+                                weights=base_cfg.encoder_weights(),
+                                tissues=None,
                                 class_names=tuple(class_names),
                                 tau=base_cfg.tau, pooling="zero",
                             ))
@@ -214,8 +212,7 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
                         cfg = replace(base_cfg, pooling=pooling,
                                       shots=int(shots), seed=int(seed))
                         _, history, metrics, _ = run_single(
-                            dataset, class_names, descriptions, cfg,
-                            weights=weights,
+                            dataset, class_names, descriptions, cfg
                         )
                         row["final_loss"] = float(history.records[-1][2])
                     row["class_averaged_accuracy"] = (
