@@ -24,10 +24,10 @@ from .io_formats import (
     write_dataset,
     write_report,
 )
-from .pooling import ClassPromptSet, TissuePromptSet, \
+from .pooling import POOLING_VARIANTS, ClassPromptSet, TissuePromptSet, \
     patch_slide_correlation, patch_tissue_similarity, tissue_wsi_similarity
 from .synth import PRESETS, SynthSpec, generate, preset_spec
-from .trainer import DEFAULT_ENCODER_SEED, TrainConfig, TrainedPrompts
+from .trainer import TrainConfig, TrainedPrompts
 
 
 class CliInputError(SlipError):
@@ -89,14 +89,16 @@ def _require_seed(value):
     return int(value)
 
 
-def _check_dataset(bags, num_classes, class_names, d_v, source) -> None:
-    """Reject a dataset whose class count or d_v differs from `source`'s."""
+def _check_dataset(bags, num_classes, class_names, source,
+                   d_v=None) -> None:
+    """Reject a dataset whose class count, or d_v when given, differs from
+    `source`'s."""
     if len(class_names) != num_classes:
         raise CliInputError(
             f"{source}: {len(class_names)} class names, but the dataset "
             f"declares {num_classes} classes"
         )
-    if bags[0].patches.cols != d_v:
+    if d_v is not None and bags[0].patches.cols != d_v:
         raise CliInputError(
             f"{source}: d_v={d_v}, but the dataset has "
             f"d_v={bags[0].patches.cols}"
@@ -107,12 +109,9 @@ def _shots_value(raw):
     if raw == "all":
         return "all"
     try:
-        shots = int(raw)
+        return int(raw)
     except ValueError as exc:
-        raise CliInputError(f"--shots must be an integer or 'all'") from exc
-    if shots < 1:
-        raise CliInputError("--shots must be >= 1")
-    return shots
+        raise CliInputError("--shots must be an integer or 'all'") from exc
 
 
 def _context_payload(prompts: TrainedPrompts) -> dict:
@@ -125,11 +124,13 @@ def _context_payload(prompts: TrainedPrompts) -> dict:
 def _prompts_from_payload(payload) -> TrainedPrompts:
     if not isinstance(payload, dict) or "vectors" not in payload:
         raise SchemaError("report has no trained context")
-    contexts = [PromptContext(np.asarray(v, dtype=np.float64))
-                for v in payload["vectors"]]
-    if not contexts:
-        raise SchemaError("report context has no vectors")
-    return TrainedPrompts(contexts, shared=bool(payload.get("shared", True)))
+    try:
+        contexts = [PromptContext(np.asarray(v, dtype=np.float64))
+                    for v in payload["vectors"]]
+        return TrainedPrompts(contexts,
+                              shared=bool(payload.get("shared", True)))
+    except ValueError as exc:
+        raise SchemaError(f"report context: {exc}") from exc
 
 
 def _write_prompt_file(path, lines, header):
@@ -142,16 +143,36 @@ def _write_prompt_file(path, lines, header):
 # synth flags that set a SynthSpec field; an absent one takes its default
 SPEC_FLAGS = ("num_classes", "num_tissues", "n_min", "n_max",
               "bags_per_class", "signal_fraction", "noise_sigma", "dv", "dt")
+# eval flags that only --zero-shot reads; --report takes them from the report
+ZERO_SHOT_FLAGS = ("classes", "tau", "dt", "encoder_seed")
+
+
+def _leave_unset(parser, dests) -> None:
+    """Flags in `dests` left off the command line stay unset, so a command
+    can tell an explicit flag from a default; help keeps naming the default.
+    """
+    for action in parser._actions:
+        if action.dest in dests:
+            if action.help:
+                action.help = action.help % {"default": action.default}
+            action.default = argparse.SUPPRESS
+
+
+def _given(args, dests) -> dict:
+    return {k: getattr(args, k) for k in dests if hasattr(args, k)}
+
+
+def _flag_list(dests) -> str:
+    return ", ".join("--" + k.replace("_", "-") for k in dests)
 
 
 def cmd_synth(args) -> None:
     seed = _require_seed(args.seed)
-    given = {k: getattr(args, k) for k in SPEC_FLAGS if hasattr(args, k)}
+    given = _given(args, SPEC_FLAGS)
     if args.preset:
         if given:
-            flags = ", ".join("--" + k.replace("_", "-") for k in given)
             raise CliInputError(f"--preset {args.preset} fixes the dataset "
-                                f"spec; drop {flags}")
+                                f"spec; drop {_flag_list(given)}")
         spec = preset_spec(args.preset, seed=seed,
                            encoder_seed=args.encoder_seed)
     else:
@@ -191,18 +212,17 @@ def _train_config_from_args(args, seed) -> TrainConfig:
     return TrainConfig(
         tau=args.tau, learning_rate=args.lr, epochs=args.epochs,
         shots=_shots_value(args.shots), seed=seed, pooling=args.pooling,
-        context_length=args.context_length, d_t=args.dt, d_v=args.dv,
+        context_length=args.context_length, d_t=args.dt,
         encoder_seed=args.encoder_seed, topk_k=args.topk_k,
     )
 
 
 def cmd_train(args) -> None:
-    seed = _require_seed(args.seed)
+    cfg = _train_config_from_args(args, _require_seed(args.seed))
     bags, num_classes = read_dataset(args.data)
     tissue_descriptions = read_prompt_lines(args.tissues)
     class_names = read_prompt_lines(args.classes)
-    _check_dataset(bags, num_classes, class_names, args.dv, "--classes/--dv")
-    cfg = _train_config_from_args(args, seed)
+    _check_dataset(bags, num_classes, class_names, "--classes")
     prompts, history, metrics, pool_size = run_single(
         bags, class_names, tissue_descriptions, cfg
     )
@@ -210,7 +230,8 @@ def cmd_train(args) -> None:
         "tau": cfg.tau, "lr": cfg.learning_rate, "epochs": cfg.epochs,
         "shots": cfg.shots, "seed": cfg.seed,
         "pooling": cfg.pooling, "context_length": cfg.context_length,
-        "d_t": cfg.d_t, "d_v": cfg.d_v, "encoder_seed": cfg.encoder_seed,
+        "d_t": cfg.d_t, "d_v": bags[0].patches.cols,
+        "encoder_seed": cfg.encoder_seed,
         "topk_k": cfg.topk_k, "data": os.path.basename(args.data),
         "eval_pool_size": pool_size,
     }
@@ -238,28 +259,33 @@ def _pipeline_from_report(doc) -> Pipeline:
 
 
 def cmd_eval(args) -> None:
+    if args.zero_shot == bool(args.report):
+        raise CliInputError("provide exactly one of --report and --zero-shot")
+    given = _given(args, ZERO_SHOT_FLAGS)
+    if args.report and given:
+        raise CliInputError(f"--report takes its settings from the report; "
+                            f"drop {_flag_list(given)}")
     bags, num_classes = read_dataset(args.data)
     if args.zero_shot:
-        if not args.classes:
+        if "classes" not in given:
             raise CliInputError("--zero-shot requires --classes")
-        class_names = read_prompt_lines(args.classes)
-        _check_dataset(bags, num_classes, class_names, args.dv,
-                       "--classes/--dv")
-        weights = FrozenEncoderWeights.create(args.encoder_seed,
-                                              d_t=args.dt, d_v=args.dv)
+        class_names = read_prompt_lines(given["classes"])
+        _check_dataset(bags, num_classes, class_names, "--classes")
+        weights = FrozenEncoderWeights.create(
+            given.get("encoder_seed", TrainConfig.encoder_seed),
+            d_t=given.get("dt", TrainConfig.d_t), d_v=bags[0].patches.cols)
         pipeline = Pipeline(weights=weights, tissues=None,
-                            class_names=tuple(class_names), tau=args.tau,
+                            class_names=tuple(class_names),
+                            tau=given.get("tau", TrainConfig.tau),
                             pooling="zero")
         metrics = evaluate(bags, pipeline)
         print(json.dumps({"mode": "zero-shot", "metrics": metrics},
                          indent=2, sort_keys=True))
         return
-    if not args.report:
-        raise CliInputError("provide --report or --zero-shot")
     doc = read_report(args.report)
     cfg = doc["config"]
-    _check_dataset(bags, num_classes, doc["class_names"], int(cfg["d_v"]),
-                   f"report {args.report}")
+    _check_dataset(bags, num_classes, doc["class_names"],
+                   f"report {args.report}", d_v=int(cfg["d_v"]))
     pipeline = _pipeline_from_report(doc)
     shots = cfg.get("shots", "all")
     if shots == "all":
@@ -293,8 +319,27 @@ def _cell(value) -> str:
 
 
 GRID_REQUIRED = ("data", "classes", "poolings", "shots", "tissues", "seeds")
-GRID_OPTIONAL = ("tau", "lr", "epochs", "context_length", "d_t", "d_v",
-                 "encoder_seed", "topk_k")
+# optional grid key -> (TrainConfig field, type); a key left out of the grid
+# takes the TrainConfig default
+GRID_SETTINGS = {"tau": ("tau", float), "lr": ("learning_rate", float),
+                 "epochs": ("epochs", int), "d_t": ("d_t", int),
+                 "context_length": ("context_length", int),
+                 "encoder_seed": ("encoder_seed", int),
+                 "topk_k": ("topk_k", int)}
+
+
+def _grid_value(path, key, raw, cast):
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise CliInputError(
+            f"{path}: {key} = {raw!r} is not a valid {cast.__name__}"
+        ) from exc
+
+
+def _grid_list(path, grid, key, cast=str) -> list:
+    return [_grid_value(path, key, v.strip(), cast)
+            for v in grid[key].split(",") if v.strip()]
 
 
 def cmd_ablate(args) -> None:
@@ -302,27 +347,23 @@ def cmd_ablate(args) -> None:
     for key in GRID_REQUIRED:
         if key not in grid:
             raise CliInputError(f"grid file missing required key {key!r}")
-    _reject_unknown_keys(args.grid, grid, GRID_REQUIRED + GRID_OPTIONAL)
+    _reject_unknown_keys(args.grid, grid, GRID_REQUIRED + tuple(GRID_SETTINGS))
+    poolings = _grid_list(args.grid, grid, "poolings")
+    bad = sorted(set(poolings) - set(POOLING_VARIANTS + ("zero",)))
+    if bad:
+        raise CliInputError(f"{args.grid}: unknown pooling(s) {bad}; "
+                            f"expected {', '.join(POOLING_VARIANTS)} or zero")
+    shots_list = _grid_list(args.grid, grid, "shots", int)
+    seeds = _grid_list(args.grid, grid, "seeds", int)
+    base_cfg = TrainConfig(**{
+        field: _grid_value(args.grid, key, grid[key], cast)
+        for key, (field, cast) in GRID_SETTINGS.items() if key in grid
+    })
     bags, num_classes = read_dataset(grid["data"])
     class_names = read_prompt_lines(grid["classes"])
-    d_v = int(grid.get("d_v", bags[0].patches.cols))
-    _check_dataset(bags, num_classes, class_names, d_v, f"grid {args.grid}")
-    poolings = [p.strip() for p in grid["poolings"].split(",") if p.strip()]
-    shots_list = [int(s) for s in grid["shots"].split(",") if s.strip()]
-    seeds = [int(s) for s in grid["seeds"].split(",") if s.strip()]
-    tissue_sets = []
-    for path in (p.strip() for p in grid["tissues"].split(",") if p.strip()):
-        tissue_sets.append((os.path.basename(path), read_prompt_lines(path)))
-    base_cfg = TrainConfig(
-        tau=float(grid.get("tau", 0.01)),
-        learning_rate=float(grid.get("lr", 2e-4)),
-        epochs=int(grid.get("epochs", 50)),
-        context_length=int(grid.get("context_length", 4)),
-        d_t=int(grid.get("d_t", 16)),
-        d_v=d_v,
-        encoder_seed=int(grid.get("encoder_seed", DEFAULT_ENCODER_SEED)),
-        topk_k=int(grid.get("topk_k", 16)),
-    )
+    _check_dataset(bags, num_classes, class_names, f"grid {args.grid}")
+    tissue_sets = [(os.path.basename(path), read_prompt_lines(path))
+                   for path in _grid_list(args.grid, grid, "tissues")]
     rows = run_ablation(bags, class_names, poolings, shots_list,
                         tissue_sets, seeds, base_cfg)
     table = _format_table(rows)
@@ -364,12 +405,12 @@ def _add_common(sub):
 
 
 def _add_encoder_flags(sub):
-    sub.add_argument("--encoder-seed", type=int, default=DEFAULT_ENCODER_SEED,
-                     help="seed of the frozen text encoder (default 42)")
-    sub.add_argument("--dt", type=int, default=16,
-                     help="text embedding dimension (default 16)")
-    sub.add_argument("--dv", type=int, default=32,
-                     help="visual embedding dimension (default 32)")
+    sub.add_argument("--encoder-seed", type=int,
+                     default=TrainConfig.encoder_seed,
+                     help="seed of the frozen text encoder "
+                          "(default %(default)s)")
+    sub.add_argument("--dt", type=int, default=TrainConfig.d_t,
+                     help="text embedding dimension (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -383,6 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     _add_common(p)
     _add_encoder_flags(p)
+    p.add_argument("--dv", type=int, default=SynthSpec.d_v,
+                   help="visual embedding dimension (default %(default)s)")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named preset; the spec flags below (and --dv, "
                         "--dt) cannot be combined with it")
@@ -393,11 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bags-per-class", type=int)
     p.add_argument("--signal-fraction", type=float)
     p.add_argument("--noise-sigma", type=float)
-    # Spec flags left off the command line stay unset, so cmd_synth can
-    # tell an explicit flag from SynthSpec's default.
-    for action in p._actions:
-        if action.dest in SPEC_FLAGS:
-            action.default = argparse.SUPPRESS
+    _leave_unset(p, SPEC_FLAGS)
     p.add_argument("--seed", type=int, help="required; never implicit")
     p.add_argument("--out", required=True)
     p.add_argument("--tissues-out")
@@ -410,20 +449,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--tissues", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--shots", default="all",
-                   help="bags per class for training, or 'all' (default)")
-    p.add_argument("--pooling", choices=["slip", "topk", "avg"],
-                   default="slip", help="pooling variant (default slip)")
-    p.add_argument("--tau", type=float, default=0.01,
-                   help="softmax temperature (default 0.01)")
-    p.add_argument("--lr", type=float, default=2e-4,
-                   help="SGD learning rate (default 2e-4)")
-    p.add_argument("--epochs", type=int, default=50,
-                   help="training epochs (default 50)")
-    p.add_argument("--context-length", type=int, default=4,
-                   help="learnable context vectors (default 4)")
-    p.add_argument("--topk-k", type=int, default=16,
-                   help="k for topk pooling, clamped to N (default 16)")
+    p.add_argument("--shots", default=TrainConfig.shots,
+                   help="bags per class for training, or 'all' "
+                        "(default %(default)s)")
+    p.add_argument("--pooling", choices=POOLING_VARIANTS,
+                   default=TrainConfig.pooling,
+                   help="pooling variant (default %(default)s)")
+    p.add_argument("--tau", type=float, default=TrainConfig.tau,
+                   help="softmax temperature (default %(default)s)")
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
+                   help="SGD learning rate (default %(default)s)")
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
+                   help="training epochs (default %(default)s)")
+    p.add_argument("--context-length", type=int,
+                   default=TrainConfig.context_length,
+                   help="learnable context vectors (default %(default)s)")
+    p.add_argument("--topk-k", type=int, default=TrainConfig.topk_k,
+                   help="k for topk pooling, clamped to N "
+                        "(default %(default)s)")
     p.add_argument("--seed", type=int, help="required; never implicit")
     p.add_argument("--out", required=True, help="report JSON path")
     p.set_defaults(func=cmd_train)
@@ -432,11 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_encoder_flags(p)
     p.add_argument("--data", required=True)
-    p.add_argument("--report", help="report with trained context")
+    p.add_argument("--report", help="report with trained context; the "
+                                    "report fixes every other setting")
     p.add_argument("--zero-shot", action="store_true")
     p.add_argument("--classes", help="class names file (zero-shot mode)")
-    p.add_argument("--tau", type=float, default=0.01,
-                   help="softmax temperature (default 0.01)")
+    p.add_argument("--tau", type=float, default=TrainConfig.tau,
+                   help="softmax temperature (default %(default)s)")
+    _leave_unset(p, ZERO_SHOT_FLAGS)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ablate", help="run a pooling/shots/tissues grid")
@@ -455,8 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class-index", type=int, required=True)
     p.add_argument("--tissues", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--tau", type=float, default=0.01,
-                   help="softmax temperature (default 0.01)")
+    p.add_argument("--tau", type=float, default=TrainConfig.tau,
+                   help="softmax temperature (default %(default)s)")
     p.add_argument("--out-prefix", required=True)
     p.set_defaults(func=cmd_heatmap)
 

@@ -54,12 +54,9 @@ class SimilarityMatrix:
     """Row-stochastic similarity matrix produced by a temperature softmax."""
 
     data: np.ndarray
-    temperature: float
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_matrix(self.data))
-        if self.temperature <= 0:
-            raise NonPositiveTemperatureError(f"temperature {self.temperature} <= 0")
         # Entries can underflow to exactly 0.0 for extreme logit spreads;
         # only the upper bound and sign are enforced here.
         if np.any(self.data < 0) or np.any(self.data > 1 + 1e-9):
@@ -146,4 +143,4 @@ def softmax_rows(logits, temperature: float) -> SimilarityMatrix:
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
     p = e / e.sum(axis=1, keepdims=True)
-    return SimilarityMatrix(p, temperature=temperature)
+    return SimilarityMatrix(p)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NORM_EPS
-from .errors import EmptySequenceError, ZeroVectorError
+from .errors import EmptySequenceError, ZeroVectorError, check_setting
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -64,6 +64,8 @@ class FrozenEncoderWeights:
         d_t: int = DEFAULT_D_T,
         d_v: int = DEFAULT_D_V,
     ) -> "FrozenEncoderWeights":
+        check_setting(min(d_t, d_v) >= 1, "embedding dimensions must be >= 1, "
+                      f"got d_t={d_t}, d_v={d_v}")
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(d_t)
         token_table = rng.uniform(-scale, scale,
@@ -103,9 +105,9 @@ class PromptContext:
         return self.vectors.shape[0]
 
     @classmethod
-    def init(cls, rng: np.random.Generator, length: int, d_t: int,
-             scale: float = 0.01) -> "PromptContext":
-        return cls(rng.uniform(-scale, scale, size=(length, d_t)))
+    def init(cls, rng: np.random.Generator, length: int,
+             d_t: int) -> "PromptContext":
+        return cls(rng.uniform(-0.01, 0.01, size=(length, d_t)))
 
 
 def _sequence(weights: FrozenEncoderWeights, context, text: str) -> np.ndarray:

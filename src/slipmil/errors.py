@@ -9,6 +9,15 @@ class SlipError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InvalidSettingError(SlipError, ValueError):
+    """A run or dataset setting lies outside its valid range."""
+
+
+def check_setting(ok: bool, message: str) -> None:
+    if not ok:
+        raise InvalidSettingError(message)
+
+
 class ZeroVectorError(SlipError):
     """A vector that must be normalizable has norm below 1e-12."""
 

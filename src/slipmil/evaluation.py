@@ -7,7 +7,11 @@ import numpy as np
 
 from .core import WsiBag
 from .encoder import FrozenEncoderWeights
-from .errors import DimensionMismatchError, InsufficientBagsError
+from .errors import (
+    DimensionMismatchError,
+    EmptyDatasetError,
+    InsufficientBagsError,
+)
 from .pooling import (
     ClassPromptSet,
     SlideFeature,
@@ -74,9 +78,8 @@ class Pipeline:
         frozen = ClassPromptSet.from_names(self.weights, names)
         scoring = frozen
         if self.prompts is not None:
-            scoring = ClassPromptSet.from_names(
-                self.weights, names, self.prompts.as_list(len(names))
-            )
+            scoring = ClassPromptSet.from_names(self.weights, names,
+                                                self.prompts.contexts[0])
         s_wsi = None
         if self.pooling == "slip":
             if self.tissues is None:
@@ -160,11 +163,13 @@ def run_single(dataset, class_names, tissue_descriptions,
     Returns (prompts, history, metrics, eval_pool_size).
     """
     dataset = list(dataset)
+    if not dataset:
+        raise EmptyDatasetError("dataset is empty")
     if cfg.shots == "all":
         train_bags, eval_bags = dataset, dataset
     else:
         train_bags, eval_bags = select_few_shot(dataset, int(cfg.shots))
-    weights = cfg.encoder_weights()
+    weights = cfg.encoder_weights(dataset[0].patches.cols)
     prompts, history = train_prompts(train_bags, tissue_descriptions,
                                      class_names, cfg, weights=weights)
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
@@ -201,7 +206,8 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
                     if pooling == "zero":
                         if zero_metrics is None:
                             zero_metrics = evaluate(dataset, Pipeline(
-                                weights=base_cfg.encoder_weights(),
+                                weights=base_cfg.encoder_weights(
+                                    dataset[0].patches.cols),
                                 tissues=None,
                                 class_names=tuple(class_names),
                                 tau=base_cfg.tau, pooling="zero",

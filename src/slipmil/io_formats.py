@@ -125,11 +125,9 @@ def read_dataset(path):
         coords = np.frombuffer(r.take(8 * n), dtype="<u4").reshape(n, 2)
         emb = np.frombuffer(r.take(4 * n * d_v), dtype="<f4")
         # corrupted bytes may decode to signaling NaNs; the cast warning is
-        # moot because non-finite values are rejected right below
+        # moot because EmbeddingMatrix rejects non-finite values below
         with np.errstate(invalid="ignore"):
             emb = emb.astype(np.float64).reshape(n, d_v)
-        if not np.all(np.isfinite(emb)):
-            raise CorruptHeaderError(f"bag {b}: non-finite embedding values")
         try:
             bags.append(WsiBag(
                 patches=EmbeddingMatrix(emb),
@@ -207,7 +205,8 @@ def write_report(path, config: dict, history_records, metrics: dict,
                  class_names, tissue_descriptions, context=None) -> dict:
     """Serialize a run report as one JSON document and return it.
 
-    `context` is None or {"shared": bool, "vectors": [[...]] per context}.
+    `context` is None or {"shared": true, "vectors": [ctx]}, with ctx the
+    M x d_t context that every class shares.
     Floats survive the round trip exactly (shortest repr encoding).
     """
     doc = {

@@ -53,7 +53,8 @@ class TissuePromptSet:
 
 @dataclass(frozen=True)
 class ClassPromptSet:
-    """Class-name embeddings, optionally produced with a learnable context."""
+    """Class-name embeddings, optionally produced with a learnable context
+    shared by all classes."""
 
     class_names: tuple
     embeddings: EmbeddingMatrix
@@ -65,21 +66,10 @@ class ClassPromptSet:
 
     @classmethod
     def from_names(cls, weights: FrozenEncoderWeights, class_names,
-                   contexts=None) -> "ClassPromptSet":
-        """Encode class names; contexts may be None, one shared PromptContext,
-        or a sequence with one context per class."""
+                   context: PromptContext | None = None) -> "ClassPromptSet":
+        """Encode class names, each behind the one shared context if any."""
         names = tuple(class_names)
-        if contexts is None:
-            per_class = [None] * len(names)
-        elif isinstance(contexts, PromptContext):
-            per_class = [contexts] * len(names)
-        else:
-            per_class = list(contexts)
-            if len(per_class) != len(names):
-                raise DimensionMismatchError("one context per class required")
-        emb = np.stack(
-            [encode_text(weights, n, ctx) for n, ctx in zip(names, per_class)]
-        )
+        emb = np.stack([encode_text(weights, n, context) for n in names])
         return cls(names, EmbeddingMatrix(emb))
 
     @property

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import EmbeddingMatrix, WsiBag
-from .encoder import FrozenEncoderWeights, encode_text
-from .errors import RejectionExhaustedError
+from .encoder import DEFAULT_D_T, DEFAULT_D_V, FrozenEncoderWeights, \
+    encode_text
+from .errors import RejectionExhaustedError, check_setting
 from .trainer import DEFAULT_ENCODER_SEED
 
 MAX_SEPARATION_COSINE = 0.3
@@ -48,23 +49,21 @@ class SynthSpec:
     bags_per_class: int = 8
     signal_fraction: float = 0.9
     noise_sigma: float = 0.05
-    d_v: int = 32
-    d_t: int = 16
+    d_v: int = DEFAULT_D_V
+    d_t: int = DEFAULT_D_T
     seed: int = 0
     encoder_seed: int = DEFAULT_ENCODER_SEED
 
     def __post_init__(self):
-        if self.num_classes < 1 or self.num_tissues < 1:
-            raise ValueError("counts must be >= 1")
-        if self.num_tissues < self.num_classes:
-            raise ValueError("need at least one tissue per class")
-        if not 0 < self.signal_fraction <= 1:
-            raise ValueError("signal_fraction must be in (0, 1]")
-        if self.noise_sigma < 0:
-            raise ValueError("noise_sigma must be non-negative")
+        for name in ("num_classes", "num_tissues", "bags_per_class"):
+            check_setting(getattr(self, name) >= 1, f"{name} must be >= 1")
+        check_setting(self.num_tissues >= self.num_classes,
+                      "need at least one tissue per class")
+        check_setting(0 < self.signal_fraction <= 1,
+                      "signal_fraction must be in (0, 1]")
+        check_setting(self.noise_sigma >= 0, "noise_sigma must be >= 0")
         lo, hi = self.n_range
-        if lo < 1 or hi < lo:
-            raise ValueError("n_range must satisfy 1 <= min <= max")
+        check_setting(1 <= lo <= hi, "n_range must satisfy 1 <= min <= max")
 
 
 # Free knobs (bag sizes, bag counts, tissue count) chosen so that

@@ -6,12 +6,13 @@ precomputed once per bag.
 
 The training loop runs in closed form. The encoder mean-pools
 [context; tokens], so class c's embedding is
-normalize(((sum_rows ctx_c + tok_sum_c) / L_c) @ P) with L_c = M +
-n_tokens_c, and the loss gradient reaches every context row of class c as
-the same row (P @ g_e) / L_c; a shared context receives the sum over
-classes. The class names are tokenized once per call and every step works
-on C x d_t and d_v x C arrays. `infonce_loss` and `infonce_grad` are the
-per-container reference the loop agrees with to rounding.
+normalize(((sum_rows ctx + tok_sum_c) / L_c) @ P) with L_c = M +
+n_tokens_c. Through class c the loss gradient reaches every context row as
+the same row (P @ g_e) / L_c, and the context, shared by all classes,
+receives the sum over classes. The class names are tokenized once per call
+and every step works on C x d_t and d_v x C arrays. `infonce_loss` and
+`infonce_grad` are the per-container reference the loop agrees with to
+rounding.
 """
 from __future__ import annotations
 
@@ -22,7 +23,6 @@ import numpy as np
 
 from .encoder import (
     DEFAULT_D_T,
-    DEFAULT_D_V,
     FrozenEncoderWeights,
     PromptContext,
     context_sum_grad,
@@ -35,6 +35,7 @@ from .errors import (
     EmptyDatasetError,
     LabelOutOfRangeError,
     MissingClassError,
+    check_setting,
 )
 from .pooling import (
     ClassPromptSet,
@@ -51,7 +52,8 @@ DEFAULT_ENCODER_SEED = 42
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for prompt training."""
+    """Hyperparameters for prompt training. The visual dimension d_v is not
+    one of them: it is read from the data."""
 
     tau: float = 0.01
     learning_rate: float = 2e-4
@@ -61,46 +63,44 @@ class TrainConfig:
     pooling: str = "slip"
     context_length: int = 4
     d_t: int = DEFAULT_D_T
-    d_v: int = DEFAULT_D_V
     encoder_seed: int = DEFAULT_ENCODER_SEED
     topk_k: int = DEFAULT_TOPK
-    shared_context: bool = True
-    include_positive_pair: bool = True
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be positive")
-        if self.learning_rate < 0:
-            raise ValueError("learning rate must be non-negative")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.pooling not in POOLING_VARIANTS:
-            raise ValueError(f"pooling must be one of {POOLING_VARIANTS}")
-        if self.context_length < 0:
-            raise ValueError("context_length must be >= 0")
-        if self.shots != "all" and int(self.shots) < 1:
-            raise ValueError("shots must be >= 1 or 'all'")
+        check_setting(self.tau > 0, f"tau={self.tau} must be > 0")
+        check_setting(self.learning_rate >= 0,
+                      f"learning rate {self.learning_rate} must be >= 0")
+        check_setting(self.epochs >= 1, f"epochs={self.epochs} must be >= 1")
+        check_setting(self.pooling in POOLING_VARIANTS,
+                      f"pooling must be one of {POOLING_VARIANTS}")
+        check_setting(self.context_length >= 0,
+                      f"context_length={self.context_length} must be >= 0")
+        check_setting(self.topk_k >= 1, f"topk_k={self.topk_k} must be >= 1")
+        check_setting(self.shots == "all" or int(self.shots) >= 1,
+                      "shots must be >= 1 or 'all'")
 
-    def encoder_weights(self) -> FrozenEncoderWeights:
+    def encoder_weights(self, d_v: int) -> FrozenEncoderWeights:
         return FrozenEncoderWeights.create(
-            self.encoder_seed, d_t=self.d_t, d_v=self.d_v
+            self.encoder_seed, d_t=self.d_t, d_v=d_v
         )
 
 
 @dataclass(frozen=True)
 class TrainedPrompts:
-    """Final context vectors; one shared context or one per class."""
+    """The trained context, one context shared by every class.
+
+    `contexts` holds exactly that one context and `shared` is always True;
+    both stay in the constructor because reports store the context that
+    way."""
 
     contexts: tuple
     shared: bool = True
 
     def __post_init__(self):
         object.__setattr__(self, "contexts", tuple(self.contexts))
-
-    def as_list(self, num_classes: int):
-        if self.shared:
-            return [self.contexts[0]] * num_classes
-        return list(self.contexts)
+        check_setting(self.shared and len(self.contexts) == 1,
+                      f"expected one shared context, got shared={self.shared} "
+                      f"with {len(self.contexts)} contexts")
 
 
 @dataclass
@@ -111,7 +111,7 @@ class TrainHistory:
 
 
 def infonce_loss(f_wsi: SlideFeature, classes: ClassPromptSet, label: int,
-                 tau: float, include_positive: bool = True) -> float:
+                 tau: float) -> float:
     """Negative log-probability of the diagonal (label, label) pair among
     all C x C (feature column, class prompt) pairs."""
     z = _pair_logits(f_wsi, classes)
@@ -119,42 +119,33 @@ def infonce_loss(f_wsi: SlideFeature, classes: ClassPromptSet, label: int,
     zs = z / tau
     m = zs.max()
     e = np.exp(zs - m)
-    if not include_positive:
-        e[c, c] = 0.0
     return float(-(zs[c, c] - m) + np.log(e.sum()))
 
 
 def infonce_grad(f_wsi: SlideFeature, classes: ClassPromptSet, label: int,
                  tau: float, prompts: TrainedPrompts,
-                 weights: FrozenEncoderWeights,
-                 include_positive: bool = True):
-    """Gradient of infonce_loss w.r.t. the prompt context vectors.
+                 weights: FrozenEncoderWeights) -> np.ndarray:
+    """Gradient of infonce_loss w.r.t. the shared context (M x d_t).
 
     The slide feature is treated as constant; the chain runs through each
-    class-prompt embedding into the context. Returns an M x d_t matrix for
-    a shared context, or a list of per-class matrices otherwise.
+    class-prompt embedding into the context, summed over classes.
     """
     z = _pair_logits(f_wsi, classes)
     c = _check_label(label, classes.size)
     zs = z / tau
     m = zs.max()
     e = np.exp(zs - m)
-    if not include_positive:
-        e[c, c] = 0.0
     p = e / e.sum()
     dz = p.copy()
     dz[c, c] -= 1.0
     dz /= tau
     g_text = f_wsi.columns @ dz  # d_v x C: upstream per class embedding
-    per_class = prompts.as_list(classes.size)
-    grads = [
+    context = prompts.contexts[0]
+    return np.sum([
         encode_text_grad(weights, classes.class_names[j], g_text[:, j],
-                         per_class[j])
+                         context)
         for j in range(classes.size)
-    ]
-    if prompts.shared:
-        return np.sum(grads, axis=0)
-    return grads
+    ], axis=0)
 
 
 def train_prompts(dataset, tissue_descriptions, class_names,
@@ -181,14 +172,9 @@ def train_prompts(dataset, tissue_descriptions, class_names,
         _check_label(bag.label, num_classes)
 
     if weights is None:
-        weights = cfg.encoder_weights()
+        weights = cfg.encoder_weights(dataset[0].patches.cols)
     rng = np.random.default_rng(cfg.seed)
-    n_ctx = 1 if cfg.shared_context else num_classes
-    # n_ctx x M x d_t; a shared context is the single entry
-    ctx = np.stack([
-        PromptContext.init(rng, cfg.context_length, weights.d_t).vectors
-        for _ in range(n_ctx)
-    ])
+    ctx = PromptContext.init(rng, cfg.context_length, weights.d_t).vectors
 
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     frozen_classes = ClassPromptSet.from_names(weights, class_names)
@@ -207,29 +193,22 @@ def train_prompts(dataset, tissue_descriptions, class_names,
             idx = int(idx)
             label = dataset[idx].label
             emb, norms = encode_context_sums(weights, tok_sums, lengths,
-                                             ctx.sum(axis=1))
+                                             ctx.sum(axis=0, keepdims=True))
             f = features[idx]
-            loss, dz = _infonce_step(f.T @ emb.T, label, cfg.tau,
-                                     cfg.include_positive_pair)
+            loss, dz = _infonce_step(f.T @ emb.T, label, cfg.tau)
             row_grads = context_sum_grad(weights, emb, norms, lengths,
                                          (f @ dz).T)  # C x d_t
-            if cfg.shared_context:
-                row_grads = row_grads.sum(axis=0, keepdims=True)
-            ctx = ctx - cfg.learning_rate * row_grads[:, None, :]
+            ctx = ctx - cfg.learning_rate * row_grads.sum(axis=0)
             history.records.append((epoch, idx, loss))
 
-    return (TrainedPrompts([PromptContext(v) for v in ctx],
-                           shared=cfg.shared_context), history)
+    return TrainedPrompts([PromptContext(ctx)]), history
 
 
-def _infonce_step(z: np.ndarray, label: int, tau: float,
-                  include_positive: bool):
+def _infonce_step(z: np.ndarray, label: int, tau: float):
     """infonce_loss and d loss / d z for pair logits z, in one pass."""
     zs = z / tau
     m = zs.max()
     e = np.exp(zs - m)
-    if not include_positive:
-        e[label, label] = 0.0
     total = e.sum()
     dz = e / total
     dz[label, label] -= 1.0

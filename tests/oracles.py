@@ -92,7 +92,7 @@ def oracle_classify(columns, class_rows):
     return best
 
 
-def oracle_infonce(z, label, temperature, include_positive=True):
+def oracle_infonce(z, label, temperature):
     """-log of the (label, label) pair probability among all C x C pairs,
     in 50-digit arithmetic."""
     tau = mpmath.mpf(repr(float(temperature)))
@@ -101,7 +101,5 @@ def oracle_infonce(z, label, temperature, include_positive=True):
         for j, val in enumerate(row):
             exps[(i, j)] = mpmath.exp(mpmath.mpf(repr(float(val))) / tau)
     num = exps[(label, label)]
-    if not include_positive:
-        del exps[(label, label)]
     denom = mpmath.fsum(exps.values())
     return float(-mpmath.log(num / denom))

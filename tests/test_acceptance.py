@@ -131,7 +131,7 @@ class TestAcceptance:
             vectors = rng.uniform(-0.1, 0.1, (2, 16))
             prompts = TrainedPrompts([PromptContext(vectors)], shared=True)
             classes = ClassPromptSet.from_names(weights, names,
-                                                prompts.as_list(c))
+                                                prompts.contexts[0])
             label = int(rng.integers(c))
             tau = float(rng.choice([0.05, 0.1, 0.5]))
             g = infonce_grad(f, classes, label, tau, prompts, weights)
@@ -142,7 +142,7 @@ class TestAcceptance:
                     v[idx] += sign * step
                     pr = TrainedPrompts([PromptContext(v)], shared=True)
                     cs = ClassPromptSet.from_names(weights, names,
-                                                   pr.as_list(c))
+                                                   pr.contexts[0])
                     val = infonce_loss(f, cs, label, tau)
                     if store == "p":
                         fp = val
@@ -251,7 +251,7 @@ class TestAcceptance:
                                               ds.tissue_descriptions, cfg)
                 accs[pooling].append(metrics["class_averaged_accuracy"])
             cfg = TrainConfig(seed=seed)
-            weights = cfg.encoder_weights()
+            weights = cfg.encoder_weights(bags[0].patches.cols)
             tissues = TissuePromptSet.from_descriptions(
                 weights, ds.tissue_descriptions)
             _, eval_bags = select_few_shot(bags, 4)
@@ -316,7 +316,7 @@ class TestAcceptance:
         prompts, _ = train_prompts(*select_few_shot(bags, 2)[:1],
                                    ds.tissue_descriptions, ds.class_names,
                                    cfg)
-        weights = cfg.encoder_weights()
+        weights = cfg.encoder_weights(bags[0].patches.cols)
         tissues = TissuePromptSet.from_descriptions(
             weights, ds.tissue_descriptions)
         pipe = Pipeline(weights=weights, tissues=tissues,

@@ -6,6 +6,7 @@ import pytest
 from slipmil.cli import main
 from slipmil.io_formats import read_dataset, read_report
 from slipmil.synth import SynthSpec, generate
+from slipmil.trainer import TrainConfig
 
 
 def run(capsys, *argv):
@@ -241,6 +242,60 @@ class TestEvalCommand:
         assert code == 2
         assert message in err and stdout == ""
 
+    def _train(self, synth_paths, capsys):
+        report = synth_paths["dir"] / "r.json"
+        code, _, err = run(capsys, "train", "--data", synth_paths["data"],
+                           "--tissues", synth_paths["tissues"],
+                           "--classes", synth_paths["classes"],
+                           "--shots", "2", "--epochs", "1",
+                           "--seed", "1", "--out", str(report))
+        assert code == 0, err
+        return report
+
+    def test_report_rejects_zero_shot_flags(self, synth_paths, capsys):
+        # the report fixes tau, d_t, the encoder and the class names
+        report = self._train(synth_paths, capsys)
+        code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
+                                "--report", str(report), "--tau", "5",
+                                "--dt", "3", "--encoder-seed", "9",
+                                "--classes", "/nonexistent")
+        assert code == 2 and stdout == ""
+        for flag in ("--tau", "--dt", "--encoder-seed", "--classes"):
+            assert flag in err
+
+    def test_report_rejects_zero_shot_key_in_config(self, synth_paths,
+                                                    capsys):
+        report = self._train(synth_paths, capsys)
+        cfg = synth_paths["dir"] / "eval.cfg"
+        cfg.write_text("tau = 5\n")
+        code, stdout, err = run(capsys, "eval", "--config", str(cfg),
+                                "--data", synth_paths["data"],
+                                "--report", str(report))
+        assert code == 2 and stdout == ""
+        assert "--tau" in err
+
+    def test_report_and_zero_shot_exclusive(self, synth_paths, capsys):
+        report = self._train(synth_paths, capsys)
+        code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
+                                "--report", str(report), "--zero-shot")
+        assert code == 2 and stdout == ""
+        assert "--report" in err and "--zero-shot" in err
+
+    @pytest.mark.parametrize("context", [
+        {"shared": False, "vectors": [[[0.0] * 16]]},
+        {"shared": True, "vectors": [[[0.0] * 16], [[0.0] * 16]]},
+    ], ids=["not-shared", "two-contexts"])
+    def test_report_needs_one_shared_context(self, synth_paths, capsys,
+                                             context):
+        report = self._train(synth_paths, capsys)
+        doc = json.loads(report.read_text())
+        doc["context"] = context
+        report.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
+                                "--report", str(report))
+        assert code == 2 and stdout == ""
+        assert "one shared context" in err
+
     def test_zero_shot(self, synth_paths, capsys):
         code, stdout, err = run(capsys, "eval",
                                 "--data", synth_paths["data"],
@@ -341,7 +396,14 @@ class TestParserSurface:
         code = main(["train", "--help"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "0.01" in out and "2e-4" in out
+        assert "0.01" in out and "0.0002" in out
+        # every default the help names is TrainConfig's own
+        for value in (TrainConfig.tau, TrainConfig.learning_rate,
+                      TrainConfig.epochs, TrainConfig.context_length,
+                      TrainConfig.topk_k, TrainConfig.d_t,
+                      TrainConfig.encoder_seed, TrainConfig.pooling,
+                      TrainConfig.shots):
+            assert f"(default {value})" in out
 
     def test_unknown_command(self, capsys):
         code = main(["frobnicate"])
@@ -368,3 +430,75 @@ class TestParserSurface:
                            "--out", str(synth_paths["dir"] / "x.json"))
         assert code == 2
         assert "--threads" in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("train", ["--tissues", "{tissues}", "--seed", "1",
+                   "--out", "{dir}/r.json"]),
+        ("eval", ["--zero-shot"]),
+        ("heatmap", ["--tissues", "{tissues}", "--bag", "0",
+                     "--class-index", "0", "--out-prefix", "{dir}/hm"]),
+    ], ids=["train", "eval", "heatmap"])
+    def test_dv_flag_rejected(self, synth_paths, capsys, command, flags):
+        # d_v is read from the dataset; only synth takes --dv
+        flags = [f.format(**synth_paths) for f in flags]
+        code, stdout, err = run(capsys, command, "--dv", "32",
+                                "--data", synth_paths["data"],
+                                "--classes", synth_paths["classes"], *flags)
+        assert code == 2 and stdout == ""
+        assert "unrecognized arguments: --dv 32" in err
+
+
+class TestOutOfRangeSettings:
+    """A setting outside its range is a user error (exit 2) naming the
+    setting, never an internal error, and nothing is written."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--tau", "-1"], ["--epochs", "0"], ["--lr", "-1"],
+        ["--context-length", "-1"], ["--topk-k", "0"], ["--dt", "0"],
+    ], ids=lambda f: " ".join(f))
+    def test_train(self, synth_paths, capsys, flags):
+        report = synth_paths["dir"] / "r.json"
+        code, stdout, err = run(capsys, "train", "--data", synth_paths["data"],
+                                "--tissues", synth_paths["tissues"],
+                                "--classes", synth_paths["classes"],
+                                "--seed", "1", *flags, "--out", str(report))
+        assert code == 2, err
+        assert "internal error" not in err and stdout == ""
+        assert not report.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--num-classes", "0"], ["--noise-sigma", "-1"],
+        ["--n-min", "5", "--n-max", "2"], ["--signal-fraction", "2"],
+        ["--dt", "0"], ["--dv", "0"], ["--bags-per-class", "0"],
+    ], ids=lambda f: " ".join(f))
+    def test_synth(self, tmp_path, capsys, flags):
+        out = tmp_path / "d.bin"
+        code, stdout, err = run(capsys, "synth", "--seed", "1", *flags,
+                                "--out", str(out))
+        assert code == 2, err
+        assert "internal error" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("epochs = 2.5", "epochs = '2.5'"),
+        ("poolings = slip,bogus", "bogus"),
+        ("seeds = 0,x", "seeds = 'x'"),
+        ("shots = 0", "shots must be >= 1"),
+    ])
+    def test_grid(self, synth_paths, capsys, line, message):
+        values = {
+            "data": synth_paths["data"], "classes": synth_paths["classes"],
+            "tissues": synth_paths["tissues"], "poolings": "avg",
+            "shots": "1", "seeds": "0",
+        }
+        key, _, value = line.partition(" = ")
+        values[key] = value
+        grid = synth_paths["dir"] / "grid.cfg"
+        grid.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        out = synth_paths["dir"] / "rows.json"
+        code, stdout, err = run(capsys, "ablate", "--grid", str(grid),
+                                "--out", str(out))
+        assert code == 2, err
+        assert "internal error" not in err and stdout == ""
+        assert message in err
+        assert not out.exists()

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from slipmil.cli import main
 from slipmil.core import COORD_MAX, EmbeddingMatrix, WsiBag
 from slipmil.errors import (
     BadMagicError,
@@ -131,6 +132,26 @@ class TestDatasetCorruption:
         bad.write_bytes(bytes(blob))
         with pytest.raises(CorruptHeaderError):
             read_dataset(bad)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_embedding(self, dataset_file, tmp_path, capsys,
+                                  value):
+        path, original = dataset_file
+        blob = bytearray(path.read_bytes())
+        # the last bag's float32 payload ends the file
+        offset = len(blob) - 4 * original[-1].patches.data.size
+        blob[offset:offset + 4] = struct.pack("<f", value)
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CorruptHeaderError, match="non-finite"):
+            read_dataset(bad)
+        classes = tmp_path / "classes.txt"
+        classes.write_text("a\nb\nc\n")
+        code = main(["eval", "--data", str(bad), "--zero-shot",
+                     "--classes", str(classes)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"bag {len(original) - 1}: " in err and "non-finite" in err
 
     def test_header_byte_fuzz(self, dataset_file, tmp_path):
         """Every single-byte corruption of the fixed header yields a typed

@@ -1,6 +1,8 @@
-"""Package hygiene: runtime modules import only what they use, and the
-runtime package does not pull in test-only dependencies."""
+"""Package hygiene: runtime modules import only what they use, the
+runtime package does not pull in test-only dependencies, and every training
+setting is reachable from the command line."""
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -58,6 +60,36 @@ class TestTestOnlyDependencies:
         offenders = [path.name for path in MODULES
                      if "mpmath" in _imported_modules(path)]
         assert offenders == []
+
+
+def keywords_passed(source: str, function: str, callee: str) -> set[str]:
+    """Keyword names of every call to `callee` inside `function`."""
+    tree = ast.parse(source)
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == function:
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call)
+                        and isinstance(call.func, ast.Name)
+                        and call.func.id == callee):
+                    names.update(k.arg for k in call.keywords)
+    return names
+
+
+class TestTrainSettingsReachCli:
+    def test_keywords_passed(self):
+        source = ("def f(a):\n    return C(x=1, y=a)\n"
+                  "def g():\n    return C(z=2)\n")
+        assert keywords_passed(source, "f", "C") == {"x", "y"}
+
+    def test_every_train_config_field_has_a_flag(self):
+        # a TrainConfig field the CLI never sets is a knob only tests turn
+        from slipmil.trainer import TrainConfig
+        source = (SRC / "slipmil" / "cli.py").read_text(encoding="utf-8")
+        passed = keywords_passed(source, "_train_config_from_args",
+                                 "TrainConfig")
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        assert sorted(fields - passed) == []
 
 
 def _imported_modules(path: Path) -> set[str]:

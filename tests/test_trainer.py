@@ -5,6 +5,7 @@ from slipmil.core import EmbeddingMatrix
 from slipmil.encoder import FrozenEncoderWeights, PromptContext
 from slipmil.errors import (
     EmptyDatasetError,
+    InvalidSettingError,
     LabelOutOfRangeError,
     MissingClassError,
 )
@@ -34,8 +35,7 @@ def feature(rng, d, c):
 
 
 def class_set_with(weights, names, prompts):
-    return ClassPromptSet.from_names(weights, names,
-                                     prompts.as_list(len(names)))
+    return ClassPromptSet.from_names(weights, names, prompts.contexts[0])
 
 
 def loss_of_context(weights, names, f, label, tau, vectors):
@@ -118,18 +118,6 @@ class TestInfonceLoss:
             spread = float(z.max() - z.min())
             assert 0.0 <= loss <= np.log(c * c) + spread / tau + 1e-12
 
-    def test_exclude_positive_variant(self):
-        rng = np.random.default_rng(34)
-        f = feature(rng, 8, 3)
-        classes = ClassPromptSet(
-            NAMES3, EmbeddingMatrix(unit_rows(rng, 3, 8)))
-        z = f.columns.T @ classes.embeddings.data.T
-        got = infonce_loss(f, classes, 1, 0.1, include_positive=False)
-        want = oracle_infonce(z.tolist(), 1, 0.1, include_positive=False)
-        assert abs(got - want) < 1e-10
-        # removing the positive pair from the denominator lowers the loss
-        assert got < infonce_loss(f, classes, 1, 0.1)
-
 
 class TestInfonceGrad:
     def test_single_class_zero_gradient(self, weights):
@@ -180,6 +168,27 @@ class TestInfonceGrad:
             fd = fd_context_grad(w, names, f, label, tau, vectors)
             worst = max(worst, rel_err(g, fd))
         assert worst < 1e-5
+
+
+class TestSettings:
+    @pytest.mark.parametrize("kwargs", [
+        {"tau": 0.0}, {"tau": float("nan")}, {"learning_rate": -1e-9},
+        {"epochs": 0}, {"pooling": "zero"}, {"context_length": -1},
+        {"topk_k": 0}, {"shots": 0},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_out_of_range_config(self, kwargs):
+        # one error type, still a ValueError for callers that catch that
+        with pytest.raises(InvalidSettingError):
+            TrainConfig(**kwargs)
+        assert issubclass(InvalidSettingError, ValueError)
+
+    def test_prompts_hold_one_shared_context(self):
+        ctx = PromptContext(np.zeros((2, 4)))
+        assert TrainedPrompts([ctx]).contexts == (ctx,)
+        for contexts, shared in (([ctx], False), ([ctx, ctx], True),
+                                 ([], True)):
+            with pytest.raises(InvalidSettingError):
+                TrainedPrompts(contexts, shared=shared)
 
 
 def small_dataset(rng, num_classes=2, bags_per_class=2, d=32):
@@ -267,7 +276,7 @@ class TestTrainPrompts:
         cfg = TrainConfig(epochs=50, seed=3)
         prompts, _ = train_prompts(bags, ds.tissue_descriptions,
                                    ds.class_names, cfg)
-        w = cfg.encoder_weights()
+        w = cfg.encoder_weights(bags[0].patches.cols)
         tissues = TissuePromptSet.from_descriptions(w,
                                                     ds.tissue_descriptions)
         pipe = Pipeline(weights=w, tissues=tissues,
@@ -275,22 +284,12 @@ class TestTrainPrompts:
         metrics = evaluate(bags, pipe)
         assert metrics["class_averaged_accuracy"] == 1.0
 
-    def test_per_class_context(self):
-        rng = np.random.default_rng(46)
-        bags = small_dataset(rng)
-        cfg = TrainConfig(epochs=2, seed=7, shared_context=False)
-        prompts, _ = train_prompts(bags, TISSUES, CLASSES, cfg)
-        assert not prompts.shared
-        assert len(prompts.contexts) == len(CLASSES)
-
 
 def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
     """The step-by-step loop: rebuild the prompted class set every step and
     take infonce_loss / infonce_grad from the public reference functions."""
     rng = np.random.default_rng(cfg.seed)
-    n_ctx = 1 if cfg.shared_context else len(class_names)
-    contexts = [PromptContext.init(rng, cfg.context_length, weights.d_t)
-                for _ in range(n_ctx)]
+    context = PromptContext.init(rng, cfg.context_length, weights.d_t)
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     frozen = ClassPromptSet.from_names(weights, class_names)
     s_wsi = tissue_wsi_similarity(frozen, tissues, cfg.tau)
@@ -300,39 +299,32 @@ def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(len(bags)):
             idx = int(idx)
-            prompts = TrainedPrompts(contexts, shared=cfg.shared_context)
+            prompts = TrainedPrompts([context])
             classes = class_set_with(weights, class_names, prompts)
             label = bags[idx].label
-            loss = infonce_loss(features[idx], classes, label, cfg.tau,
-                                cfg.include_positive_pair)
+            loss = infonce_loss(features[idx], classes, label, cfg.tau)
             grad = infonce_grad(features[idx], classes, label, cfg.tau,
-                                prompts, weights, cfg.include_positive_pair)
-            grads = [grad] if cfg.shared_context else grad
-            contexts = [PromptContext(ctx.vectors - cfg.learning_rate * g)
-                        for ctx, g in zip(contexts, grads)]
+                                prompts, weights)
+            context = PromptContext(context.vectors - cfg.learning_rate * grad)
             records.append((epoch, idx, loss))
-    return contexts, records
+    return [context], records
 
 
 class TestClosedFormEquivalence:
     @pytest.mark.parametrize("pooling", ["slip", "topk", "avg"])
     @pytest.mark.parametrize("context_length", [0, 4])
-    @pytest.mark.parametrize("include_positive", [True, False])
-    @pytest.mark.parametrize("shared", [True, False])
     def test_matches_step_by_step_reference(self, weights, pooling,
-                                            context_length, include_positive,
-                                            shared):
+                                            context_length):
         rng = np.random.default_rng(47)
         bags = small_dataset(rng, num_classes=3)
         cfg = TrainConfig(tau=0.1, learning_rate=0.05, epochs=4, seed=13,
                           pooling=pooling, context_length=context_length,
-                          topk_k=2, shared_context=shared,
-                          include_positive_pair=include_positive)
+                          topk_k=2)
         prompts, history = train_prompts(bags, TISSUES, NAMES3, cfg,
                                          weights=weights)
         contexts, records = reference_train(bags, TISSUES, NAMES3, cfg,
                                             weights)
-        assert prompts.shared == shared
+        assert prompts.shared
         assert len(prompts.contexts) == len(contexts)
         for got, want in zip(prompts.contexts, contexts):
             assert got.vectors.shape == want.vectors.shape
