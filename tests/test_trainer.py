@@ -310,9 +310,17 @@ def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
     return [context], records
 
 
+# ids read shared context - positive pair counted - context length - pooling;
+# the first two are always on
+EQUIVALENCE_CASES = [(length, pooling) for length in (0, 4)
+                     for pooling in ("slip", "topk", "avg")]
+
+
 class TestClosedFormEquivalence:
-    @pytest.mark.parametrize("pooling", ["slip", "topk", "avg"])
-    @pytest.mark.parametrize("context_length", [0, 4])
+    @pytest.mark.parametrize(
+        "context_length,pooling", EQUIVALENCE_CASES,
+        ids=[f"True-True-{length}-{pooling}"
+             for length, pooling in EQUIVALENCE_CASES])
     def test_matches_step_by_step_reference(self, weights, pooling,
                                             context_length):
         rng = np.random.default_rng(47)
