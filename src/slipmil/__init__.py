@@ -28,12 +28,11 @@ from .pooling import (
     ClassPromptSet,
     SlideFeature,
     TissuePromptSet,
-    patch_slide_correlation,
-    patch_tissue_similarity,
+    log_tissue_wsi_similarity,
     pool_average,
     pool_topk,
+    slip_correlation,
     slip_pool,
-    tissue_wsi_similarity,
     zero_shot_scores,
 )
 from .synth import PRESETS, SynthDataset, SynthSpec, generate, preset_spec

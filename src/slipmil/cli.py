@@ -25,7 +25,7 @@ from .io_formats import (
     write_report,
 )
 from .pooling import POOLING_VARIANTS, ClassPromptSet, TissuePromptSet, \
-    patch_slide_correlation, patch_tissue_similarity, tissue_wsi_similarity
+    log_tissue_wsi_similarity, slip_correlation
 from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import TrainConfig, TrainedPrompts
 
@@ -387,12 +387,11 @@ def cmd_heatmap(args) -> None:
                                           d_v=bag.patches.cols)
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     classes = ClassPromptSet.from_names(weights, class_names)
-    s_patch = patch_tissue_similarity(bag, tissues, args.tau)
-    s_wsi = tissue_wsi_similarity(classes, tissues, args.tau)
-    corr = patch_slide_correlation(s_patch, s_wsi)
+    lw = log_tissue_wsi_similarity(classes, tissues, args.tau)
+    corr = slip_correlation(bag, tissues, lw, args.tau)
     csv_path = args.out_prefix + ".csv"
     pgm_path = args.out_prefix + ".pgm"
-    top, bottom = export_heatmap(bag, corr, args.class_index,
+    top, bottom = export_heatmap(bag, corr.T, args.class_index,
                                  csv_path, pgm_path)
     print(json.dumps({
         "csv": csv_path, "pgm": pgm_path,

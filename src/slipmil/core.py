@@ -18,6 +18,7 @@ from .errors import (
 
 NORM_EPS = 1e-12
 COORD_MAX = 0xFFFFFFFF  # grid coordinates are stored as uint32 on disk
+MAX_D_V = 4096  # widest embedding the dataset container reads or writes
 
 
 def _as_matrix(data) -> np.ndarray:

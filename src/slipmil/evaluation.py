@@ -16,8 +16,8 @@ from .pooling import (
     ClassPromptSet,
     SlideFeature,
     TissuePromptSet,
+    log_tissue_wsi_similarity,
     pooled_feature,
-    tissue_wsi_similarity,
     zero_shot_scores,
 )
 from .trainer import TrainConfig, TrainedPrompts, train_prompts
@@ -62,7 +62,7 @@ class Pipeline:
     """Everything needed to score a bag: encoder, prompt sets, pooling.
 
     Pooling uses the context-free class prompts, scoring the prompted ones;
-    both, and S_wsi for slip pooling, are computed at construction. Only
+    both, and log S_wsi for slip pooling, are computed at construction. Only
     slip pooling reads tissues; the other variants take tissues=None."""
 
     weights: FrozenEncoderWeights
@@ -80,15 +80,15 @@ class Pipeline:
         if self.prompts is not None:
             scoring = ClassPromptSet.from_names(self.weights, names,
                                                 self.prompts.contexts[0])
-        s_wsi = None
+        lw = None
         if self.pooling == "slip":
             if self.tissues is None:
                 raise ValueError("slip pooling needs a tissue prompt set")
-            s_wsi = tissue_wsi_similarity(frozen, self.tissues, self.tau)
+            lw = log_tissue_wsi_similarity(frozen, self.tissues, self.tau)
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "_frozen", frozen)
         object.__setattr__(self, "_scoring", scoring)
-        object.__setattr__(self, "_s_wsi", s_wsi)
+        object.__setattr__(self, "_lw", lw)
 
     def scoring_classes(self) -> ClassPromptSet:
         """Class prompts used on the text side of classification."""
@@ -101,7 +101,7 @@ class Pipeline:
         if self.pooling == "zero":
             raise ValueError("zero-shot pipeline has no slide feature")
         return pooled_feature(bag, self.tissues, self._frozen, self.pooling,
-                              self.tau, self.topk_k, s_wsi=self._s_wsi)
+                              self.tau, self.topk_k, lw=self._lw)
 
     def predict(self, bag: WsiBag) -> int:
         if self.pooling == "zero":
@@ -190,6 +190,9 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
     every zero row carries those metrics.
     """
     dataset = list(dataset)
+    if set(poolings) != {"zero"}:  # check every split before any row trains
+        for shots in shots_list:
+            select_few_shot(dataset, replace(base_cfg, shots=int(shots)).shots)
     zero_metrics = None
     rows = []
     for pooling in poolings:

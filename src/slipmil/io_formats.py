@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 
-from .core import EmbeddingMatrix, WsiBag
+from .core import MAX_D_V, EmbeddingMatrix, WsiBag
 from .errors import (
     BadMagicError,
     ClassOutOfRangeError,
@@ -23,6 +23,7 @@ from .errors import (
     SchemaError,
     TruncatedFileError,
     VersionUnsupportedError,
+    check_setting,
 )
 
 MAGIC = b"SLIPEMB1"
@@ -30,7 +31,6 @@ DATASET_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 
 # Sanity bounds so corrupted counts fail fast instead of allocating wildly.
-MAX_D_V = 4096
 MAX_BAGS = 1_000_000
 MAX_PATCHES = 1_000_000
 
@@ -64,6 +64,7 @@ def write_dataset(path, bags) -> None:
     if not bags:
         raise ValueError("cannot write an empty dataset")
     d_v = bags[0].patches.cols
+    check_setting(d_v <= MAX_D_V, f"d_v={d_v} exceeds the format's {MAX_D_V}")
     num_classes = max(bag.label for bag in bags) + 1
     parts = [MAGIC, struct.pack("<IIII", DATASET_VERSION, d_v, len(bags),
                                 num_classes)]

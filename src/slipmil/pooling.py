@@ -13,7 +13,6 @@ import numpy as np
 
 from .core import (
     EmbeddingMatrix,
-    SimilarityMatrix,
     WsiBag,
     cosine_matrix,
     normalize_vector,
@@ -21,7 +20,8 @@ from .core import (
     NORM_EPS,
 )
 from .encoder import FrozenEncoderWeights, PromptContext, encode_text
-from .errors import DimensionMismatchError, KOutOfRangeError, ZeroVectorError
+from .errors import (DimensionMismatchError, KOutOfRangeError,
+                     NonPositiveTemperatureError, ZeroVectorError)
 
 DEFAULT_TOPK = 16
 
@@ -97,60 +97,81 @@ class SlideFeature:
         return self.columns.shape[1]
 
 
-def tissue_wsi_similarity(classes: ClassPromptSet, tissues: TissuePromptSet,
-                          temperature: float) -> SimilarityMatrix:
-    """Row-softmax of class-vs-tissue cosine similarities (C x K)."""
-    logits = cosine_matrix(classes.embeddings, tissues.embeddings)
-    return softmax_rows(logits, temperature)
+def log_tissue_wsi_similarity(classes: ClassPromptSet,
+                              tissues: TissuePromptSet,
+                              temperature: float) -> np.ndarray:
+    """log S_wsi: row log-softmax of class-vs-tissue cosine similarities
+    over the temperature (C x K), finite at any temperature > 0."""
+    if temperature <= 0:
+        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+    z = cosine_matrix(classes.embeddings, tissues.embeddings) / temperature
+    z -= z.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def patch_tissue_similarity(bag: WsiBag, tissues: TissuePromptSet,
-                            temperature: float) -> SimilarityMatrix:
-    """Row-softmax of patch-vs-tissue cosine similarities (N x K)."""
-    logits = cosine_matrix(bag.patches, tissues.embeddings)
-    return softmax_rows(logits, temperature)
+def _patch_logits(bag: WsiBag, tissues: TissuePromptSet, m: np.ndarray,
+                  tau: float) -> np.ndarray:
+    """cos(tissue, patch) / tau + m, K x N, shifted so that every patch's
+    largest logit is 0."""
+    if tau <= 0:
+        raise NonPositiveTemperatureError(f"temperature {tau} <= 0")
+    u = cosine_matrix(tissues.embeddings, bag.patches)
+    u *= 1.0 / tau
+    u += m[:, None]
+    u -= u.max(axis=0)
+    return u
 
 
-def patch_slide_correlation(s_patch: SimilarityMatrix,
-                            s_wsi: SimilarityMatrix) -> np.ndarray:
-    """Patch-to-slide correlation matrix (N x C), row-normalized so every
-    patch distributes unit weight across classes.
+def slip_correlation(bag: WsiBag, tissues: TissuePromptSet, lw: np.ndarray,
+                     tau: float) -> np.ndarray:
+    """Patch-to-class correlation, C x N: column n splits patch n's unit
+    weight over the classes in proportion to sum_k S_patch[n, k] S_wsi[c, k].
 
-    The raw product of the two row-stochastic factors is not itself
-    row-stochastic; the explicit rescale restores that contract (and makes
-    the single-class case collapse to plain averaging).
-    """
-    if s_patch.cols != s_wsi.cols:
-        raise DimensionMismatchError(
-            f"tissue counts differ: {s_patch.cols} vs {s_wsi.cols}"
-        )
-    raw = s_patch.data @ s_wsi.data.T
-    rowsum = raw.sum(axis=1, keepdims=True)
-    if np.any(rowsum <= 0.0):
-        raise ZeroVectorError("correlation row underflowed to zero")
-    return raw / rowsum
+    With m = lw.max(axis=0), exp(lw - m) has a 1 in every tissue column and
+    the shifted logits a 0 in every patch column, so at any tau each patch
+    has an entry >= 1 before the rescale, which also cancels S_patch's own
+    normalisation; that is never computed."""
+    m = lw.max(axis=0)
+    u = _patch_logits(bag, tissues, m, tau)
+    np.exp(u, out=u)
+    corr = np.exp(lw - m) @ u
+    corr /= corr.sum(axis=0)
+    return corr
 
 
-def slip_pool(bag: WsiBag, s_patch: SimilarityMatrix,
-              s_wsi: SimilarityMatrix) -> SlideFeature:
-    """Aggregate patches into per-class columns weighted by the correlation
-    matrix, then unit-normalize each column."""
-    if s_patch.rows != bag.num_patches:
-        raise DimensionMismatchError(
-            f"{s_patch.rows} similarity rows for {bag.num_patches} patches"
-        )
-    corr = patch_slide_correlation(s_patch, s_wsi)
-    # Sharp temperatures can drive every weight in a column to ~1e-40; the
-    # column direction is still well defined, so rescale by the weight sum
-    # before the degeneracy check. Only adversarial cancellation trips it.
-    colsum = corr.sum(axis=0)
-    if np.any(colsum <= 0.0):
-        raise ZeroVectorError("correlation column underflowed to zero")
-    raw = bag.patches.data.T @ (corr / colsum)  # d_v x C
-    norms = np.linalg.norm(raw, axis=0)
+def _log_space_weights(bag: WsiBag, tissues: TissuePromptSet,
+                       lw: np.ndarray, tau: float, rows) -> np.ndarray:
+    """Patch weights of the given classes, each a softmax over patches of
+    log corr[c, n]: rows x N."""
+    m = lw.max(axis=0)
+    u = _patch_logits(bag, tissues, m, tau)
+    log_rescale = np.log(np.exp(lw - m).sum(axis=0) @ np.exp(u))
+    a = u - log_rescale + (lw[rows] - m)[:, :, None]  # rows x K x N
+    top = a.max(axis=1)
+    log_corr = top + np.log(np.exp(a - top[:, None]).sum(axis=1))
+    w = np.exp(log_corr - log_corr.max(axis=1, keepdims=True))
+    return w / w.sum(axis=1, keepdims=True)
+
+
+def slip_pool(bag: WsiBag, tissues: TissuePromptSet, lw: np.ndarray,
+              tau: float) -> SlideFeature:
+    """Aggregate patches into per-class columns weighted by the correlation,
+    then unit-normalize each column. A class whose weights sum below N * K
+    smallest normal floats may have lost them to underflow; its weights are
+    recomputed in log space."""
+    corr = slip_correlation(bag, tissues, lw, tau)
+    total = corr.sum(axis=1, keepdims=True)
+    tiny = bag.num_patches * tissues.size * np.finfo(float).tiny
+    low = np.flatnonzero(total < tiny)
+    if low.size:
+        corr[low] = _log_space_weights(bag, tissues, lw, tau, low)
+        total[low] = 1.0
+    corr /= total  # unit weight per class: only cancellation trips the check
+    raw = corr @ bag.patches.data  # C x d_v
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
     if np.any(norms < NORM_EPS):
         raise ZeroVectorError("pooled column norm < 1e-12")
-    return SlideFeature(raw / norms)
+    return SlideFeature((raw / norms).T)
 
 
 def pool_average(bag: WsiBag) -> np.ndarray:
@@ -177,13 +198,11 @@ def pool_topk(bag: WsiBag, classes: ClassPromptSet, k: int) -> SlideFeature:
 
 def pooled_feature(bag: WsiBag, tissues: TissuePromptSet,
                    frozen_classes: ClassPromptSet, pooling: str, tau: float,
-                   topk_k: int, s_wsi: SimilarityMatrix | None
-                   ) -> SlideFeature:
+                   topk_k: int, lw: np.ndarray | None) -> SlideFeature:
     """Slide feature for one bag under one of POOLING_VARIANTS; slip
-    pooling needs s_wsi, the tissue-class similarity of frozen_classes."""
+    pooling needs lw, the log tissue-class similarity of frozen_classes."""
     if pooling == "slip":
-        s_patch = patch_tissue_similarity(bag, tissues, tau)
-        return slip_pool(bag, s_patch, s_wsi)
+        return slip_pool(bag, tissues, lw, tau)
     if pooling == "topk":
         return pool_topk(bag, frozen_classes, min(topk_k, bag.num_patches))
     if pooling == "avg":

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import EmbeddingMatrix, WsiBag
+from .core import MAX_D_V, EmbeddingMatrix, WsiBag
 from .encoder import DEFAULT_D_T, DEFAULT_D_V, FrozenEncoderWeights, \
     encode_text
 from .errors import RejectionExhaustedError, check_setting
@@ -62,6 +62,8 @@ class SynthSpec:
         check_setting(0 < self.signal_fraction <= 1,
                       "signal_fraction must be in (0, 1]")
         check_setting(self.noise_sigma >= 0, "noise_sigma must be >= 0")
+        check_setting(1 <= self.d_v <= MAX_D_V,
+                      f"d_v={self.d_v} must be in [1, {MAX_D_V}]")
         lo, hi = self.n_range
         check_setting(1 <= lo <= hi, "n_range must satisfy 1 <= min <= max")
 

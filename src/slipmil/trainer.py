@@ -43,8 +43,8 @@ from .pooling import (
     POOLING_VARIANTS,
     SlideFeature,
     TissuePromptSet,
+    log_tissue_wsi_similarity,
     pooled_feature,
-    tissue_wsi_similarity,
 )
 
 DEFAULT_ENCODER_SEED = 42
@@ -178,10 +178,10 @@ def train_prompts(dataset, tissue_descriptions, class_names,
 
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     frozen_classes = ClassPromptSet.from_names(weights, class_names)
-    s_wsi = tissue_wsi_similarity(frozen_classes, tissues, cfg.tau)
+    lw = log_tissue_wsi_similarity(frozen_classes, tissues, cfg.tau)
     features = np.stack([
         pooled_feature(bag, tissues, frozen_classes, cfg.pooling, cfg.tau,
-                       cfg.topk_k, s_wsi=s_wsi).columns
+                       cfg.topk_k, lw=lw).columns
         for bag in dataset
     ])  # B x d_v x C
     tok_sums, lengths = token_sums(weights, class_names, cfg.context_length)

@@ -31,27 +31,61 @@ def oracle_similarity(a_rows, b_rows, temperature):
     return oracle_softmax(logits, temperature)
 
 
+def oracle_correlation(s_patch, s_wsi):
+    """N x C patch-to-class correlation: row n is sum_k S_patch[n][k]
+    S_wsi[c][k], rescaled so each patch distributes unit weight."""
+    k = len(s_patch[0])
+    corr = [[sum(row[t] * cls[t] for t in range(k)) for cls in s_wsi]
+            for row in s_patch]
+    return [[w / sum(row) for w in row] for row in corr]
+
+
 def oracle_slip_pool(patch_rows, s_patch, s_wsi):
     """Triple-loop pooled columns: column c = normalize(sum_n S[n][c] p_n)."""
-    n = len(patch_rows)
-    k = len(s_patch[0])
-    c_count = len(s_wsi)
+    corr = oracle_correlation(s_patch, s_wsi)
     d = len(patch_rows[0])
-    corr = [[sum(s_patch[i][t] * s_wsi[c][t] for t in range(k))
-             for c in range(c_count)] for i in range(n)]
-    # each patch distributes unit weight across classes
-    for i in range(n):
-        total = sum(corr[i])
-        corr[i] = [w / total for w in corr[i]]
     cols = []
-    for c in range(c_count):
+    for c in range(len(s_wsi)):
         col = [0.0] * d
-        for i in range(n):
-            w = corr[i][c]
+        for row, weights in zip(patch_rows, corr):
+            w = weights[c]
             for a in range(d):
-                col[a] += w * float(patch_rows[i][a])
+                col[a] += w * float(row[a])
         norm = sum(x * x for x in col) ** 0.5
         cols.append([x / norm for x in col])
+    return cols  # list of C columns, each length d
+
+
+def _mp_softmax_dots(a_rows, b_rows, tau):
+    """Row softmax of dot products over tau, never rounded to float."""
+    out = []
+    for a in a_rows:
+        exps = [mpmath.exp(mpmath.fsum(mpmath.mpf(float(x)) * mpmath.mpf(
+                    float(y)) for x, y in zip(a, b)) / tau) for b in b_rows]
+        total = mpmath.fsum(exps)
+        out.append([e / total for e in exps])
+    return out
+
+
+def oracle_slip_columns(patches, tissues, classes, tau):
+    """Slip-pooled columns from the float inputs, in 50-digit arithmetic
+    throughout: S_patch, S_wsi, the correlation and its rescales are never
+    rounded to float, so the returned floats are the only rounding."""
+    tau = mpmath.mpf(float(tau))
+    s_patch = _mp_softmax_dots(patches, tissues, tau)
+    s_wsi = _mp_softmax_dots(classes, tissues, tau)
+    corr = [[mpmath.fsum(p * w for p, w in zip(row, cls)) for cls in s_wsi]
+            for row in s_patch]
+    corr = [[w / mpmath.fsum(row) for w in row] for row in corr]
+    d = len(patches[0])
+    cols = []
+    for c in range(len(s_wsi)):
+        total = mpmath.fsum(row[c] for row in corr)
+        col = [mpmath.fsum(row[c] / total * mpmath.mpf(float(p[a]))
+                           for row, p in zip(corr, patches))
+               for a in range(d)]
+        norm = mpmath.sqrt(mpmath.fsum(x * x for x in col))
+        cols.append([float(x / norm) for x in col])
     return cols  # list of C columns, each length d
 
 

@@ -23,12 +23,11 @@ from slipmil.io_formats import read_dataset, read_report, write_dataset
 from slipmil.pooling import (
     ClassPromptSet,
     TissuePromptSet,
-    patch_slide_correlation,
-    patch_tissue_similarity,
+    log_tissue_wsi_similarity,
     pool_average,
     pool_topk,
+    slip_correlation,
     slip_pool,
-    tissue_wsi_similarity,
 )
 from slipmil.synth import generate, preset_spec
 from slipmil.trainer import (
@@ -41,6 +40,7 @@ from slipmil.trainer import (
 
 from conftest import random_bag, unit_rows
 from oracles import (
+    oracle_correlation,
     oracle_infonce,
     oracle_similarity,
     oracle_slip_pool,
@@ -78,22 +78,21 @@ class TestAcceptance:
             tau = float(rng.choice([0.01, 0.1, 1.0]))
             bag, tissues, classes = make_sets(rng, n, k, c)
 
-            s_wsi = tissue_wsi_similarity(classes, tissues, tau)
-            want = oracle_similarity(classes.embeddings.data.tolist(),
-                                     tissues.embeddings.data.tolist(), tau)
+            lw = log_tissue_wsi_similarity(classes, tissues, tau)
+            s_wsi = oracle_similarity(classes.embeddings.data.tolist(),
+                                      tissues.embeddings.data.tolist(), tau)
             worst_sim = max(worst_sim,
-                            np.abs(s_wsi.data - np.array(want)).max())
+                            np.abs(np.exp(lw) - np.array(s_wsi)).max())
 
-            s_patch = patch_tissue_similarity(bag, tissues, tau)
-            want = oracle_similarity(bag.patches.data.tolist(),
-                                     tissues.embeddings.data.tolist(), tau)
-            worst_sim = max(worst_sim,
-                            np.abs(s_patch.data - np.array(want)).max())
+            corr = slip_correlation(bag, tissues, lw, tau)
+            s_patch = oracle_similarity(bag.patches.data.tolist(),
+                                        tissues.embeddings.data.tolist(), tau)
+            want = oracle_correlation(s_patch, s_wsi)
+            worst_sim = max(worst_sim, np.abs(corr.T - np.array(want)).max())
 
-            f = slip_pool(bag, s_patch, s_wsi)
+            f = slip_pool(bag, tissues, lw, tau)
             want_cols = oracle_slip_pool(bag.patches.data.tolist(),
-                                         s_patch.data.tolist(),
-                                         s_wsi.data.tolist())
+                                         s_patch, s_wsi)
             worst_pool = max(
                 worst_pool,
                 np.abs(f.columns - np.array(want_cols).T).max())
@@ -188,10 +187,9 @@ class TestAcceptance:
             c = int(rng.integers(1, 5))
             tau = float(rng.choice([0.01, 0.1, 1.0]))
             bag, tissues, classes = make_sets(rng, n, k, c)
-            s_patch = patch_tissue_similarity(bag, tissues, tau)
-            s_wsi = tissue_wsi_similarity(classes, tissues, tau)
-            corr = patch_slide_correlation(s_patch, s_wsi)
-            worst = max(worst, np.abs(corr.sum(axis=1) - 1.0).max())
+            lw = log_tissue_wsi_similarity(classes, tissues, tau)
+            corr = slip_correlation(bag, tissues, lw, tau)
+            worst = max(worst, np.abs(corr.sum(axis=0) - 1.0).max())
         ok = worst < 1e-9
         report_line(capsys, 3, ok,
                     f"softmax and composed-correlation rows sum to one "
@@ -203,9 +201,8 @@ class TestAcceptance:
         failures = []
 
         bag, tissues, classes = make_sets(rng, 6, 3, 1)
-        s_patch = patch_tissue_similarity(bag, tissues, 0.1)
-        s_wsi = tissue_wsi_similarity(classes, tissues, 0.1)
-        f = slip_pool(bag, s_patch, s_wsi)
+        lw = log_tissue_wsi_similarity(classes, tissues, 0.1)
+        f = slip_pool(bag, tissues, lw, 0.1)
         dev = np.abs(f.columns[:, 0] - pool_average(bag)).max()
         if dev > 1e-9:
             failures.append(f"C=1 slip vs average: {dev:.1e}")

@@ -363,6 +363,58 @@ class TestAblateCommand:
         assert "'epoch'" in err
         assert not out.exists()
 
+    def test_shots_checked_before_training(self, synth_paths, capsys,
+                                           monkeypatch):
+        import slipmil.evaluation as evaluation
+
+        calls = []
+        real = evaluation.train_prompts
+        monkeypatch.setattr(evaluation, "train_prompts",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        grid = synth_paths["dir"] / "grid.cfg"
+        grid.write_text(
+            f"data = {synth_paths['data']}\n"
+            f"classes = {synth_paths['classes']}\n"
+            f"tissues = {synth_paths['tissues']}\n"
+            "poolings = slip,avg,topk\n"
+            "shots = 1,4,99\n"
+            "seeds = 0,1\n"
+            "epochs = 2\n"
+        )
+        out = synth_paths["dir"] / "rows.json"
+        code, stdout, err = run(capsys, "ablate", "--grid", str(grid),
+                                "--out", str(out))
+        assert code == 2
+        assert "need 99" in err and stdout == ""
+        assert calls == []
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def needle_paths(tmp_path_factory):
+    out = tmp_path_factory.mktemp("needle") / "needle.bin"
+    assert main(["synth", "--preset", "needle", "--seed", "0",
+                 "--out", str(out)]) == 0
+    return {"data": str(out), "tissues": str(out) + ".tissues.txt",
+            "classes": str(out) + ".classes.txt"}
+
+
+@pytest.mark.parametrize("tau", ["1e-3", "1e-4", "1e-6"])
+def test_slip_trains_and_evaluates_at_sharp_tau(needle_paths, tmp_path,
+                                                capsys, tau):
+    report = tmp_path / "r.json"
+    code, _, err = run(capsys, "train", "--data", needle_paths["data"],
+                       "--tissues", needle_paths["tissues"],
+                       "--classes", needle_paths["classes"],
+                       "--shots", "4", "--epochs", "5", "--tau", tau,
+                       "--seed", "0", "--out", str(report))
+    assert code == 0, err
+    code, stdout, err = run(capsys, "eval", "--data", needle_paths["data"],
+                            "--report", str(report))
+    assert code == 0, err
+    metrics = json.loads(stdout)["metrics"]
+    assert metrics == read_report(report)["metrics"]
+
 
 class TestHeatmapCommand:
     def test_exports(self, synth_paths, capsys):
@@ -469,7 +521,8 @@ class TestOutOfRangeSettings:
     @pytest.mark.parametrize("flags", [
         ["--num-classes", "0"], ["--noise-sigma", "-1"],
         ["--n-min", "5", "--n-max", "2"], ["--signal-fraction", "2"],
-        ["--dt", "0"], ["--dv", "0"], ["--bags-per-class", "0"],
+        ["--dt", "0"], ["--dv", "0"], ["--dv", "5000"],
+        ["--bags-per-class", "0"],
     ], ids=lambda f: " ".join(f))
     def test_synth(self, tmp_path, capsys, flags):
         out = tmp_path / "d.bin"

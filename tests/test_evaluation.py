@@ -1,6 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from slipmil import core
+from slipmil import pooling as pooling_module
 from slipmil.core import EmbeddingMatrix, WsiBag
 from slipmil.errors import InsufficientBagsError
 from slipmil.evaluation import (
@@ -159,6 +163,37 @@ class TestPipelineTissues:
         with pytest.raises(ValueError, match="tissue"):
             Pipeline(weights=weights, tissues=None,
                      class_names=ds.class_names, pooling="slip")
+
+
+def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
+    """Bags are validated once, at ingestion: scoring one with slip pooling
+    builds no container and runs no per-patch softmax."""
+    ds = generate(preset_spec("needle", seed=0))
+    tissues = TissuePromptSet.from_descriptions(weights,
+                                                ds.tissue_descriptions)
+    pipelines = {pooling: Pipeline(weights=weights, tissues=tissues,
+                                   class_names=ds.class_names,
+                                   pooling=pooling)
+                 for pooling in ("slip", "zero")}
+    counts = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for cls in (core.EmbeddingMatrix, core.SimilarityMatrix):
+        monkeypatch.setattr(cls, "__post_init__",
+                            counting(cls.__name__, cls.__post_init__))
+    for module in (core, pooling_module):
+        monkeypatch.setattr(module, "softmax_rows",
+                            counting("softmax_rows", module.softmax_rows))
+    for bag in ds.bags:
+        pipelines["slip"].predict(bag)
+    assert counts == {}
+    pipelines["zero"].predict(ds.bags[0])  # the counters do count
+    assert counts == {"softmax_rows": 1, "SimilarityMatrix": 1}
 
 
 class TestRunAblation:

@@ -12,12 +12,14 @@ from slipmil.errors import (
     CorruptHeaderError,
     EmptyPromptSetError,
     FormatError,
+    InvalidSettingError,
     SchemaError,
     TruncatedFileError,
     VersionUnsupportedError,
 )
 from slipmil.io_formats import (
     MAGIC,
+    MAX_D_V,
     export_heatmap,
     read_dataset,
     read_prompt_lines,
@@ -87,6 +89,13 @@ class TestDatasetRoundTrip:
                 random_bag(rng, 2, 16, label=1, patient_id="b")]
         with pytest.raises(ValueError):
             write_dataset(tmp_path / "x.bin", bags)
+
+    def test_d_v_above_format_bound_rejected(self, tmp_path):
+        rng = np.random.default_rng(71)
+        bags = [random_bag(rng, 2, MAX_D_V + 1)]
+        with pytest.raises(InvalidSettingError, match=f"d_v={MAX_D_V + 1}"):
+            write_dataset(tmp_path / "x.bin", bags)
+        assert not (tmp_path / "x.bin").exists()
 
 
 class TestDatasetCorruption:

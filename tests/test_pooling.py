@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
 
+from slipmil import pooling
 from slipmil.core import EmbeddingMatrix, WsiBag, softmax_rows
-from slipmil.errors import KOutOfRangeError, ZeroVectorError
+from slipmil.errors import (
+    KOutOfRangeError,
+    NonPositiveTemperatureError,
+    ZeroVectorError,
+)
 from slipmil.pooling import (
     ClassPromptSet,
     TissuePromptSet,
-    patch_slide_correlation,
-    patch_tissue_similarity,
+    log_tissue_wsi_similarity,
     pool_average,
     pool_topk,
+    slip_correlation,
     slip_pool,
-    tissue_wsi_similarity,
     zero_shot_scores,
 )
 
@@ -20,6 +24,7 @@ from oracles import (
     oracle_pool_average,
     oracle_pool_topk,
     oracle_similarity,
+    oracle_slip_columns,
     oracle_slip_pool,
     oracle_zero_shot,
 )
@@ -39,30 +44,53 @@ def tissue_set(rows):
     )
 
 
+def one_hot_lw(k):
+    """log S_wsi for S_wsi = I: the correlation is then S_patch itself."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.eye(k))
+
+
 class TestTissueWsiSimilarity:
     def test_single_tissue(self):
         rng = np.random.default_rng(10)
-        sm = tissue_wsi_similarity(class_set(unit_rows(rng, 3, 8)),
-                                   tissue_set(unit_rows(rng, 1, 8)), 0.01)
-        assert np.array_equal(sm.data, np.ones((3, 1)))
+        lw = log_tissue_wsi_similarity(class_set(unit_rows(rng, 3, 8)),
+                                       tissue_set(unit_rows(rng, 1, 8)), 0.01)
+        assert np.array_equal(np.exp(lw), np.ones((3, 1)))
 
     def test_equidistant_tissues(self):
         classes = class_set([[1.0, 0.0, 0.0]])
         tissues = tissue_set([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        sm = tissue_wsi_similarity(classes, tissues, 0.05)
-        assert np.array_equal(sm.data, [[0.5, 0.5]])
+        lw = log_tissue_wsi_similarity(classes, tissues, 0.05)
+        assert np.array_equal(np.exp(lw), [[0.5, 0.5]])
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(7)
         classes = class_set(unit_rows(rng, 2, 8))
         tissues = tissue_set(unit_rows(rng, 3, 8))
-        got = tissue_wsi_similarity(classes, tissues, 0.1).data
+        got = np.exp(log_tissue_wsi_similarity(classes, tissues, 0.1))
         want = oracle_similarity(classes.embeddings.data.tolist(),
                                  tissues.embeddings.data.tolist(), 0.1)
         assert np.max(np.abs(got - np.array(want))) < 1e-12
 
+    def test_finite_at_tiny_tau(self):
+        rng = np.random.default_rng(8)
+        lw = log_tissue_wsi_similarity(class_set(unit_rows(rng, 3, 8)),
+                                       tissue_set(unit_rows(rng, 4, 8)), 1e-9)
+        assert np.all(np.isfinite(lw))
+        assert np.array_equal(lw.max(axis=1), np.zeros(3))
+
+    def test_rejects_non_positive_tau(self):
+        rng = np.random.default_rng(9)
+        classes = class_set(unit_rows(rng, 2, 8))
+        tissues = tissue_set(unit_rows(rng, 2, 8))
+        for tau in (0.0, -0.5):
+            with pytest.raises(NonPositiveTemperatureError):
+                log_tissue_wsi_similarity(classes, tissues, tau)
+
 
 class TestPatchTissueSimilarity:
+    """S_patch, seen through the correlation with S_wsi = I."""
+
     def test_identical_patch_sharp_tau(self):
         # oracle: 1/(1+e^-100) at 50 digits
         t1 = np.zeros(8)
@@ -71,23 +99,22 @@ class TestPatchTissueSimilarity:
         t2[1] = 1.0
         bag = WsiBag(patches=EmbeddingMatrix([t1]), coords=((0, 0),),
                      label=0, patient_id="p")
-        sm = patch_tissue_similarity(bag, tissue_set([t1, t2]), 0.01)
-        assert sm.data[0, 0] == pytest.approx(1.0, abs=1e-15)
-        assert sm.data[0, 1] == pytest.approx(3.720075976020836e-44,
-                                              rel=1e-12)
+        sm = slip_correlation(bag, tissue_set([t1, t2]), one_hot_lw(2), 0.01)
+        assert sm[0, 0] == pytest.approx(1.0, abs=1e-15)
+        assert sm[1, 0] == pytest.approx(3.720075976020836e-44, rel=1e-12)
 
     def test_single_tissue(self):
         rng = np.random.default_rng(11)
         bag = random_bag(rng, 4, 8)
-        sm = patch_tissue_similarity(bag, tissue_set(unit_rows(rng, 1, 8)),
-                                     0.01)
-        assert np.array_equal(sm.data, np.ones((4, 1)))
+        sm = slip_correlation(bag, tissue_set(unit_rows(rng, 1, 8)),
+                              one_hot_lw(1), 0.01)
+        assert np.array_equal(sm, np.ones((1, 4)))
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(12)
         bag = random_bag(rng, 5, 8)
         tissues = tissue_set(unit_rows(rng, 4, 8))
-        got = patch_tissue_similarity(bag, tissues, 0.1).data
+        got = slip_correlation(bag, tissues, one_hot_lw(4), 0.1).T
         want = oracle_similarity(bag.patches.data.tolist(),
                                  tissues.embeddings.data.tolist(), 0.1)
         assert np.max(np.abs(got - np.array(want))) < 1e-12
@@ -96,17 +123,24 @@ class TestPatchTissueSimilarity:
 def make_similarities(rng, bag, num_tissues, num_classes, tau=0.1):
     tissues = tissue_set(unit_rows(rng, num_tissues, bag.patches.cols))
     classes = class_set(unit_rows(rng, num_classes, bag.patches.cols))
-    s_patch = patch_tissue_similarity(bag, tissues, tau)
-    s_wsi = tissue_wsi_similarity(classes, tissues, tau)
-    return s_patch, s_wsi, classes
+    return tissues, log_tissue_wsi_similarity(classes, tissues, tau), classes
+
+
+def oracle_inputs(bag, tissues, classes, tau):
+    """Patches with their 50-digit S_patch and S_wsi, as float lists."""
+    patches = bag.patches.data.tolist()
+    tissue_rows = tissues.embeddings.data.tolist()
+    return (patches, oracle_similarity(patches, tissue_rows, tau),
+            oracle_similarity(classes.embeddings.data.tolist(), tissue_rows,
+                              tau))
 
 
 class TestSlipPool:
     def test_singleton_collapse(self):
         rng = np.random.default_rng(13)
         bag = random_bag(rng, 1, 6)
-        s_patch, s_wsi, _ = make_similarities(rng, bag, 1, 1)
-        f = slip_pool(bag, s_patch, s_wsi)
+        tissues, lw, _ = make_similarities(rng, bag, 1, 1)
+        f = slip_pool(bag, tissues, lw, 0.1)
         assert np.allclose(f.columns[:, 0], bag.patches.data[0], atol=1e-12)
 
     def test_identical_patches(self):
@@ -115,49 +149,125 @@ class TestSlipPool:
         bag = WsiBag(patches=EmbeddingMatrix(np.repeat(one, 5, axis=0)),
                      coords=tuple((i, 0) for i in range(5)),
                      label=0, patient_id="p")
-        s_patch, s_wsi, _ = make_similarities(rng, bag, 3, 2)
-        f = slip_pool(bag, s_patch, s_wsi)
+        tissues, lw, _ = make_similarities(rng, bag, 3, 2)
+        f = slip_pool(bag, tissues, lw, 0.1)
         for c in range(2):
             assert np.allclose(f.columns[:, c], one[0], atol=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(15)
         bag = random_bag(rng, 6, 8)
-        s_patch, s_wsi, _ = make_similarities(rng, bag, 3, 2)
-        f = slip_pool(bag, s_patch, s_wsi)
-        want = oracle_slip_pool(bag.patches.data.tolist(),
-                                s_patch.data.tolist(), s_wsi.data.tolist())
+        tissues, lw, classes = make_similarities(rng, bag, 3, 2)
+        f = slip_pool(bag, tissues, lw, 0.1)
+        want = oracle_slip_pool(*oracle_inputs(bag, tissues, classes, 0.1))
         assert np.max(np.abs(f.columns - np.array(want).T)) < 1e-12
 
     def test_correlation_rows_stochastic(self):
         rng = np.random.default_rng(16)
         bag = random_bag(rng, 7, 8)
-        s_patch, s_wsi, _ = make_similarities(rng, bag, 4, 3)
-        corr = patch_slide_correlation(s_patch, s_wsi)
-        assert np.max(np.abs(corr.sum(axis=1) - 1)) < 1e-9
+        tissues, lw, _ = make_similarities(rng, bag, 4, 3)
+        corr = slip_correlation(bag, tissues, lw, 0.1)
+        assert np.max(np.abs(corr.sum(axis=0) - 1)) < 1e-9
 
     def test_single_class_equals_average(self):
         rng = np.random.default_rng(17)
         bag = random_bag(rng, 6, 8)
-        s_patch, s_wsi, _ = make_similarities(rng, bag, 3, 1)
-        f = slip_pool(bag, s_patch, s_wsi)
+        tissues, lw, _ = make_similarities(rng, bag, 3, 1)
+        f = slip_pool(bag, tissues, lw, 0.1)
         assert np.max(np.abs(f.columns[:, 0] - pool_average(bag))) < 1e-9
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(18)
         bag = random_bag(rng, 8, 6)
-        s_patch, s_wsi, _ = make_similarities(rng, bag, 3, 2)
-        f = slip_pool(bag, s_patch, s_wsi)
+        tissues, lw, _ = make_similarities(rng, bag, 3, 2)
+        f = slip_pool(bag, tissues, lw, 0.1)
         perm = rng.permutation(8)
         bag2 = WsiBag(patches=EmbeddingMatrix(bag.patches.data[perm]),
                       coords=tuple(bag.coords[i] for i in perm),
                       label=0, patient_id="p")
-        # recompute from scratch with the same tissue/class draws
-        rng2 = np.random.default_rng(18)
-        _ = random_bag(rng2, 8, 6)  # replay the bag draw
-        s_patch2, s_wsi2, _ = make_similarities(rng2, bag2, 3, 2)
-        f2 = slip_pool(bag2, s_patch2, s_wsi2)
+        f2 = slip_pool(bag2, tissues, lw, 0.1)
         assert np.max(np.abs(f.columns - f2.columns)) < 1e-12
+
+    def test_rejects_non_positive_tau(self):
+        rng = np.random.default_rng(19)
+        bag = random_bag(rng, 4, 8)
+        tissues, lw, _ = make_similarities(rng, bag, 3, 2)
+        for tau in (0.0, -0.1):
+            with pytest.raises(NonPositiveTemperatureError):
+                slip_pool(bag, tissues, lw, tau)
+
+
+def two_softmax_columns(patches, tissue_emb, class_emb, tau):
+    """The two-softmax slip formula: S_patch (N x K) and S_wsi (C x K) as
+    row softmaxes, their product rescaled per patch, then per class."""
+    def softmax(logits):
+        z = logits / tau
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    s_patch = softmax(patches @ tissue_emb.T)
+    corr = s_patch @ softmax(class_emb @ tissue_emb.T).T
+    corr /= corr.sum(axis=1, keepdims=True)
+    raw = patches.T @ (corr / corr.sum(axis=0))
+    return raw / np.linalg.norm(raw, axis=0)
+
+
+@pytest.mark.parametrize("n,k,c", [(1, 3, 2), (7, 1, 3), (9, 4, 1),
+                                   (1, 1, 1), (40, 6, 3)])
+def test_two_softmax_equivalence(n, k, c):
+    rng = np.random.default_rng(1000 + 100 * n + 10 * k + c)
+    for _ in range(20):
+        bag = random_bag(rng, n, 8)
+        tissues, lw, classes = make_similarities(rng, bag, k, c, tau=0.01)
+        f = slip_pool(bag, tissues, lw, 0.01)
+        want = two_softmax_columns(bag.patches.data,
+                                   tissues.embeddings.data,
+                                   classes.embeddings.data, 0.01)
+        assert np.max(np.abs(f.columns - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1e-3, 1e-4, 1e-6])
+def test_full_precision_oracle(tau, monkeypatch):
+    rng = np.random.default_rng(int(-np.log10(tau)))
+    fallbacks = []
+    log_space = pooling._log_space_weights
+    monkeypatch.setattr(pooling, "_log_space_weights",
+                        lambda *a: fallbacks.append(a[-1]) or log_space(*a))
+    worst = 0.0
+    for _ in range(60):
+        n = int(rng.integers(1, 11))
+        k = int(rng.integers(1, 6))
+        c = int(rng.integers(1, 5))
+        bag = random_bag(rng, n, 8)
+        tissues, lw, classes = make_similarities(rng, bag, k, c, tau=tau)
+        f = slip_pool(bag, tissues, lw, tau)
+        want = oracle_slip_columns(bag.patches.data.tolist(),
+                                   tissues.embeddings.data.tolist(),
+                                   classes.embeddings.data.tolist(), tau)
+        worst = max(worst, np.max(np.abs(f.columns - np.array(want).T)))
+    assert worst <= 1e-12
+    # the sharp temperatures reach the log-space weights, the mild one not
+    assert bool(fallbacks) == (tau <= 1e-3)
+
+
+def test_underflowed_class_gets_log_space_weights():
+    # At tau = 1e-4 every patch gives class 1 (aligned with tissue 1) a
+    # linear weight of e^-12000 or less; its column is still well defined.
+    e = np.eye(4)
+    patches = np.stack([e[0], 0.6 * e[0] + 0.8 * e[2],
+                        0.8 * e[0] + 0.6 * e[3]])
+    bag = WsiBag(patches=EmbeddingMatrix(patches),
+                 coords=tuple((i, 0) for i in range(3)), label=0,
+                 patient_id="p")
+    tissues = tissue_set([e[0], -e[0]])
+    classes = class_set([e[0], -e[0]])
+    lw = log_tissue_wsi_similarity(classes, tissues, 1e-4)
+    assert not np.any(slip_correlation(bag, tissues, lw, 1e-4)[1])
+    f = slip_pool(bag, tissues, lw, 1e-4)
+    want = oracle_slip_columns(patches.tolist(),
+                               tissues.embeddings.data.tolist(),
+                               classes.embeddings.data.tolist(), 1e-4)
+    assert np.max(np.abs(f.columns - np.array(want).T)) <= 1e-12
 
 
 class TestPoolAverage:
@@ -259,9 +369,7 @@ def test_oracle_equivalence_random_sweep():
         bag = random_bag(rng, n, d)
         tissues = tissue_set(unit_rows(rng, k, d))
         classes = class_set(unit_rows(rng, c, d))
-        s_patch = patch_tissue_similarity(bag, tissues, tau)
-        s_wsi = tissue_wsi_similarity(classes, tissues, tau)
-        f = slip_pool(bag, s_patch, s_wsi)
-        want = oracle_slip_pool(bag.patches.data.tolist(),
-                                s_patch.data.tolist(), s_wsi.data.tolist())
+        lw = log_tissue_wsi_similarity(classes, tissues, tau)
+        f = slip_pool(bag, tissues, lw, tau)
+        want = oracle_slip_pool(*oracle_inputs(bag, tissues, classes, tau))
         assert np.max(np.abs(f.columns - np.array(want).T)) < 1e-12

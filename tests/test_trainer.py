@@ -13,8 +13,8 @@ from slipmil.pooling import (
     ClassPromptSet,
     SlideFeature,
     TissuePromptSet,
+    log_tissue_wsi_similarity,
     pooled_feature,
-    tissue_wsi_similarity,
 )
 from slipmil.trainer import (
     TrainConfig,
@@ -292,9 +292,9 @@ def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
     context = PromptContext.init(rng, cfg.context_length, weights.d_t)
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     frozen = ClassPromptSet.from_names(weights, class_names)
-    s_wsi = tissue_wsi_similarity(frozen, tissues, cfg.tau)
+    lw = log_tissue_wsi_similarity(frozen, tissues, cfg.tau)
     features = [pooled_feature(bag, tissues, frozen, cfg.pooling, cfg.tau,
-                               cfg.topk_k, s_wsi=s_wsi) for bag in bags]
+                               cfg.topk_k, lw=lw) for bag in bags]
     records = []
     for epoch in range(cfg.epochs):
         for idx in rng.permutation(len(bags)):
