@@ -1,20 +1,12 @@
 """Dual-similarity pooling and few-shot prompt training for bag-of-patches
 classification, with synthetic data and bit-exact file formats."""
 
-from .core import (
-    EmbeddingMatrix,
-    SimilarityMatrix,
-    WsiBag,
-    cosine_matrix,
-    l2_normalize_rows,
-    softmax_rows,
-)
+from .core import EmbeddingMatrix, WsiBag, cosine_matrix
 from .encoder import (
     FrozenEncoderWeights,
     PromptContext,
     Vocabulary,
     encode_text,
-    encode_text_grad,
 )
 from .evaluation import (
     Pipeline,
@@ -36,14 +28,7 @@ from .pooling import (
     zero_shot_scores,
 )
 from .synth import PRESETS, SynthDataset, SynthSpec, generate, preset_spec
-from .trainer import (
-    TrainConfig,
-    TrainHistory,
-    TrainedPrompts,
-    infonce_grad,
-    infonce_loss,
-    train_prompts,
-)
+from .trainer import TrainConfig, TrainHistory, TrainedPrompts, train_prompts
 
 __all__ = [name for name in dir() if not name.startswith("_")]
 

@@ -10,11 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatchError,
-    NonPositiveTemperatureError,
-    ZeroVectorError,
-)
+from .errors import DimensionMismatchError, ZeroVectorError
 
 NORM_EPS = 1e-12
 COORD_MAX = 0xFFFFFFFF  # grid coordinates are stored as uint32 on disk
@@ -40,28 +36,6 @@ class EmbeddingMatrix:
 
     def __post_init__(self):
         object.__setattr__(self, "data", _as_matrix(self.data))
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    """Row-stochastic similarity matrix produced by a temperature softmax."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "data", _as_matrix(self.data))
-        # Entries can underflow to exactly 0.0 for extreme logit spreads;
-        # only the upper bound and sign are enforced here.
-        if np.any(self.data < 0) or np.any(self.data > 1 + 1e-9):
-            raise ValueError("similarity entries outside [0, 1]")
 
     @property
     def rows(self) -> int:
@@ -107,15 +81,6 @@ class WsiBag:
         return self.patches.rows
 
 
-def l2_normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
-    """Scale each row to unit Euclidean norm."""
-    norms = np.linalg.norm(m.data, axis=1)
-    if np.any(norms < NORM_EPS):
-        bad = int(np.argmin(norms))
-        raise ZeroVectorError(f"row {bad} has norm {norms[bad]:.3e} < 1e-12")
-    return EmbeddingMatrix(m.data / norms[:, None])
-
-
 def normalize_vector(v: np.ndarray) -> np.ndarray:
     """Unit-normalize a single vector, rejecting near-zero norms."""
     v = np.asarray(v, dtype=np.float64)
@@ -134,14 +99,3 @@ def cosine_matrix(a: EmbeddingMatrix, b: EmbeddingMatrix) -> np.ndarray:
     if a.cols != b.cols:
         raise DimensionMismatchError(f"feature dims differ: {a.cols} vs {b.cols}")
     return a.data @ b.data.T
-
-
-def softmax_rows(logits, temperature: float) -> SimilarityMatrix:
-    """Temperature softmax per row with max-subtraction stabilization."""
-    if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
-    z = _as_matrix(logits) / temperature
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    p = e / e.sum(axis=1, keepdims=True)
-    return SimilarityMatrix(p)

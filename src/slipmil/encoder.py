@@ -2,8 +2,7 @@
 
 A hashing vocabulary maps tokens to rows of a frozen seeded table; the
 encoder mean-pools the sequence (optionally prefixed by learnable context
-vectors), projects to the visual dimension and unit-normalizes. Gradients
-with respect to the context are analytic.
+vectors), projects to the visual dimension and unit-normalizes.
 
 Because of the mean pooling, a text's embedding depends on its M context
 rows only through their sum:
@@ -11,9 +10,10 @@ rows only through their sum:
     encode_text(text, ctx) = normalize(((sum_rows ctx + tok_sum) / L) @ P)
 
 with tok_sum the sum of the text's token embeddings and L = M + n_tokens.
-Every context row therefore receives the same gradient, (P @ g_e) / L.
-`token_sums`, `encode_context_sums` and `context_sum_grad` apply this to
-many texts at once, so a training loop tokenizes its class names once.
+`token_sums` returns tok_sum and L for many texts at once, so the training
+loop tokenizes its class names once and takes its gradient in closed form
+(see `slipmil.trainer`). The per-text gradient `encode_text_grad` is a test
+reference in `tests/oracles.py`.
 """
 from __future__ import annotations
 
@@ -134,30 +134,6 @@ def encode_text(weights: FrozenEncoderWeights, text: str,
     return e / n
 
 
-def encode_text_grad(weights: FrozenEncoderWeights, text: str,
-                     upstream: np.ndarray,
-                     context: PromptContext) -> np.ndarray:
-    """Jacobian-transpose product of encode_text w.r.t. the context rows.
-
-    Chains through the output normalization, the projection and the mean
-    pooling; every context row receives 1/L of the mean gradient.
-    """
-    if context is None:
-        raise EmptySequenceError("gradient requires a prompt context")
-    upstream = np.asarray(upstream, dtype=np.float64)
-    seq = _sequence(weights, context, text)
-    h = seq.mean(axis=0)
-    e = h @ weights.projection
-    n = np.linalg.norm(e)
-    if n < NORM_EPS:
-        raise ZeroVectorError(f"projected embedding norm {n:.3e} < 1e-12")
-    out = e / n
-    g_e = (upstream - (upstream @ out) * out) / n
-    g_h = weights.projection @ g_e
-    row_grad = g_h / seq.shape[0]
-    return np.tile(row_grad, (context.length, 1))
-
-
 def token_sums(weights: FrozenEncoderWeights, texts,
                context_length: int) -> tuple[np.ndarray, np.ndarray]:
     """Per text, the sum of its token embeddings (T x d_t) and its sequence
@@ -171,29 +147,3 @@ def token_sums(weights: FrozenEncoderWeights, texts,
         raise EmptySequenceError(f"no tokens and no context for text {text!r}")
     sums = np.stack([weights.token_table[i].sum(axis=0) for i in ids])
     return sums, lengths
-
-
-def encode_context_sums(weights: FrozenEncoderWeights, tok_sums: np.ndarray,
-                        lengths: np.ndarray, context_sums: np.ndarray):
-    """encode_text for every text at once, from the sum of its context rows
-    (T x d_t, or one d_t row shared by all texts).
-
-    Returns the unit embeddings (T x d_v) and their norms before
-    normalization (T,), which context_sum_grad needs.
-    """
-    e = ((context_sums + tok_sums) / lengths[:, None]) @ weights.projection
-    n = np.sqrt(np.einsum("td,td->t", e, e))
-    if n.min() < NORM_EPS:
-        raise ZeroVectorError(
-            f"projected embedding norm {n.min():.3e} < 1e-12")
-    return e / n[:, None], n
-
-
-def context_sum_grad(weights: FrozenEncoderWeights, embeddings: np.ndarray,
-                     norms: np.ndarray, lengths: np.ndarray,
-                     upstream: np.ndarray) -> np.ndarray:
-    """encode_text_grad for every text at once: row t is the gradient that
-    each context row of text t receives for upstream row t (T x d_v)."""
-    along = np.einsum("td,td->t", upstream, embeddings)[:, None]
-    g_e = (upstream - along * embeddings) / norms[:, None]
-    return (g_e @ weights.projection.T) / lengths[:, None]

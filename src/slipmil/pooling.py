@@ -16,7 +16,6 @@ from .core import (
     WsiBag,
     cosine_matrix,
     normalize_vector,
-    softmax_rows,
     NORM_EPS,
 )
 from .encoder import FrozenEncoderWeights, PromptContext, encode_text
@@ -214,7 +213,14 @@ def pooled_feature(bag: WsiBag, tissues: TissuePromptSet,
 
 def zero_shot_scores(bag: WsiBag, classes: ClassPromptSet,
                      temperature: float) -> np.ndarray:
-    """Per-patch class softmax averaged over patches; sums to one."""
-    sm = softmax_rows(cosine_matrix(bag.patches, classes.embeddings),
-                      temperature)
-    return sm.data.mean(axis=0)
+    """Per-patch class softmax averaged over patches; sums to one. Works on
+    class-major C x N logits: one shifted exp, a rescale of every patch
+    column and a mean per class."""
+    if temperature <= 0:
+        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+    z = cosine_matrix(classes.embeddings, bag.patches)
+    z /= temperature
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z.mean(axis=1)

@@ -4,44 +4,56 @@ Only the prompt context is trainable. Slide features are pooled with
 context-free class prompts, so they stay constant during training and are
 precomputed once per bag.
 
-The training loop runs in closed form. The encoder mean-pools
-[context; tokens], so class c's embedding is
-normalize(((sum_rows ctx + tok_sum_c) / L_c) @ P) with L_c = M +
-n_tokens_c. Through class c the loss gradient reaches every context row as
-the same row (P @ g_e) / L_c, and the context, shared by all classes,
-receives the sum over classes. The class names are tokenized once per call
-and every step works on C x d_t and d_v x C arrays. `infonce_loss` and
-`infonce_grad` are the per-container reference the loop agrees with to
-rounding.
+Every SGD step works in the token dimension d_t. The encoder mean-pools
+[context; tokens], so class c's embedding depends on the M context rows
+only through their sum s. With h_c = s + t_c (t_c the class name's token
+sum, L_c = M + n_tokens_c), P the d_t x d_v projection and G = P P^T:
+
+    e_c = h_c P / nu_c,  nu_c = sqrt(h_c G h_c^T) = |h_c P|.
+
+nu_c is computed from h_c as written, so a class whose nu_c / L_c falls
+below 1e-12 raises ZeroVectorError where encode_text would.
+
+A training bag with pooled feature F_b (d_v x C) enters only through
+Q_b = F_b^T P^T (C x d_t): its pair logits are z[i, c] = Q_b[i] . h_c / nu_c.
+G and every Q_b are formed once per call. The loss over the C x C logits
+and dz = d loss / d z are computed in Python floats, and the gradient that
+each context row receives is
+
+    grad_s = sum_c (sum_i dz[i, c] Q_b[i] - a_c (h_c G) / nu_c) / nu_c,
+    a_c = sum_i dz[i, c] z[i, c].
+
+Every row moves by -lr grad_s, so the loop carries s and forms the
+M x d_t context once at the end. The per-container references that this
+loop matches to rounding (`infonce_loss`, `infonce_grad`,
+`encode_text_grad`) live with the tests, in `tests/oracles.py`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
+from math import exp, log, sqrt
+from operator import mul
 
 import numpy as np
 
+from .core import NORM_EPS
 from .encoder import (
     DEFAULT_D_T,
     FrozenEncoderWeights,
     PromptContext,
-    context_sum_grad,
-    encode_context_sums,
-    encode_text_grad,
     token_sums,
 )
 from .errors import (
-    DimensionMismatchError,
     EmptyDatasetError,
     LabelOutOfRangeError,
     MissingClassError,
+    ZeroVectorError,
     check_setting,
 )
 from .pooling import (
     ClassPromptSet,
     DEFAULT_TOPK,
     POOLING_VARIANTS,
-    SlideFeature,
     TissuePromptSet,
     log_tissue_wsi_similarity,
     pooled_feature,
@@ -110,51 +122,13 @@ class TrainHistory:
     records: list = field(default_factory=list)
 
 
-def infonce_loss(f_wsi: SlideFeature, classes: ClassPromptSet, label: int,
-                 tau: float) -> float:
-    """Negative log-probability of the diagonal (label, label) pair among
-    all C x C (feature column, class prompt) pairs."""
-    z = _pair_logits(f_wsi, classes)
-    c = _check_label(label, classes.size)
-    zs = z / tau
-    m = zs.max()
-    e = np.exp(zs - m)
-    return float(-(zs[c, c] - m) + np.log(e.sum()))
-
-
-def infonce_grad(f_wsi: SlideFeature, classes: ClassPromptSet, label: int,
-                 tau: float, prompts: TrainedPrompts,
-                 weights: FrozenEncoderWeights) -> np.ndarray:
-    """Gradient of infonce_loss w.r.t. the shared context (M x d_t).
-
-    The slide feature is treated as constant; the chain runs through each
-    class-prompt embedding into the context, summed over classes.
-    """
-    z = _pair_logits(f_wsi, classes)
-    c = _check_label(label, classes.size)
-    zs = z / tau
-    m = zs.max()
-    e = np.exp(zs - m)
-    p = e / e.sum()
-    dz = p.copy()
-    dz[c, c] -= 1.0
-    dz /= tau
-    g_text = f_wsi.columns @ dz  # d_v x C: upstream per class embedding
-    context = prompts.contexts[0]
-    return np.sum([
-        encode_text_grad(weights, classes.class_names[j], g_text[:, j],
-                         context)
-        for j in range(classes.size)
-    ], axis=0)
-
-
 def train_prompts(dataset, tissue_descriptions, class_names,
                   cfg: TrainConfig,
                   weights: FrozenEncoderWeights | None = None):
     """Plain SGD over the prompt context, batch size one.
 
-    Each step is the closed form of infonce_loss + infonce_grad on the
-    class names' token sums (see the module docstring).
+    Each step takes the InfoNCE loss and its context gradient in d_t space
+    (see the module docstring).
     Returns (TrainedPrompts, TrainHistory); deterministic given cfg.seed.
     """
     dataset = list(dataset)
@@ -168,8 +142,7 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     missing = sorted(set(range(num_classes)) - present)
     if missing:
         raise MissingClassError(f"no training bag for classes {missing}")
-    for bag in dataset:
-        _check_label(bag.label, num_classes)
+    labels = [_check_label(bag.label, num_classes) for bag in dataset]
 
     if weights is None:
         weights = cfg.encoder_weights(dataset[0].patches.cols)
@@ -179,49 +152,77 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     frozen_classes = ClassPromptSet.from_names(weights, class_names)
     lw = log_tissue_wsi_similarity(frozen_classes, tissues, cfg.tau)
-    features = np.stack([
-        pooled_feature(bag, tissues, frozen_classes, cfg.pooling, cfg.tau,
-                       cfg.topk_k, lw=lw).columns
-        for bag in dataset
-    ])  # B x d_v x C
+    proj = weights.projection
+    gram = proj @ proj.T  # G
+    # Per bag, rows [0, C) hold Q_b; each step writes h G into rows [C, 2C).
+    stacks = np.empty((len(dataset), 2 * num_classes, weights.d_t))
+    for b, bag in enumerate(dataset):
+        f = pooled_feature(bag, tissues, frozen_classes, cfg.pooling,
+                           cfg.tau, cfg.topk_k, lw=lw)
+        stacks[b, :num_classes] = f.columns.T @ proj.T
     tok_sums, lengths = token_sums(weights, class_names, cfg.context_length)
+    lengths = lengths.tolist()
+    s0 = ctx.sum(axis=0)
+    s = s0.copy()
+    # each of the M rows moves by -lr grad_s, so s moves M times as far
+    rate = cfg.learning_rate * cfg.context_length
 
     history = TrainHistory()
     for epoch in range(cfg.epochs):
         order = rng.permutation(len(dataset))
-        for idx in order:
-            idx = int(idx)
-            label = dataset[idx].label
-            emb, norms = encode_context_sums(weights, tok_sums, lengths,
-                                             ctx.sum(axis=0, keepdims=True))
-            f = features[idx]
-            loss, dz = _infonce_step(f.T @ emb.T, label, cfg.tau)
-            row_grads = context_sum_grad(weights, emb, norms, lengths,
-                                         (f @ dz).T)  # C x d_t
-            ctx = ctx - cfg.learning_rate * row_grads.sum(axis=0)
+        for idx in order.tolist():
+            h = s + tok_sums
+            stack = stacks[idx]
+            np.matmul(h, gram, out=stack[num_classes:])
+            loss, coef = _infonce_coefficients(
+                (stack @ h.T).ravel().tolist(), labels[idx], cfg.tau, rate,
+                lengths)
+            s += np.dot(coef, stack)
             history.records.append((epoch, idx, loss))
 
+    ctx = ctx + (s - s0) / max(cfg.context_length, 1)  # M = 0: s is s0
     return TrainedPrompts([PromptContext(ctx)]), history
 
 
-def _infonce_step(z: np.ndarray, label: int, tau: float):
-    """infonce_loss and d loss / d z for pair logits z, in one pass."""
-    zs = z / tau
-    m = zs.max()
-    e = np.exp(zs - m)
-    total = e.sum()
-    dz = e / total
-    dz[label, label] -= 1.0
-    dz /= tau
-    return math.log(total) - float(zs[label, label] - m), dz
+def _infonce_coefficients(products: list, label: int, tau: float,
+                          rate: float, lengths: list):
+    """The InfoNCE loss of one step and the 2C coefficients u with
+    u @ [Q_b; h G] = -rate * grad_s, in Python floats.
+
+    `products` is [Q_b; h G] @ h^T flattened row-major: Q_b[i] . h_c at
+    i * C + c, and nu_c^2 = h_c G h_c^T at C * C + c * (C + 1).
+    """
+    num_classes = len(lengths)
+    pairs = num_classes * num_classes
+    nus = [sqrt(q) if q > 0.0 else 0.0
+           for q in products[pairs::num_classes + 1]]
+    for nu, length in zip(nus, lengths):
+        if nu < NORM_EPS * length:
+            raise ZeroVectorError(
+                f"projected embedding norm {nu / length:.3e} < 1e-12")
+    inv = [1.0 / nu for nu in nus]
+    k = [v / tau for v in inv] * num_classes  # 1 / (tau nu_c) at i * C + c
+    zs = list(map(mul, products, k))  # z / tau; map stops after C * C
+    top = max(zs)
+    e = [exp(v - top) for v in zs]
+    total = sum(e)
+    diag = label * (num_classes + 1)
+    loss = log(total) - (zs[diag] - top)
+    # dz = (e / total - [i == c == label]) / tau; the sums below carry the
+    # e / total part and the two corrections after them the label part.
+    g = rate / total
+    row_sums = map(sum, _rows(map(mul, e, k), num_classes))
+    col_sums = map(sum, zip(*_rows(map(mul, e, zs), num_classes)))
+    coef = [-g * v for v in row_sums]
+    coef += [g * v * w * w for v, w in zip(col_sums, inv)]
+    coef[label] += rate * k[label]
+    coef[num_classes + label] -= rate * zs[diag] * inv[label] ** 2
+    return loss, coef
 
 
-def _pair_logits(f_wsi: SlideFeature, classes: ClassPromptSet) -> np.ndarray:
-    if f_wsi.num_classes != classes.size:
-        raise DimensionMismatchError(
-            f"{f_wsi.num_classes} feature columns vs {classes.size} classes"
-        )
-    return f_wsi.columns.T @ classes.embeddings.data.T  # z[i, j]
+def _rows(values, width: int):
+    """The rows, as tuples, of a row-major matrix given as a flat iterable."""
+    return zip(*[iter(values)] * width)
 
 
 def _check_label(label: int, num_classes: int) -> int:

@@ -1,12 +1,33 @@
-"""Independent scalar-loop reference implementations used only by tests.
+"""Reference implementations used only by tests, in two sections.
 
-No code is shared with the main path: softmax-style quantities go through
-mpmath at 50 significant digits, pooling reductions are explicit Python
-loops over floats.
+The scalar-loop oracles share no code with the main path: softmax-style
+quantities go through mpmath at 50 significant digits, pooling reductions
+are explicit Python loops over floats.
+
+The numpy per-container references below them are the straightforward
+forms the package's fast paths are checked against: row softmax into a
+validated `SimilarityMatrix`, per-text encoder gradients, and the InfoNCE
+loss and context gradient built from a prompted `ClassPromptSet` on every
+call. The training loop in `slipmil.trainer` matches them to rounding, and
+the finite-difference tests check them.
 """
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass
+
 import mpmath
+import numpy as np
+
+from slipmil.core import NORM_EPS, EmbeddingMatrix, _as_matrix
+from slipmil.encoder import FrozenEncoderWeights, PromptContext, _sequence
+from slipmil.errors import (
+    DimensionMismatchError,
+    EmptySequenceError,
+    LabelOutOfRangeError,
+    NonPositiveTemperatureError,
+    ZeroVectorError,
+)
 
 mpmath.mp.dps = 50
 
@@ -137,3 +158,135 @@ def oracle_infonce(z, label, temperature):
     num = exps[(label, label)]
     denom = mpmath.fsum(exps.values())
     return float(-mpmath.log(num / denom))
+
+
+# -- numpy per-container references -----------------------------------------
+
+@dataclass(frozen=True)
+class SimilarityMatrix:
+    """Row-stochastic similarity matrix produced by a temperature softmax."""
+
+    data: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "data", _as_matrix(self.data))
+        # Entries can underflow to exactly 0.0 for extreme logit spreads;
+        # only the upper bound and sign are enforced here.
+        if np.any(self.data < 0) or np.any(self.data > 1 + 1e-9):
+            raise ValueError("similarity entries outside [0, 1]")
+
+
+def softmax_rows(logits, temperature: float) -> SimilarityMatrix:
+    """Temperature softmax per row with max-subtraction stabilization."""
+    if temperature <= 0:
+        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+    z = _as_matrix(logits) / temperature
+    z = z - z.max(axis=1, keepdims=True)
+    e = np.exp(z)
+    p = e / e.sum(axis=1, keepdims=True)
+    return SimilarityMatrix(p)
+
+
+def l2_normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
+    """Scale each row to unit Euclidean norm."""
+    norms = np.linalg.norm(m.data, axis=1)
+    if np.any(norms < NORM_EPS):
+        bad = int(np.argmin(norms))
+        raise ZeroVectorError(f"row {bad} has norm {norms[bad]:.3e} < 1e-12")
+    return EmbeddingMatrix(m.data / norms[:, None])
+
+
+def encode_text_grad(weights: FrozenEncoderWeights, text: str,
+                     upstream: np.ndarray,
+                     context: PromptContext) -> np.ndarray:
+    """Jacobian-transpose product of encode_text w.r.t. the context rows.
+
+    Chains through the output normalization, the projection and the mean
+    pooling; every context row receives 1/L of the mean gradient.
+    """
+    if context is None:
+        raise EmptySequenceError("gradient requires a prompt context")
+    upstream = np.asarray(upstream, dtype=np.float64)
+    seq = _sequence(weights, context, text)
+    h = seq.mean(axis=0)
+    e = h @ weights.projection
+    n = np.linalg.norm(e)
+    if n < NORM_EPS:
+        raise ZeroVectorError(f"projected embedding norm {n:.3e} < 1e-12")
+    out = e / n
+    g_e = (upstream - (upstream @ out) * out) / n
+    g_h = weights.projection @ g_e
+    row_grad = g_h / seq.shape[0]
+    return np.tile(row_grad, (context.length, 1))
+
+
+def encode_context_sums(weights: FrozenEncoderWeights, tok_sums: np.ndarray,
+                        lengths: np.ndarray, context_sums: np.ndarray):
+    """encode_text for every text at once, from the sum of its context rows
+    (T x d_t, or one d_t row shared by all texts).
+
+    Returns the unit embeddings (T x d_v) and their norms before
+    normalization (T,), which context_sum_grad needs.
+    """
+    e = ((context_sums + tok_sums) / lengths[:, None]) @ weights.projection
+    n = np.sqrt(np.einsum("td,td->t", e, e))
+    if n.min() < NORM_EPS:
+        raise ZeroVectorError(
+            f"projected embedding norm {n.min():.3e} < 1e-12")
+    return e / n[:, None], n
+
+
+def context_sum_grad(weights: FrozenEncoderWeights, embeddings: np.ndarray,
+                     norms: np.ndarray, lengths: np.ndarray,
+                     upstream: np.ndarray) -> np.ndarray:
+    """encode_text_grad for every text at once: row t is the gradient that
+    each context row of text t receives for upstream row t (T x d_v)."""
+    along = np.einsum("td,td->t", upstream, embeddings)[:, None]
+    g_e = (upstream - along * embeddings) / norms[:, None]
+    return (g_e @ weights.projection.T) / lengths[:, None]
+
+
+def _pair_logits(f_wsi, classes) -> np.ndarray:
+    if f_wsi.num_classes != classes.size:
+        raise DimensionMismatchError(
+            f"{f_wsi.num_classes} feature columns vs {classes.size} classes"
+        )
+    return f_wsi.columns.T @ classes.embeddings.data.T  # z[i, j]
+
+
+def _infonce_step(z: np.ndarray, label: int, tau: float):
+    """infonce_loss and d loss / d z for pair logits z, in one pass."""
+    label = int(label)
+    if not 0 <= label < z.shape[0]:
+        raise LabelOutOfRangeError(f"label {label} outside [0, {z.shape[0]})")
+    zs = z / tau
+    m = zs.max()
+    e = np.exp(zs - m)
+    total = e.sum()
+    dz = e / total
+    dz[label, label] -= 1.0
+    dz /= tau
+    return math.log(total) - float(zs[label, label] - m), dz
+
+
+def infonce_loss(f_wsi, classes, label: int, tau: float) -> float:
+    """Negative log-probability of the diagonal (label, label) pair among
+    all C x C (feature column, class prompt) pairs."""
+    return _infonce_step(_pair_logits(f_wsi, classes), label, tau)[0]
+
+
+def infonce_grad(f_wsi, classes, label: int, tau: float, prompts,
+                 weights: FrozenEncoderWeights) -> np.ndarray:
+    """Gradient of infonce_loss w.r.t. the shared context (M x d_t).
+
+    The slide feature is treated as constant; the chain runs through each
+    class-prompt embedding into the context, summed over classes.
+    """
+    _, dz = _infonce_step(_pair_logits(f_wsi, classes), label, tau)
+    g_text = f_wsi.columns @ dz  # d_v x C: upstream per class embedding
+    context = prompts.contexts[0]
+    return np.sum([
+        encode_text_grad(weights, classes.class_names[j], g_text[:, j],
+                         context)
+        for j in range(classes.size)
+    ], axis=0)

@@ -10,8 +10,8 @@ import time
 import numpy as np
 
 from slipmil.cli import main as cli_main
-from slipmil.core import EmbeddingMatrix, WsiBag, softmax_rows
-from slipmil.encoder import PromptContext, encode_text, encode_text_grad
+from slipmil.core import EmbeddingMatrix, WsiBag
+from slipmil.encoder import PromptContext, encode_text
 from slipmil.errors import FormatError
 from slipmil.evaluation import (
     Pipeline,
@@ -30,20 +30,18 @@ from slipmil.pooling import (
     slip_pool,
 )
 from slipmil.synth import generate, preset_spec
-from slipmil.trainer import (
-    TrainConfig,
-    TrainedPrompts,
-    infonce_grad,
-    infonce_loss,
-    train_prompts,
-)
+from slipmil.trainer import TrainConfig, TrainedPrompts, train_prompts
 
 from conftest import random_bag, unit_rows
 from oracles import (
+    encode_text_grad,
+    infonce_grad,
+    infonce_loss,
     oracle_correlation,
     oracle_infonce,
     oracle_similarity,
     oracle_slip_pool,
+    softmax_rows,
 )
 
 

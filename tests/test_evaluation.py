@@ -167,14 +167,14 @@ class TestPipelineTissues:
 
 def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
     """Bags are validated once, at ingestion: scoring one with slip pooling
-    builds no container and runs no per-patch softmax."""
+    or zero-shot builds no container and scans no matrix. Zero-shot used to
+    run a per-patch row softmax that did both for every bag."""
     ds = generate(preset_spec("needle", seed=0))
     tissues = TissuePromptSet.from_descriptions(weights,
                                                 ds.tissue_descriptions)
-    pipelines = {pooling: Pipeline(weights=weights, tissues=tissues,
-                                   class_names=ds.class_names,
-                                   pooling=pooling)
-                 for pooling in ("slip", "zero")}
+    pipelines = [Pipeline(weights=weights, tissues=tissues,
+                          class_names=ds.class_names, pooling=pooling)
+                 for pooling in ("slip", "zero")]
     counts = Counter()
 
     def counting(name, fn):
@@ -183,17 +183,19 @@ def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for cls in (core.EmbeddingMatrix, core.SimilarityMatrix):
-        monkeypatch.setattr(cls, "__post_init__",
-                            counting(cls.__name__, cls.__post_init__))
-    for module in (core, pooling_module):
-        monkeypatch.setattr(module, "softmax_rows",
-                            counting("softmax_rows", module.softmax_rows))
+    monkeypatch.setattr(core, "_as_matrix",
+                        counting("_as_matrix", core._as_matrix))
+    monkeypatch.setattr(core.EmbeddingMatrix, "__post_init__",
+                        counting("EmbeddingMatrix",
+                                 core.EmbeddingMatrix.__post_init__))
     for bag in ds.bags:
-        pipelines["slip"].predict(bag)
+        for pipeline in pipelines:
+            pipeline.predict(bag)
     assert counts == {}
-    pipelines["zero"].predict(ds.bags[0])  # the counters do count
-    assert counts == {"softmax_rows": 1, "SimilarityMatrix": 1}
+    assert not any(hasattr(module, "softmax_rows")
+                   for module in (core, pooling_module))
+    core.EmbeddingMatrix(ds.bags[0].patches.data)  # the counters do count
+    assert counts == {"EmbeddingMatrix": 1, "_as_matrix": 1}
 
 
 class TestRunAblation:

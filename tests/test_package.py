@@ -1,6 +1,7 @@
-"""Package hygiene: runtime modules import only what they use, the
-runtime package does not pull in test-only dependencies, and every training
-setting is reachable from the command line."""
+"""Package hygiene: runtime modules import only what they use, every
+function they define runs at runtime, the runtime package does not pull in
+test-only dependencies, and every training setting is reachable from the
+command line."""
 import ast
 import dataclasses
 import os
@@ -45,6 +46,37 @@ class TestUnusedImports:
     @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
     def test_runtime_module(self, path):
         assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unreferenced_functions(sources: dict) -> list[str]:
+    """Module-level functions, as "module.name", that no module's code
+    reads by name or attribute; `sources` maps module names to source."""
+    defined, used = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        defined += [(module, node.name) for node in tree.body
+                    if isinstance(node, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    return sorted(f"{module}.{name}" for module, name in defined
+                  if name not in used)
+
+
+class TestRuntimeFunctionsHaveCallers:
+    def test_detects_unreferenced_function(self):
+        sources = {"a": "def f():\n    return g()\n"
+                        "def g():\n    return 1\n",
+                   "b": "import a\ndef h():\n    return a.f()\n"}
+        assert unreferenced_functions(sources) == ["b.h"]
+
+    def test_runtime_modules(self):
+        # a function only tests call belongs in tests/oracles.py
+        sources = {path.stem: path.read_text(encoding="utf-8")
+                   for path in MODULES}
+        assert unreferenced_functions(sources) == []
 
 
 class TestTestOnlyDependencies:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from slipmil import pooling
-from slipmil.core import EmbeddingMatrix, WsiBag, softmax_rows
+from slipmil.core import EmbeddingMatrix, WsiBag
 from slipmil.errors import (
     KOutOfRangeError,
     NonPositiveTemperatureError,
@@ -27,6 +27,7 @@ from oracles import (
     oracle_slip_columns,
     oracle_slip_pool,
     oracle_zero_shot,
+    softmax_rows,
 )
 
 

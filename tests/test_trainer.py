@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 from slipmil.core import EmbeddingMatrix
-from slipmil.encoder import FrozenEncoderWeights, PromptContext
+from slipmil.encoder import FrozenEncoderWeights, PromptContext, token_sums
 from slipmil.errors import (
     EmptyDatasetError,
     InvalidSettingError,
     LabelOutOfRangeError,
     MissingClassError,
+    ZeroVectorError,
 )
 from slipmil.pooling import (
     ClassPromptSet,
@@ -16,17 +17,16 @@ from slipmil.pooling import (
     log_tissue_wsi_similarity,
     pooled_feature,
 )
-from slipmil.trainer import (
-    TrainConfig,
-    TrainedPrompts,
-    infonce_grad,
-    infonce_loss,
-    train_prompts,
-)
+from slipmil.trainer import TrainConfig, TrainedPrompts, train_prompts
 from slipmil.synth import generate, preset_spec
 
 from conftest import random_bag, unit_rows
-from oracles import oracle_infonce
+from oracles import (
+    encode_context_sums,
+    infonce_grad,
+    infonce_loss,
+    oracle_infonce,
+)
 
 
 def feature(rng, d, c):
@@ -310,10 +310,32 @@ def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
     return [context], records
 
 
+def compare_with_reference(prompts, history, contexts, records):
+    """Assert the same (epoch, index) sequence and contexts within 1e-12 of
+    reference_train; return both loss sequences."""
+    assert prompts.shared
+    assert len(prompts.contexts) == len(contexts)
+    for got, want in zip(prompts.contexts, contexts):
+        assert got.vectors.shape == want.vectors.shape
+        assert np.max(np.abs(got.vectors - want.vectors),
+                      initial=0.0) <= 1e-12
+    assert [r[:2] for r in history.records] == [r[:2] for r in records]
+    return (np.array([r[2] for r in history.records]),
+            np.array([r[2] for r in records]))
+
+
+def context_drift(prompts, seed, context_length, d_t):
+    init = PromptContext.init(np.random.default_rng(seed), context_length,
+                              d_t)
+    return np.abs(prompts.contexts[0].vectors - init.vectors).max()
+
+
 # ids read shared context - positive pair counted - context length - pooling;
 # the first two are always on
 EQUIVALENCE_CASES = [(length, pooling) for length in (0, 4)
                      for pooling in ("slip", "topk", "avg")]
+NAMES5 = NAMES3 + ("acinar glands", "micropapillary tufts")
+SHARP_CASES = [(tau, c) for tau in (0.01, 0.001) for c in (2, 5)]
 
 
 class TestClosedFormEquivalence:
@@ -332,19 +354,45 @@ class TestClosedFormEquivalence:
                                          weights=weights)
         contexts, records = reference_train(bags, TISSUES, NAMES3, cfg,
                                             weights)
-        assert prompts.shared
-        assert len(prompts.contexts) == len(contexts)
-        for got, want in zip(prompts.contexts, contexts):
-            assert got.vectors.shape == want.vectors.shape
-            assert np.max(np.abs(got.vectors - want.vectors),
-                          initial=0.0) <= 1e-12
-        assert [r[:2] for r in history.records] == [r[:2] for r in records]
-        losses = np.array([r[2] for r in history.records])
-        want_losses = np.array([r[2] for r in records])
+        losses, want_losses = compare_with_reference(prompts, history,
+                                                     contexts, records)
         assert np.max(np.abs(losses - want_losses)) <= 1e-12
         if context_length:
             # the comparison is only meaningful if training moved the context
-            init = PromptContext.init(np.random.default_rng(13),
-                                      context_length, weights.d_t)
-            drift = np.abs(prompts.contexts[0].vectors - init.vectors).max()
-            assert drift > 1e-6
+            assert context_drift(prompts, 13, context_length,
+                                 weights.d_t) > 1e-6
+
+    @pytest.mark.parametrize(
+        "tau,num_classes", SHARP_CASES,
+        ids=[f"tau={tau}-C={c}" for tau, c in SHARP_CASES])
+    def test_sharp_tau_and_class_counts(self, weights, tau, num_classes):
+        rng = np.random.default_rng(49)
+        bags = small_dataset(rng, num_classes=num_classes)
+        names = NAMES5[:num_classes]
+        # lr / tau as in the cases above, so the context moves as far
+        cfg = TrainConfig(tau=tau, learning_rate=0.5 * tau, epochs=4,
+                          seed=17, pooling="slip", context_length=4)
+        prompts, history = train_prompts(bags, TISSUES, names, cfg,
+                                         weights=weights)
+        contexts, records = reference_train(bags, TISSUES, names, cfg,
+                                            weights)
+        losses, want_losses = compare_with_reference(prompts, history,
+                                                     contexts, records)
+        assert np.all(np.abs(losses - want_losses)
+                      <= 1e-12 * np.maximum(1.0, np.abs(want_losses)))
+        assert context_drift(prompts, 17, 4, weights.d_t) > 1e-6
+        assert want_losses.max() > 1e-3
+
+    def test_cancelled_class_embedding_raises(self, weights, monkeypatch):
+        # A context whose row sum is minus class 1's token sum leaves that
+        # class a zero embedding. The step must raise as the per-container
+        # reference does, not train on NaN or pass silently.
+        sums, lengths = token_sums(weights, NAMES3, 1)
+        with pytest.raises(ZeroVectorError):
+            encode_context_sums(weights, sums, lengths, -sums[1])
+        monkeypatch.setattr(PromptContext, "init", classmethod(
+            lambda cls, rng, length, d_t: cls(-sums[1:2])))
+        bags = small_dataset(np.random.default_rng(48), num_classes=3)
+        cfg = TrainConfig(context_length=1, epochs=1, seed=0)
+        with pytest.raises(ZeroVectorError, match="norm 0.000e"):
+            train_prompts(bags, TISSUES, NAMES3, cfg, weights=weights)
