@@ -20,12 +20,13 @@ from .pooling import (
     ClassPromptSet,
     SlideFeature,
     TissuePromptSet,
+    average_features,
+    bag_features,
     log_tissue_wsi_similarity,
-    pool_average,
-    pool_topk,
     slip_correlation,
-    slip_pool,
-    zero_shot_scores,
+    slip_features,
+    topk_features,
+    zero_shot_probabilities,
 )
 from .synth import PRESETS, SynthDataset, SynthSpec, generate, preset_spec
 from .trainer import TrainConfig, TrainHistory, TrainedPrompts, train_prompts

@@ -388,7 +388,7 @@ def cmd_heatmap(args) -> None:
     tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
     classes = ClassPromptSet.from_names(weights, class_names)
     lw = log_tissue_wsi_similarity(classes, tissues, args.tau)
-    corr = slip_correlation(bag, tissues, lw, args.tau)
+    corr = slip_correlation(bag.patches.data, tissues, lw, args.tau)
     csv_path = args.out_prefix + ".csv"
     pgm_path = args.out_prefix + ".pgm"
     top, bottom = export_heatmap(bag, corr.T, args.class_index,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ZeroVectorError
+from .errors import DimensionMismatchError
 
 NORM_EPS = 1e-12
 COORD_MAX = 0xFFFFFFFF  # grid coordinates are stored as uint32 on disk
@@ -79,15 +79,6 @@ class WsiBag:
     @property
     def num_patches(self) -> int:
         return self.patches.rows
-
-
-def normalize_vector(v: np.ndarray) -> np.ndarray:
-    """Unit-normalize a single vector, rejecting near-zero norms."""
-    v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v)
-    if n < NORM_EPS:
-        raise ZeroVectorError(f"vector norm {n:.3e} < 1e-12")
-    return v / n
 
 
 def cosine_matrix(a: EmbeddingMatrix, b: EmbeddingMatrix) -> np.ndarray:

@@ -16,22 +16,21 @@ from .pooling import (
     ClassPromptSet,
     SlideFeature,
     TissuePromptSet,
+    bag_features,
     log_tissue_wsi_similarity,
-    pooled_feature,
-    zero_shot_scores,
+    zero_shot_probabilities,
 )
 from .trainer import TrainConfig, TrainedPrompts, train_prompts
 
 
-def classify(f_wsi: SlideFeature, classes: ClassPromptSet) -> int:
-    """Argmax over diagonal (column j, class prompt j) alignments; ties go
-    to the lowest class index."""
-    if f_wsi.num_classes != classes.size:
-        raise DimensionMismatchError(
-            f"{f_wsi.num_classes} feature columns vs {classes.size} classes"
-        )
-    scores = np.einsum("dj,jd->j", f_wsi.columns, classes.embeddings.data)
-    return int(np.argmax(scores))
+def classify(features: np.ndarray, classes: ClassPromptSet) -> np.ndarray:
+    """Per bag of B x C x d_v features, the argmax over diagonal (column j,
+    class prompt j) alignments; ties go to the lowest class index."""
+    if features.shape[1] != classes.size:
+        raise DimensionMismatchError(f"{features.shape[1]} feature columns "
+                                     f"vs {classes.size} classes")
+    scores = np.einsum("bjd,jd->bj", features, classes.embeddings.data)
+    return np.argmax(scores, axis=1)
 
 
 def select_few_shot(dataset, shots: int):
@@ -97,18 +96,24 @@ class Pipeline:
     def pooling_classes(self) -> ClassPromptSet:
         return self._frozen
 
+    def features(self, bags) -> np.ndarray:
+        """Pooled features of a list of bags, B x C x d_v (not zero-shot)."""
+        return bag_features(bags, self.tissues, self._frozen, self.pooling,
+                            self.tau, self.topk_k, lw=self._lw)
+
     def slide_feature(self, bag: WsiBag) -> SlideFeature:
+        return SlideFeature(self.features([bag])[0].T)
+
+    def predict_bags(self, bags) -> np.ndarray:
+        """The predicted class of each bag in a list; zero-shot averages
+        each patch's softmax over the raw class names."""
         if self.pooling == "zero":
-            raise ValueError("zero-shot pipeline has no slide feature")
-        return pooled_feature(bag, self.tissues, self._frozen, self.pooling,
-                              self.tau, self.topk_k, lw=self._lw)
+            return np.argmax(
+                zero_shot_probabilities(bags, self._frozen, self.tau), axis=1)
+        return classify(self.features(bags), self.scoring_classes())
 
     def predict(self, bag: WsiBag) -> int:
-        if self.pooling == "zero":
-            # Zero-shot: raw class names, per-patch softmax averaged.
-            scores = zero_shot_scores(bag, self._frozen, self.tau)
-            return int(np.argmax(scores))
-        return classify(self.slide_feature(bag), self.scoring_classes())
+        return int(self.predict_bags([bag])[0])
 
 
 def evaluate(bags, pipeline: Pipeline) -> dict:
@@ -119,39 +124,31 @@ def evaluate(bags, pipeline: Pipeline) -> dict:
     vote ties resolve to the lowest class index.
     """
     bags = list(bags)
-    num_classes = len(pipeline.class_names)
-    predictions = [pipeline.predict(bag) for bag in bags]
+    c = len(pipeline.class_names)
+    preds = np.asarray(pipeline.predict_bags(bags), dtype=np.int64)
+    labels = np.array([bag.label for bag in bags], dtype=np.int64)
+    confusion = np.bincount(labels * c + preds, minlength=c * c)
 
-    confusion = np.zeros((num_classes, num_classes), dtype=np.int64)
-    by_patient: dict[str, list[int]] = {}
-    patient_labels: dict[str, list[int]] = {}
-    for bag, pred in zip(bags, predictions):
-        confusion[bag.label, pred] += 1
-        by_patient.setdefault(bag.patient_id, []).append(pred)
-        patient_labels.setdefault(bag.patient_id, []).append(bag.label)
-
-    class_correct = np.zeros(num_classes)
-    class_total = np.zeros(num_classes)
-    for pid in sorted(by_patient):
-        votes = np.bincount(by_patient[pid], minlength=num_classes)
-        pred = int(np.argmax(votes))
-        labels = np.bincount(patient_labels[pid], minlength=num_classes)
-        label = int(np.argmax(labels))
-        class_total[label] += 1
-        if pred == label:
-            class_correct[label] += 1
+    ids: dict[str, int] = {}
+    patient = np.array([ids.setdefault(bag.patient_id, len(ids))
+                        for bag in bags], dtype=np.int64)
+    patient_pred, patient_label = (
+        np.bincount(patient * c + x, minlength=len(ids) * c)
+        .reshape(len(ids), c).argmax(axis=1) for x in (preds, labels))
+    class_total = np.bincount(patient_label, minlength=c)
+    class_correct = np.bincount(patient_label[patient_pred == patient_label],
+                                minlength=c)
 
     seen = class_total > 0
-    per_class = np.zeros(num_classes)
+    per_class = np.zeros(c)
     per_class[seen] = class_correct[seen] / class_total[seen]
     class_avg = float(per_class[seen].mean()) if seen.any() else 0.0
-    bag_correct = sum(p == b.label for p, b in zip(predictions, bags))
     return {
         "class_averaged_accuracy": class_avg,
         "per_class_accuracy": [float(x) for x in per_class],
-        "bag_accuracy": float(bag_correct / len(bags)) if bags else 0.0,
-        "confusion_matrix": confusion.tolist(),
-        "num_patients": len(by_patient),
+        "bag_accuracy": int((preds == labels).sum()) / max(len(bags), 1),
+        "confusion_matrix": confusion.reshape(c, c).tolist(),
+        "num_patients": len(ids),
         "num_bags": len(bags),
     }
 

@@ -1,9 +1,11 @@
-"""Dual-similarity pooling and its ablation variants.
+"""Dual-similarity pooling and its ablation variants, over a list of bags.
 
 The slide feature weights each patch by how strongly it matches each
 tissue description, composed with how relevant each tissue is to each
 slide class. Ablations: plain averaging, per-class top-k selection, and
-patch-averaged zero-shot scoring.
+patch-averaged zero-shot scoring. Each takes a list of bags (one bag is a
+list of one) and pools consecutive bags, up to GROUP_PATCHES patches, in
+one array pass; a bag pooled alone is used in place, never copied.
 """
 from __future__ import annotations
 
@@ -13,9 +15,7 @@ import numpy as np
 
 from .core import (
     EmbeddingMatrix,
-    WsiBag,
     cosine_matrix,
-    normalize_vector,
     NORM_EPS,
 )
 from .encoder import FrozenEncoderWeights, PromptContext, encode_text
@@ -25,6 +25,8 @@ from .errors import (DimensionMismatchError, KOutOfRangeError,
 DEFAULT_TOPK = 16
 
 POOLING_VARIANTS = ("slip", "topk", "avg")
+
+GROUP_PATCHES = 4096  # most patches pooled in one array pass
 
 
 @dataclass(frozen=True)
@@ -91,10 +93,6 @@ class SlideFeature:
             raise ValueError("slide feature columns must be unit-norm")
         object.__setattr__(self, "columns", arr)
 
-    @property
-    def num_classes(self) -> int:
-        return self.columns.shape[1]
-
 
 def log_tissue_wsi_similarity(classes: ClassPromptSet,
                               tissues: TissuePromptSet,
@@ -108,42 +106,74 @@ def log_tissue_wsi_similarity(classes: ClassPromptSet,
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
 
-def _patch_logits(bag: WsiBag, tissues: TissuePromptSet, m: np.ndarray,
-                  tau: float) -> np.ndarray:
+def _groups(bags, width: int):
+    """Groups of consecutive bags, at most GROUP_PATCHES patches or one bag:
+    (slice of the bags, N x d_v patches, each bag's first row, sizes)."""
+    if any(bag.patches.cols != width for bag in bags):
+        raise DimensionMismatchError(f"patch width differs from {width}")
+    first = 0
+    while first < len(bags):
+        end, total = first + 1, bags[first].num_patches
+        while (end < len(bags)
+               and total + bags[end].num_patches <= GROUP_PATCHES):
+            total += bags[end].num_patches
+            end += 1
+        group = [bag.patches.data for bag in bags[first:end]]
+        sizes = np.array([len(p) for p in group])
+        yield (slice(first, end), np.concatenate(group) if len(group) > 1
+               else group[0], sizes.cumsum() - sizes, sizes)
+        first = end
+
+
+def _unit_columns(raw: np.ndarray) -> np.ndarray:
+    """B x C x d_v pooled columns, each unit-normalized in place."""
+    norms = np.sqrt(np.add.reduce(raw * raw, axis=2, keepdims=True))
+    if norms.min(initial=1.0) < NORM_EPS:
+        raise ZeroVectorError("pooled column norm < 1e-12")
+    raw /= norms
+    unit = np.sqrt(np.add.reduce(raw * raw, axis=2))
+    if not abs(unit - 1.0).max(initial=0.0) <= 1e-9:
+        raise ValueError("pooled columns must be unit-norm")
+    return raw
+
+
+def _patch_logits(patches: np.ndarray, tissues: TissuePromptSet,
+                  m: np.ndarray, tau: float) -> np.ndarray:
     """cos(tissue, patch) / tau + m, K x N, shifted so that every patch's
     largest logit is 0."""
     if tau <= 0:
         raise NonPositiveTemperatureError(f"temperature {tau} <= 0")
-    u = cosine_matrix(tissues.embeddings, bag.patches)
+    u = tissues.embeddings.data @ patches.T
     u *= 1.0 / tau
     u += m[:, None]
     u -= u.max(axis=0)
     return u
 
 
-def slip_correlation(bag: WsiBag, tissues: TissuePromptSet, lw: np.ndarray,
-                     tau: float) -> np.ndarray:
-    """Patch-to-class correlation, C x N: column n splits patch n's unit
-    weight over the classes in proportion to sum_k S_patch[n, k] S_wsi[c, k].
+def slip_correlation(patches: np.ndarray, tissues: TissuePromptSet,
+                     lw: np.ndarray, tau: float) -> np.ndarray:
+    """Patch-to-class correlation of N x d_v patches, C x N: column n
+    splits patch n's unit weight over the classes in proportion to
+    sum_k S_patch[n, k] S_wsi[c, k].
 
     With m = lw.max(axis=0), exp(lw - m) has a 1 in every tissue column and
     the shifted logits a 0 in every patch column, so at any tau each patch
     has an entry >= 1 before the rescale, which also cancels S_patch's own
     normalisation; that is never computed."""
     m = lw.max(axis=0)
-    u = _patch_logits(bag, tissues, m, tau)
+    u = _patch_logits(patches, tissues, m, tau)
     np.exp(u, out=u)
     corr = np.exp(lw - m) @ u
     corr /= corr.sum(axis=0)
     return corr
 
 
-def _log_space_weights(bag: WsiBag, tissues: TissuePromptSet,
+def _log_space_weights(patches: np.ndarray, tissues: TissuePromptSet,
                        lw: np.ndarray, tau: float, rows) -> np.ndarray:
-    """Patch weights of the given classes, each a softmax over patches of
-    log corr[c, n]: rows x N."""
+    """Patch weights of one bag for the given classes, each a softmax over
+    patches of log corr[c, n]: rows x N."""
     m = lw.max(axis=0)
-    u = _patch_logits(bag, tissues, m, tau)
+    u = _patch_logits(patches, tissues, m, tau)
     log_rescale = np.log(np.exp(lw - m).sum(axis=0) @ np.exp(u))
     a = u - log_rescale + (lw[rows] - m)[:, :, None]  # rows x K x N
     top = a.max(axis=1)
@@ -152,75 +182,95 @@ def _log_space_weights(bag: WsiBag, tissues: TissuePromptSet,
     return w / w.sum(axis=1, keepdims=True)
 
 
-def slip_pool(bag: WsiBag, tissues: TissuePromptSet, lw: np.ndarray,
-              tau: float) -> SlideFeature:
-    """Aggregate patches into per-class columns weighted by the correlation,
-    then unit-normalize each column. A class whose weights sum below N * K
-    smallest normal floats may have lost them to underflow; its weights are
-    recomputed in log space."""
-    corr = slip_correlation(bag, tissues, lw, tau)
-    total = corr.sum(axis=1, keepdims=True)
-    tiny = bag.num_patches * tissues.size * np.finfo(float).tiny
-    low = np.flatnonzero(total < tiny)
-    if low.size:
-        corr[low] = _log_space_weights(bag, tissues, lw, tau, low)
-        total[low] = 1.0
-    corr /= total  # unit weight per class: only cancellation trips the check
-    raw = corr @ bag.patches.data  # C x d_v
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
-    if np.any(norms < NORM_EPS):
-        raise ZeroVectorError("pooled column norm < 1e-12")
-    return SlideFeature((raw / norms).T)
+def slip_features(bags, tissues: TissuePromptSet, lw: np.ndarray,
+                  tau: float) -> np.ndarray:
+    """Per bag and class, the mean of the bag's patches weighted by the
+    correlation, unit-normalized: B x C x d_v. A (bag, class) whose weights
+    sum below n_b * K smallest normal floats may have lost them to
+    underflow; only its weights are recomputed in log space."""
+    width = tissues.embeddings.cols
+    out = np.empty((len(bags), lw.shape[0], width))
+    tiny = tissues.size * np.finfo(float).tiny
+    for group, patches, starts, sizes in _groups(bags, width):
+        corr = slip_correlation(patches, tissues, lw, tau)
+        # C x bags; a bag alone keeps the pairwise sum of a per-bag pooling
+        totals = (corr.sum(axis=1, keepdims=True) if sizes.size == 1
+                  else np.add.reduceat(corr, starts, axis=1))
+        low = totals < sizes * tiny
+        bounds = list(zip(starts.tolist(), (starts + sizes).tolist()))
+        for j in np.flatnonzero(low.any(axis=0)):
+            rows = np.flatnonzero(low[:, j])
+            start, stop = bounds[j]
+            corr[rows, start:stop] = _log_space_weights(
+                patches[start:stop], tissues, lw, tau, rows)
+            totals[rows, j] = 1.0
+        for j, (start, stop) in enumerate(bounds):
+            weights = corr[:, start:stop]
+            weights /= totals[:, j, None]  # unit weight per class
+            out[group.start + j] = weights @ patches[start:stop]
+    return _unit_columns(out)
 
 
-def pool_average(bag: WsiBag) -> np.ndarray:
-    """Unit-normalized mean of the bag's patch embeddings."""
-    return normalize_vector(bag.patches.data.mean(axis=0))
+def topk_features(bags, classes: ClassPromptSet, k: int) -> np.ndarray:
+    """Per bag and class, the unit-normalized mean of the min(k, n_b)
+    patches most similar to that class prompt: B x C x d_v. Ties go to the
+    lower patch index, and the chosen patches are summed in index order."""
+    if k < 1:
+        raise KOutOfRangeError(f"k={k} must be >= 1")
+    width = classes.embeddings.cols
+    out = np.empty((len(bags), classes.size, width))
+    for group, patches, starts, sizes in _groups(bags, width):
+        kept = np.minimum(sizes, k)
+        bag = np.repeat(np.arange(sizes.size), sizes)
+        # sorted by (bag, -score), position p holds rank p - starts[bag[p]]
+        chosen = np.arange(bag.size) - starts[bag] < kept[bag]
+        scores = patches @ classes.embeddings.data.T  # N x C
+        for c in range(classes.size):
+            top = np.sort(np.lexsort((-scores[:, c], bag))[chosen])
+            out[group, c] = np.add.reduceat(
+                patches[top], np.cumsum(kept) - kept, axis=0) / kept[:, None]
+    return _unit_columns(out)
 
 
-def pool_topk(bag: WsiBag, classes: ClassPromptSet, k: int) -> SlideFeature:
-    """Per class, average the k patches most similar to that class prompt.
-
-    Ties are broken by lower patch index.
-    """
-    n = bag.num_patches
-    if not 1 <= k <= n:
-        raise KOutOfRangeError(f"k={k} outside [1, {n}]")
-    scores = cosine_matrix(bag.patches, classes.embeddings)  # N x C
-    cols = []
-    for c in range(classes.size):
-        order = np.argsort(-scores[:, c], kind="stable")
-        top = np.sort(order[:k])  # fixed summation order
-        cols.append(normalize_vector(bag.patches.data[top].mean(axis=0)))
-    return SlideFeature(np.stack(cols, axis=1))
+def average_features(bags, classes: ClassPromptSet) -> np.ndarray:
+    """Each bag's unit-normalized patch mean, repeated as every class
+    column: B x C x d_v."""
+    width = classes.embeddings.cols
+    out = np.empty((len(bags), 1, width))
+    for group, patches, starts, sizes in _groups(bags, width):
+        out[group, 0] = (np.add.reduceat(patches, starts, axis=0)
+                         / sizes[:, None])
+    return np.repeat(_unit_columns(out), classes.size, axis=1)
 
 
-def pooled_feature(bag: WsiBag, tissues: TissuePromptSet,
-                   frozen_classes: ClassPromptSet, pooling: str, tau: float,
-                   topk_k: int, lw: np.ndarray | None) -> SlideFeature:
-    """Slide feature for one bag under one of POOLING_VARIANTS; slip
-    pooling needs lw, the log tissue-class similarity of frozen_classes."""
+def bag_features(bags, tissues: TissuePromptSet | None,
+                 frozen_classes: ClassPromptSet, pooling: str, tau: float,
+                 topk_k: int, lw: np.ndarray | None) -> np.ndarray:
+    """B x C x d_v features of a list of bags under one of POOLING_VARIANTS;
+    slip needs lw, the log tissue-class similarity of frozen_classes."""
     if pooling == "slip":
-        return slip_pool(bag, tissues, lw, tau)
+        return slip_features(bags, tissues, lw, tau)
     if pooling == "topk":
-        return pool_topk(bag, frozen_classes, min(topk_k, bag.num_patches))
+        return topk_features(bags, frozen_classes, topk_k)
     if pooling == "avg":
-        # one vector replicated per class column
-        v = pool_average(bag)
-        return SlideFeature(np.tile(v[:, None], (1, frozen_classes.size)))
+        return average_features(bags, frozen_classes)
     raise ValueError(f"pooling must be one of {POOLING_VARIANTS}")
 
 
-def zero_shot_scores(bag: WsiBag, classes: ClassPromptSet,
-                     temperature: float) -> np.ndarray:
-    """Per-patch class softmax averaged over patches; sums to one. Works on
-    class-major C x N logits: one shifted exp, a rescale of every patch
-    column and a mean per class."""
+def zero_shot_probabilities(bags, classes: ClassPromptSet,
+                            temperature: float) -> np.ndarray:
+    """Per bag, the per-patch class softmax averaged over patches: B x C,
+    rows summing to one. Per group: one shifted exp over class-major C x N
+    logits, a rescale of every patch column and a mean per bag and class."""
     if temperature <= 0:
         raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
-    z = cosine_matrix(classes.embeddings, bag.patches)
-    z /= temperature
-    z -= z.max(axis=0)
-    np.exp(z, out=z)
-    z /= z.sum(axis=0)
-    return z.mean(axis=1)
+    out = np.empty((len(bags), classes.size))
+    for group, patches, starts, sizes in _groups(bags,
+                                                 classes.embeddings.cols):
+        z = classes.embeddings.data @ patches.T
+        z /= temperature
+        z -= z.max(axis=0)
+        np.exp(z, out=z)
+        z /= z.sum(axis=0)
+        out[group] = (np.add.reduceat(z, starts, axis=1) / sizes).T
+    return out

@@ -2,7 +2,7 @@
 
 Only the prompt context is trainable. Slide features are pooled with
 context-free class prompts, so they stay constant during training and are
-precomputed once per bag.
+pooled once, for all training bags in one call.
 
 Every SGD step works in the token dimension d_t. The encoder mean-pools
 [context; tokens], so class c's embedding depends on the M context rows
@@ -31,7 +31,7 @@ loop matches to rounding (`infonce_loss`, `infonce_grad`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, log, sqrt
+from math import exp, log, log1p, sqrt
 from operator import mul
 
 import numpy as np
@@ -55,8 +55,8 @@ from .pooling import (
     DEFAULT_TOPK,
     POOLING_VARIANTS,
     TissuePromptSet,
+    bag_features,
     log_tissue_wsi_similarity,
-    pooled_feature,
 )
 
 DEFAULT_ENCODER_SEED = 42
@@ -156,10 +156,9 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     gram = proj @ proj.T  # G
     # Per bag, rows [0, C) hold Q_b; each step writes h G into rows [C, 2C).
     stacks = np.empty((len(dataset), 2 * num_classes, weights.d_t))
-    for b, bag in enumerate(dataset):
-        f = pooled_feature(bag, tissues, frozen_classes, cfg.pooling,
-                           cfg.tau, cfg.topk_k, lw=lw)
-        stacks[b, :num_classes] = f.columns.T @ proj.T
+    stacks[:, :num_classes] = bag_features(
+        dataset, tissues, frozen_classes, cfg.pooling, cfg.tau, cfg.topk_k,
+        lw=lw) @ proj.T
     tok_sums, lengths = token_sums(weights, class_names, cfg.context_length)
     lengths = lengths.tolist()
     s0 = ctx.sum(axis=0)
@@ -207,7 +206,9 @@ def _infonce_coefficients(products: list, label: int, tau: float,
     e = [exp(v - top) for v in zs]
     total = sum(e)
     diag = label * (num_classes + 1)
-    loss = log(total) - (zs[diag] - top)
+    # label pair at the maximum: e[diag] is 1; log1p keeps a tiny loss precise
+    loss = (log1p(sum(e[:diag]) + sum(e[diag + 1:])) if zs[diag] == top
+            else log(total) - (zs[diag] - top))
     # dz = (e / total - [i == c == label]) / tau; the sums below carry the
     # e / total part and the two corrections after them the label part.
     g = rate / total

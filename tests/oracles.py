@@ -6,10 +6,11 @@ are explicit Python loops over floats.
 
 The numpy per-container references below them are the straightforward
 forms the package's fast paths are checked against: row softmax into a
-validated `SimilarityMatrix`, per-text encoder gradients, and the InfoNCE
+validated `SimilarityMatrix`, per-text encoder gradients, the InfoNCE
 loss and context gradient built from a prompted `ClassPromptSet` on every
-call. The training loop in `slipmil.trainer` matches them to rounding, and
-the finite-difference tests check them.
+call, and pooling one bag at a time into a `SlideFeature`. The training
+loop in `slipmil.trainer` and the list poolings in `slipmil.pooling` match
+them to rounding, and the finite-difference tests check them.
 """
 from __future__ import annotations
 
@@ -24,9 +25,16 @@ from slipmil.encoder import FrozenEncoderWeights, PromptContext, _sequence
 from slipmil.errors import (
     DimensionMismatchError,
     EmptySequenceError,
+    KOutOfRangeError,
     LabelOutOfRangeError,
     NonPositiveTemperatureError,
     ZeroVectorError,
+)
+from slipmil.pooling import (
+    POOLING_VARIANTS,
+    SlideFeature,
+    _log_space_weights,
+    slip_correlation,
 )
 
 mpmath.mp.dps = 50
@@ -247,10 +255,10 @@ def context_sum_grad(weights: FrozenEncoderWeights, embeddings: np.ndarray,
 
 
 def _pair_logits(f_wsi, classes) -> np.ndarray:
-    if f_wsi.num_classes != classes.size:
+    if f_wsi.columns.shape[1] != classes.size:
         raise DimensionMismatchError(
-            f"{f_wsi.num_classes} feature columns vs {classes.size} classes"
-        )
+            f"{f_wsi.columns.shape[1]} feature columns vs {classes.size} "
+            f"classes")
     return f_wsi.columns.T @ classes.embeddings.data.T  # z[i, j]
 
 
@@ -290,3 +298,77 @@ def infonce_grad(f_wsi, classes, label: int, tau: float, prompts,
                          context)
         for j in range(classes.size)
     ], axis=0)
+
+
+def normalize_vector(v: np.ndarray) -> np.ndarray:
+    """Unit-normalize a single vector, rejecting near-zero norms."""
+    v = np.asarray(v, dtype=np.float64)
+    n = np.linalg.norm(v)
+    if n < NORM_EPS:
+        raise ZeroVectorError(f"vector norm {n:.3e} < 1e-12")
+    return v / n
+
+
+def slip_pool(bag, tissues, lw: np.ndarray, tau: float) -> SlideFeature:
+    """Slip pooling of one bag: correlation-weighted class columns, with
+    the log-space weights for a class whose weights sum below N * K
+    smallest normal floats."""
+    patches = bag.patches.data
+    corr = slip_correlation(patches, tissues, lw, tau)
+    total = corr.sum(axis=1, keepdims=True)
+    tiny = bag.num_patches * tissues.size * np.finfo(float).tiny
+    low = np.flatnonzero(total < tiny)
+    if low.size:
+        corr[low] = _log_space_weights(patches, tissues, lw, tau, low)
+        total[low] = 1.0
+    corr /= total
+    raw = corr @ patches  # C x d_v
+    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    if np.any(norms < NORM_EPS):
+        raise ZeroVectorError("pooled column norm < 1e-12")
+    return SlideFeature((raw / norms).T)
+
+
+def pool_average(bag) -> np.ndarray:
+    """Unit-normalized mean of the bag's patch embeddings."""
+    return normalize_vector(bag.patches.data.mean(axis=0))
+
+
+def pool_topk(bag, classes, k: int) -> SlideFeature:
+    """Per class, average the k patches most similar to that class prompt.
+    Ties are broken by lower patch index."""
+    n = bag.num_patches
+    if not 1 <= k <= n:
+        raise KOutOfRangeError(f"k={k} outside [1, {n}]")
+    scores = bag.patches.data @ classes.embeddings.data.T  # N x C
+    cols = []
+    for c in range(classes.size):
+        order = np.argsort(-scores[:, c], kind="stable")
+        top = np.sort(order[:k])  # fixed summation order
+        cols.append(normalize_vector(bag.patches.data[top].mean(axis=0)))
+    return SlideFeature(np.stack(cols, axis=1))
+
+
+def pooled_feature(bag, tissues, frozen_classes, pooling: str, tau: float,
+                   topk_k: int, lw) -> SlideFeature:
+    """Slide feature for one bag under one of POOLING_VARIANTS."""
+    if pooling == "slip":
+        return slip_pool(bag, tissues, lw, tau)
+    if pooling == "topk":
+        return pool_topk(bag, frozen_classes, min(topk_k, bag.num_patches))
+    if pooling == "avg":
+        v = pool_average(bag)
+        return SlideFeature(np.tile(v[:, None], (1, frozen_classes.size)))
+    raise ValueError(f"pooling must be one of {POOLING_VARIANTS}")
+
+
+def zero_shot_scores(bag, classes, temperature: float) -> np.ndarray:
+    """Per-patch class softmax of one bag averaged over patches."""
+    if temperature <= 0:
+        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+    z = classes.embeddings.data @ bag.patches.data.T
+    z /= temperature
+    z -= z.max(axis=0)
+    np.exp(z, out=z)
+    z /= z.sum(axis=0)
+    return z.mean(axis=1)

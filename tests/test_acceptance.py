@@ -22,12 +22,13 @@ from slipmil.evaluation import (
 from slipmil.io_formats import read_dataset, read_report, write_dataset
 from slipmil.pooling import (
     ClassPromptSet,
+    SlideFeature,
     TissuePromptSet,
+    average_features,
     log_tissue_wsi_similarity,
-    pool_average,
-    pool_topk,
     slip_correlation,
-    slip_pool,
+    slip_features,
+    topk_features,
 )
 from slipmil.synth import generate, preset_spec
 from slipmil.trainer import TrainConfig, TrainedPrompts, train_prompts
@@ -82,13 +83,13 @@ class TestAcceptance:
             worst_sim = max(worst_sim,
                             np.abs(np.exp(lw) - np.array(s_wsi)).max())
 
-            corr = slip_correlation(bag, tissues, lw, tau)
+            corr = slip_correlation(bag.patches.data, tissues, lw, tau)
             s_patch = oracle_similarity(bag.patches.data.tolist(),
                                         tissues.embeddings.data.tolist(), tau)
             want = oracle_correlation(s_patch, s_wsi)
             worst_sim = max(worst_sim, np.abs(corr.T - np.array(want)).max())
 
-            f = slip_pool(bag, tissues, lw, tau)
+            f = SlideFeature(slip_features([bag], tissues, lw, tau)[0].T)
             want_cols = oracle_slip_pool(bag.patches.data.tolist(),
                                          s_patch, s_wsi)
             worst_pool = max(
@@ -123,7 +124,6 @@ class TestAcceptance:
             c = int(rng.integers(2, 4))
             names = tuple(f"lesion kind {i}" for i in range(c))
             cols = unit_rows(rng, c, 32).T
-            from slipmil.pooling import SlideFeature
             f = SlideFeature(cols)
             vectors = rng.uniform(-0.1, 0.1, (2, 16))
             prompts = TrainedPrompts([PromptContext(vectors)], shared=True)
@@ -186,7 +186,7 @@ class TestAcceptance:
             tau = float(rng.choice([0.01, 0.1, 1.0]))
             bag, tissues, classes = make_sets(rng, n, k, c)
             lw = log_tissue_wsi_similarity(classes, tissues, tau)
-            corr = slip_correlation(bag, tissues, lw, tau)
+            corr = slip_correlation(bag.patches.data, tissues, lw, tau)
             worst = max(worst, np.abs(corr.sum(axis=0) - 1.0).max())
         ok = worst < 1e-9
         report_line(capsys, 3, ok,
@@ -200,15 +200,16 @@ class TestAcceptance:
 
         bag, tissues, classes = make_sets(rng, 6, 3, 1)
         lw = log_tissue_wsi_similarity(classes, tissues, 0.1)
-        f = slip_pool(bag, tissues, lw, 0.1)
-        dev = np.abs(f.columns[:, 0] - pool_average(bag)).max()
+        f = SlideFeature(slip_features([bag], tissues, lw, 0.1)[0].T)
+        avg = average_features([bag], classes)[0, 0]
+        dev = np.abs(f.columns[:, 0] - avg).max()
         if dev > 1e-9:
             failures.append(f"C=1 slip vs average: {dev:.1e}")
 
         bag2, _, classes3 = make_sets(rng, 5, 3, 3)
-        topk = pool_topk(bag2, classes3, bag2.num_patches)
-        avg = pool_average(bag2)
-        dev = np.abs(topk.columns - avg[:, None]).max()
+        topk = topk_features([bag2], classes3, bag2.num_patches)[0]
+        avg = average_features([bag2], classes3)[0]
+        dev = np.abs(topk - avg).max()
         if dev > 1e-9:
             failures.append(f"k=N topk vs average: {dev:.1e}")
 
@@ -218,7 +219,6 @@ class TestAcceptance:
         for c in (2, 3):
             v = np.zeros(8)
             v[0] = 1.0
-            from slipmil.pooling import SlideFeature
             uniform_f = SlideFeature(np.tile(v[:, None], (1, c)))
             uniform_classes = ClassPromptSet(
                 tuple(f"u{i}" for i in range(c)),

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -98,10 +100,12 @@ class TestEncodeText:
             "w = FrozenEncoderWeights.create(42);"
             "print(encode_text(w, 'solid').tobytes().hex())"
         )
+        src = Path(__file__).resolve().parent.parent / "src"
         outs = {
             subprocess.run([sys.executable, "-c", code],
-                           capture_output=True, text=True,
-                           check=True).stdout
+                           capture_output=True, text=True, check=True,
+                           env={**os.environ, "PYTHONPATH": str(src)}
+                           ).stdout
             for _ in range(2)
         }
         assert len(outs) == 1

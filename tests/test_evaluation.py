@@ -29,26 +29,31 @@ def class_set(rows):
     )
 
 
+def classify_one(f, classes):
+    """classify of a list of one slide feature."""
+    return int(classify(f.columns.T[None], classes)[0])
+
+
 class TestClassify:
     def test_tie_break_lowest_index(self):
         rows = unit_rows(np.random.default_rng(50), 3, 8)
         f = SlideFeature(rows.T)
         # diagonal scores all exactly 1
-        assert classify(f, class_set(rows)) == 0
+        assert classify_one(f, class_set(rows)) == 0
 
     def test_orthogonal_vs_aligned(self):
         e0 = np.array([1.0, 0.0, 0.0])
         e1 = np.array([0.0, 1.0, 0.0])
         e2 = np.array([0.0, 0.0, 1.0])
         f = SlideFeature(np.stack([e2, e1], axis=1))  # col0 orth to class0
-        assert classify(f, class_set(np.stack([e0, e1]))) == 1
+        assert classify_one(f, class_set(np.stack([e0, e1]))) == 1
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(51)
         for _ in range(20):
             rows = unit_rows(rng, 4, 8)
             f = SlideFeature(unit_rows(rng, 4, 8).T)
-            got = classify(f, class_set(rows))
+            got = classify_one(f, class_set(rows))
             want = oracle_classify(f.columns.T.tolist(), rows.tolist())
             assert got == want
 
@@ -56,12 +61,27 @@ class TestClassify:
         rng = np.random.default_rng(52)
         rows = unit_rows(rng, 3, 8)
         f = SlideFeature(unit_rows(rng, 3, 8).T)
-        base = classify(f, class_set(rows))
+        base = classify_one(f, class_set(rows))
         # positive scaling of every class prompt scales all diagonal scores
         scaled = ClassPromptSet(
             ("a", "b", "c"),
             EmbeddingMatrix(rows))
-        assert classify(f, scaled) == base
+        assert classify_one(f, scaled) == base
+
+    def test_list_matches_each_feature(self):
+        rng = np.random.default_rng(53)
+        rows = np.eye(3, 8)
+        features = [SlideFeature(unit_rows(rng, 3, 8).T) for _ in range(12)]
+        features.append(SlideFeature(rows.T))  # a three-way tie
+        partial = rows.copy()
+        partial[0] = np.eye(1, 8, 3)[0]
+        features.append(SlideFeature(partial.T))  # classes 1 and 2 tie
+        got = classify(np.stack([f.columns.T for f in features]),
+                       class_set(rows))
+        assert got.tolist() == [
+            oracle_classify(f.columns.T.tolist(), rows.tolist())
+            for f in features]
+        assert got[-2:].tolist() == [0, 1]
 
 
 def bag_with_patches(n, label, pid):
@@ -107,8 +127,8 @@ def constant_pipeline(predictions):
     class _Stub:
         class_names = ("a", "b")
 
-        def predict(self, bag):
-            return predictions[bag.patient_id]
+        def predict_bags(self, bags):
+            return [predictions[bag.patient_id] for bag in bags]
 
     return _Stub()
 
@@ -138,14 +158,58 @@ class TestEvaluate:
 
         class _Alt:
             class_names = ("a", "b")
-            calls = 0
 
-            def predict(self, bag):
-                _Alt.calls += 1
-                return 0 if _Alt.calls <= 2 else 1
+            def predict_bags(self, bags):
+                return [0 if i < 2 else 1 for i in range(len(bags))]
 
         metrics = evaluate(bags, _Alt())
         assert metrics["class_averaged_accuracy"] == 1.0  # 2 of 3 votes
+
+    def test_many_patients_match_per_patient_loop(self):
+        # patients with 1-6 bags of mixed labels and predictions, 3 classes
+        rng = np.random.default_rng(54)
+        bags, preds = [], {}
+        for p in range(40):
+            for b in range(int(rng.integers(1, 7))):
+                pid = f"patient{p:02d}"
+                bag = random_bag(rng, 2, 4, label=int(rng.integers(3)),
+                                 patient_id=pid)
+                bags.append(bag)
+                preds[id(bag)] = int(rng.integers(3))
+
+        class _Replay:
+            class_names = ("a", "b", "c")
+
+            def predict_bags(self, bags):
+                return [preds[id(bag)] for bag in bags]
+
+        metrics = evaluate(bags, _Replay())
+        correct, total = np.zeros(3), np.zeros(3)
+        for pid in sorted({bag.patient_id for bag in bags}):
+            mine = [bag for bag in bags if bag.patient_id == pid]
+            votes = [sum(preds[id(bag)] == c for bag in mine)
+                     for c in range(3)]
+            labels = [sum(bag.label == c for bag in mine) for c in range(3)]
+            pred = votes.index(max(votes))  # ties go low
+            label = labels.index(max(labels))  # the majority label
+            total[label] += 1
+            correct[label] += pred == label
+        assert metrics["num_patients"] == 40
+        assert metrics["per_class_accuracy"] == (correct / total).tolist()
+        assert metrics["class_averaged_accuracy"] == float(
+            (correct / total).mean())
+        confusion = np.zeros((3, 3), dtype=int)
+        for bag in bags:
+            confusion[bag.label, preds[id(bag)]] += 1
+        assert metrics["confusion_matrix"] == confusion.tolist()
+        assert metrics["bag_accuracy"] == float(
+            np.trace(confusion) / len(bags))
+
+    def test_empty_list(self):
+        metrics = evaluate([], constant_pipeline({}))
+        assert metrics["num_bags"] == metrics["num_patients"] == 0
+        assert metrics["confusion_matrix"] == [[0, 0], [0, 0]]
+        assert metrics["class_averaged_accuracy"] == 0.0
 
 
 class TestPipelineTissues:
@@ -167,7 +231,8 @@ class TestPipelineTissues:
 
 def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
     """Bags are validated once, at ingestion: scoring one with slip pooling
-    or zero-shot builds no container and scans no matrix. Zero-shot used to
+    or zero-shot builds no container and scans no matrix, and `evaluate`
+    pools a held-out set in one pass per group of bags. Zero-shot used to
     run a per-patch row softmax that did both for every bag."""
     ds = generate(preset_spec("needle", seed=0))
     tissues = TissuePromptSet.from_descriptions(weights,
@@ -192,10 +257,30 @@ def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
         for pipeline in pipelines:
             pipeline.predict(bag)
     assert counts == {}
+
+    groups = []
+    real_groups = pooling_module._groups
+
+    def counting_groups(bags, width):
+        for group in real_groups(bags, width):
+            groups.append(len(group[3]))  # bags in the group
+            yield group
+
+    monkeypatch.setattr(pooling_module, "_groups", counting_groups)
+    monkeypatch.setattr(pooling_module, "slip_correlation",
+                        counting("slip_correlation",
+                                 pooling_module.slip_correlation))
+    _, held_out = select_few_shot(ds.bags, 4)
+    assert sum(b.num_patches for b in held_out) <= pooling_module.GROUP_PATCHES
+    for pipeline in pipelines:
+        assert evaluate(held_out, pipeline)["num_bags"] == len(held_out)
+    assert groups == [len(held_out)] * 2
+    assert counts == {"slip_correlation": 1}
     assert not any(hasattr(module, "softmax_rows")
                    for module in (core, pooling_module))
     core.EmbeddingMatrix(ds.bags[0].patches.data)  # the counters do count
-    assert counts == {"EmbeddingMatrix": 1, "_as_matrix": 1}
+    assert counts == {"EmbeddingMatrix": 1, "_as_matrix": 1,
+                      "slip_correlation": 1}
 
 
 class TestRunAblation:

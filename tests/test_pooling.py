@@ -4,19 +4,22 @@ import pytest
 from slipmil import pooling
 from slipmil.core import EmbeddingMatrix, WsiBag
 from slipmil.errors import (
+    DimensionMismatchError,
     KOutOfRangeError,
     NonPositiveTemperatureError,
     ZeroVectorError,
 )
+from slipmil.evaluation import classify
 from slipmil.pooling import (
     ClassPromptSet,
     TissuePromptSet,
+    average_features,
+    bag_features,
     log_tissue_wsi_similarity,
-    pool_average,
-    pool_topk,
     slip_correlation,
-    slip_pool,
-    zero_shot_scores,
+    slip_features,
+    topk_features,
+    zero_shot_probabilities,
 )
 
 from conftest import random_bag, unit_rows
@@ -27,7 +30,10 @@ from oracles import (
     oracle_slip_columns,
     oracle_slip_pool,
     oracle_zero_shot,
+    pooled_feature,
+    slip_pool,
     softmax_rows,
+    zero_shot_scores,
 )
 
 
@@ -43,6 +49,27 @@ def tissue_set(rows):
         tuple(f"tissue {i}" for i in range(len(rows))),
         EmbeddingMatrix(rows),
     )
+
+
+def slip_one(bag, tissues, lw, tau):
+    """slip_features of a list of one bag, as d_v x C columns."""
+    return slip_features([bag], tissues, lw, tau)[0].T
+
+
+def topk_one(bag, classes, k):
+    """topk_features of a list of one bag, as d_v x C columns."""
+    return topk_features([bag], classes, k)[0].T
+
+
+def average_one(bag):
+    """average_features of a list of one bag: its unit patch mean."""
+    one_class = class_set(np.eye(1, bag.patches.cols))
+    return average_features([bag], one_class)[0, 0]
+
+
+def zero_shot_one(bag, classes, tau):
+    """zero_shot_probabilities of a list of one bag."""
+    return zero_shot_probabilities([bag], classes, tau)[0]
 
 
 def one_hot_lw(k):
@@ -100,14 +127,16 @@ class TestPatchTissueSimilarity:
         t2[1] = 1.0
         bag = WsiBag(patches=EmbeddingMatrix([t1]), coords=((0, 0),),
                      label=0, patient_id="p")
-        sm = slip_correlation(bag, tissue_set([t1, t2]), one_hot_lw(2), 0.01)
+        sm = slip_correlation(bag.patches.data, tissue_set([t1, t2]),
+                              one_hot_lw(2), 0.01)
         assert sm[0, 0] == pytest.approx(1.0, abs=1e-15)
         assert sm[1, 0] == pytest.approx(3.720075976020836e-44, rel=1e-12)
 
     def test_single_tissue(self):
         rng = np.random.default_rng(11)
         bag = random_bag(rng, 4, 8)
-        sm = slip_correlation(bag, tissue_set(unit_rows(rng, 1, 8)),
+        sm = slip_correlation(bag.patches.data,
+                              tissue_set(unit_rows(rng, 1, 8)),
                               one_hot_lw(1), 0.01)
         assert np.array_equal(sm, np.ones((1, 4)))
 
@@ -115,7 +144,8 @@ class TestPatchTissueSimilarity:
         rng = np.random.default_rng(12)
         bag = random_bag(rng, 5, 8)
         tissues = tissue_set(unit_rows(rng, 4, 8))
-        got = slip_correlation(bag, tissues, one_hot_lw(4), 0.1).T
+        got = slip_correlation(bag.patches.data, tissues, one_hot_lw(4),
+                               0.1).T
         want = oracle_similarity(bag.patches.data.tolist(),
                                  tissues.embeddings.data.tolist(), 0.1)
         assert np.max(np.abs(got - np.array(want))) < 1e-12
@@ -141,8 +171,8 @@ class TestSlipPool:
         rng = np.random.default_rng(13)
         bag = random_bag(rng, 1, 6)
         tissues, lw, _ = make_similarities(rng, bag, 1, 1)
-        f = slip_pool(bag, tissues, lw, 0.1)
-        assert np.allclose(f.columns[:, 0], bag.patches.data[0], atol=1e-12)
+        f = slip_one(bag, tissues, lw, 0.1)
+        assert np.allclose(f[:, 0], bag.patches.data[0], atol=1e-12)
 
     def test_identical_patches(self):
         rng = np.random.default_rng(14)
@@ -151,43 +181,43 @@ class TestSlipPool:
                      coords=tuple((i, 0) for i in range(5)),
                      label=0, patient_id="p")
         tissues, lw, _ = make_similarities(rng, bag, 3, 2)
-        f = slip_pool(bag, tissues, lw, 0.1)
+        f = slip_one(bag, tissues, lw, 0.1)
         for c in range(2):
-            assert np.allclose(f.columns[:, c], one[0], atol=1e-12)
+            assert np.allclose(f[:, c], one[0], atol=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(15)
         bag = random_bag(rng, 6, 8)
         tissues, lw, classes = make_similarities(rng, bag, 3, 2)
-        f = slip_pool(bag, tissues, lw, 0.1)
+        f = slip_one(bag, tissues, lw, 0.1)
         want = oracle_slip_pool(*oracle_inputs(bag, tissues, classes, 0.1))
-        assert np.max(np.abs(f.columns - np.array(want).T)) < 1e-12
+        assert np.max(np.abs(f - np.array(want).T)) < 1e-12
 
     def test_correlation_rows_stochastic(self):
         rng = np.random.default_rng(16)
         bag = random_bag(rng, 7, 8)
         tissues, lw, _ = make_similarities(rng, bag, 4, 3)
-        corr = slip_correlation(bag, tissues, lw, 0.1)
+        corr = slip_correlation(bag.patches.data, tissues, lw, 0.1)
         assert np.max(np.abs(corr.sum(axis=0) - 1)) < 1e-9
 
     def test_single_class_equals_average(self):
         rng = np.random.default_rng(17)
         bag = random_bag(rng, 6, 8)
         tissues, lw, _ = make_similarities(rng, bag, 3, 1)
-        f = slip_pool(bag, tissues, lw, 0.1)
-        assert np.max(np.abs(f.columns[:, 0] - pool_average(bag))) < 1e-9
+        f = slip_one(bag, tissues, lw, 0.1)
+        assert np.max(np.abs(f[:, 0] - average_one(bag))) < 1e-9
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(18)
         bag = random_bag(rng, 8, 6)
         tissues, lw, _ = make_similarities(rng, bag, 3, 2)
-        f = slip_pool(bag, tissues, lw, 0.1)
+        f = slip_one(bag, tissues, lw, 0.1)
         perm = rng.permutation(8)
         bag2 = WsiBag(patches=EmbeddingMatrix(bag.patches.data[perm]),
                       coords=tuple(bag.coords[i] for i in perm),
                       label=0, patient_id="p")
-        f2 = slip_pool(bag2, tissues, lw, 0.1)
-        assert np.max(np.abs(f.columns - f2.columns)) < 1e-12
+        f2 = slip_one(bag2, tissues, lw, 0.1)
+        assert np.max(np.abs(f - f2)) < 1e-12
 
     def test_rejects_non_positive_tau(self):
         rng = np.random.default_rng(19)
@@ -195,7 +225,7 @@ class TestSlipPool:
         tissues, lw, _ = make_similarities(rng, bag, 3, 2)
         for tau in (0.0, -0.1):
             with pytest.raises(NonPositiveTemperatureError):
-                slip_pool(bag, tissues, lw, tau)
+                slip_one(bag, tissues, lw, tau)
 
 
 def two_softmax_columns(patches, tissue_emb, class_emb, tau):
@@ -220,11 +250,11 @@ def test_two_softmax_equivalence(n, k, c):
     for _ in range(20):
         bag = random_bag(rng, n, 8)
         tissues, lw, classes = make_similarities(rng, bag, k, c, tau=0.01)
-        f = slip_pool(bag, tissues, lw, 0.01)
+        f = slip_one(bag, tissues, lw, 0.01)
         want = two_softmax_columns(bag.patches.data,
                                    tissues.embeddings.data,
                                    classes.embeddings.data, 0.01)
-        assert np.max(np.abs(f.columns - want)) <= 1e-12
+        assert np.max(np.abs(f - want)) <= 1e-12
 
 
 @pytest.mark.parametrize("tau", [1e-2, 1e-3, 1e-4, 1e-6])
@@ -241,11 +271,11 @@ def test_full_precision_oracle(tau, monkeypatch):
         c = int(rng.integers(1, 5))
         bag = random_bag(rng, n, 8)
         tissues, lw, classes = make_similarities(rng, bag, k, c, tau=tau)
-        f = slip_pool(bag, tissues, lw, tau)
+        f = slip_one(bag, tissues, lw, tau)
         want = oracle_slip_columns(bag.patches.data.tolist(),
                                    tissues.embeddings.data.tolist(),
                                    classes.embeddings.data.tolist(), tau)
-        worst = max(worst, np.max(np.abs(f.columns - np.array(want).T)))
+        worst = max(worst, np.max(np.abs(f - np.array(want).T)))
     assert worst <= 1e-12
     # the sharp temperatures reach the log-space weights, the mild one not
     assert bool(fallbacks) == (tau <= 1e-3)
@@ -263,19 +293,19 @@ def test_underflowed_class_gets_log_space_weights():
     tissues = tissue_set([e[0], -e[0]])
     classes = class_set([e[0], -e[0]])
     lw = log_tissue_wsi_similarity(classes, tissues, 1e-4)
-    assert not np.any(slip_correlation(bag, tissues, lw, 1e-4)[1])
-    f = slip_pool(bag, tissues, lw, 1e-4)
+    assert not np.any(slip_correlation(bag.patches.data, tissues, lw, 1e-4)[1])
+    f = slip_one(bag, tissues, lw, 1e-4)
     want = oracle_slip_columns(patches.tolist(),
                                tissues.embeddings.data.tolist(),
                                classes.embeddings.data.tolist(), 1e-4)
-    assert np.max(np.abs(f.columns - np.array(want).T)) <= 1e-12
+    assert np.max(np.abs(f - np.array(want).T)) <= 1e-12
 
 
 class TestPoolAverage:
     def test_single_patch(self):
         rng = np.random.default_rng(19)
         bag = random_bag(rng, 1, 5)
-        assert np.allclose(pool_average(bag), bag.patches.data[0],
+        assert np.allclose(average_one(bag), bag.patches.data[0],
                            atol=1e-15)
 
     def test_antipodal_cancellation(self):
@@ -284,13 +314,13 @@ class TestPoolAverage:
         bag = WsiBag(patches=EmbeddingMatrix(np.stack([v, -v])),
                      coords=((0, 0), (1, 0)), label=0, patient_id="p")
         with pytest.raises(ZeroVectorError):
-            pool_average(bag)
+            average_one(bag)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(20)
         bag = random_bag(rng, 4, 6)
         want = oracle_pool_average(bag.patches.data.tolist())
-        assert np.max(np.abs(pool_average(bag) - np.array(want))) < 1e-12
+        assert np.max(np.abs(average_one(bag) - np.array(want))) < 1e-12
 
 
 class TestPoolTopk:
@@ -298,10 +328,10 @@ class TestPoolTopk:
         rng = np.random.default_rng(21)
         bag = random_bag(rng, 5, 8)
         classes = class_set(unit_rows(rng, 3, 8))
-        f = pool_topk(bag, classes, 5)
-        avg = pool_average(bag)
+        f = topk_one(bag, classes, 5)
+        avg = average_one(bag)
         for c in range(3):
-            assert np.max(np.abs(f.columns[:, c] - avg)) < 1e-9
+            assert np.max(np.abs(f[:, c] - avg)) < 1e-9
 
     def test_k1_exact_match(self):
         rng = np.random.default_rng(22)
@@ -310,25 +340,28 @@ class TestPoolTopk:
         bag = WsiBag(patches=EmbeddingMatrix(rows),
                      coords=tuple((i, 0) for i in range(4)),
                      label=0, patient_id="p")
-        f = pool_topk(bag, classes, 1)
-        assert np.allclose(f.columns[:, 0], rows[2], atol=1e-12)
+        f = topk_one(bag, classes, 1)
+        assert np.allclose(f[:, 0], rows[2], atol=1e-12)
 
     def test_matches_oracle(self):
         rng = np.random.default_rng(23)
         bag = random_bag(rng, 8, 6)
         classes = class_set(unit_rows(rng, 3, 6))
-        f = pool_topk(bag, classes, 3)
+        f = topk_one(bag, classes, 3)
         want = oracle_pool_topk(bag.patches.data.tolist(),
                                 classes.embeddings.data.tolist(), 3)
-        assert np.max(np.abs(f.columns - np.array(want).T)) < 1e-12
+        assert np.max(np.abs(f - np.array(want).T)) < 1e-12
 
     def test_k_out_of_range(self):
+        # k below 1 is rejected; k above a bag's size takes all its patches
         rng = np.random.default_rng(24)
         bag = random_bag(rng, 3, 6)
         classes = class_set(unit_rows(rng, 2, 6))
-        for k in (0, 4):
+        for k in (0, -1):
             with pytest.raises(KOutOfRangeError):
-                pool_topk(bag, classes, k)
+                topk_one(bag, classes, k)
+        assert np.array_equal(topk_one(bag, classes, 4),
+                              topk_one(bag, classes, 3))
 
 
 class TestZeroShotScores:
@@ -336,7 +369,7 @@ class TestZeroShotScores:
         rng = np.random.default_rng(25)
         bag = random_bag(rng, 1, 8)
         classes = class_set(unit_rows(rng, 3, 8))
-        scores = zero_shot_scores(bag, classes, 0.1)
+        scores = zero_shot_one(bag, classes, 0.1)
         sm = softmax_rows(bag.patches.data @ classes.embeddings.data.T, 0.1)
         assert np.array_equal(scores, sm.data[0])
 
@@ -344,14 +377,14 @@ class TestZeroShotScores:
         bag = WsiBag(patches=EmbeddingMatrix([[1.0, 0.0, 0.0]]),
                      coords=((0, 0),), label=0, patient_id="p")
         classes = class_set([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
-        assert np.array_equal(zero_shot_scores(bag, classes, 0.01),
+        assert np.array_equal(zero_shot_one(bag, classes, 0.01),
                               [0.5, 0.5])
 
     def test_matches_oracle_and_sums_to_one(self):
         rng = np.random.default_rng(26)
         bag = random_bag(rng, 3, 8)
         classes = class_set(unit_rows(rng, 3, 8))
-        scores = zero_shot_scores(bag, classes, 0.1)
+        scores = zero_shot_one(bag, classes, 0.1)
         want = oracle_zero_shot(bag.patches.data.tolist(),
                                 classes.embeddings.data.tolist(), 0.1)
         assert np.max(np.abs(scores - np.array(want))) < 1e-12
@@ -371,6 +404,121 @@ def test_oracle_equivalence_random_sweep():
         tissues = tissue_set(unit_rows(rng, k, d))
         classes = class_set(unit_rows(rng, c, d))
         lw = log_tissue_wsi_similarity(classes, tissues, tau)
-        f = slip_pool(bag, tissues, lw, tau)
+        f = slip_one(bag, tissues, lw, tau)
         want = oracle_slip_pool(*oracle_inputs(bag, tissues, classes, tau))
-        assert np.max(np.abs(f.columns - np.array(want).T)) < 1e-12
+        assert np.max(np.abs(f - np.array(want).T)) < 1e-12
+
+
+# -- a list of bags against each bag alone ------------------------------------
+
+RAGGED_SIZES = (1, 5, 1, 12, 3, 1, 30, 7)  # 60 patches
+
+
+def pool_list(pooling, bags, tissues, classes, lw, tau, k):
+    if pooling == "zero":
+        return zero_shot_probabilities(bags, classes, tau)
+    return bag_features(bags, tissues, classes, pooling, tau, k, lw)
+
+
+def pool_reference(pooling, bag, tissues, classes, lw, tau, k):
+    """The per-bag numpy reference, shaped like one row of pool_list."""
+    if pooling == "zero":
+        return zero_shot_scores(bag, classes, tau)
+    return pooled_feature(bag, tissues, classes, pooling, tau, k, lw).columns.T
+
+
+def labels_of(pooling, pooled, scoring):
+    if pooling == "zero":
+        return np.argmax(pooled, axis=1).tolist()
+    return classify(pooled, scoring).tolist()
+
+
+@pytest.mark.parametrize("group", [pooling.GROUP_PATCHES, 10])
+@pytest.mark.parametrize("tau", [1e-2, 1e-3, 1e-4])
+@pytest.mark.parametrize("variant", ["slip", "topk", "avg", "zero"])
+def test_list_matches_each_bag_alone(variant, tau, group, monkeypatch):
+    # ragged sizes with 1-patch bags; k = 4 exceeds five of the eight bags;
+    # with a 10-patch limit the list splits into groups and the 12- and
+    # 30-patch bags are pooled alone
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", group)
+    rng = np.random.default_rng(int(-np.log10(tau)) + 10 * group)
+    bags = [random_bag(rng, n, 8, patient_id=f"p{i}")
+            for i, n in enumerate(RAGGED_SIZES)]
+    tissues = tissue_set(unit_rows(rng, 4, 8))
+    classes = class_set(unit_rows(rng, 3, 8))
+    scoring = class_set(unit_rows(rng, 3, 8))
+    lw = log_tissue_wsi_similarity(classes, tissues, tau)
+    args = (tissues, classes, lw, tau, 4)
+    groups = len(list(pooling._groups(bags, 8)))
+    assert groups == (1 if group > 60 else 5)
+
+    got = pool_list(variant, bags, *args)
+    alone = np.stack([pool_list(variant, [bag], *args)[0] for bag in bags])
+    reference = np.stack([pool_reference(variant, bag, *args)
+                          for bag in bags])
+    assert got.shape == alone.shape == reference.shape
+    assert np.max(np.abs(got - alone)) <= 1e-12
+    assert np.max(np.abs(got - reference)) <= 1e-12
+    assert (labels_of(variant, got, scoring)
+            == labels_of(variant, alone, scoring)
+            == labels_of(variant, reference, scoring))
+
+
+def test_log_space_fallback_recomputes_only_its_bag(monkeypatch):
+    # At tau = 1e-4 the middle bag gives class 1 (aligned with tissue 1) a
+    # linear weight of e^-12000 or less; its neighbours weigh both classes.
+    e = np.eye(4)
+    sizes_and_rows = [
+        [e[0], -e[0], e[1]],
+        [e[0], 0.6 * e[0] + 0.8 * e[2], 0.8 * e[0] + 0.6 * e[3]],
+        [-e[0], 0.6 * e[0] - 0.8 * e[1], e[0]],
+    ]
+    bags = [WsiBag(patches=EmbeddingMatrix(np.stack(rows)),
+                   coords=tuple((i, 0) for i in range(len(rows))),
+                   label=0, patient_id=f"p{b}")
+            for b, rows in enumerate(sizes_and_rows)]
+    tissues = tissue_set([e[0], -e[0]])
+    classes = class_set([e[0], -e[0]])
+    lw = log_tissue_wsi_similarity(classes, tissues, 1e-4)
+    calls = []
+    log_space = pooling._log_space_weights
+    monkeypatch.setattr(
+        pooling, "_log_space_weights",
+        lambda *a: calls.append((a[0].tolist(), a[-1].tolist()))
+        or log_space(*a))
+    got = slip_features(bags, tissues, lw, 1e-4)
+    assert calls == [(bags[1].patches.data.tolist(), [1])]
+    for bag, columns in zip(bags, got):
+        want = slip_pool(bag, tissues, lw, 1e-4).columns.T
+        assert np.max(np.abs(columns - want)) <= 1e-12
+    want = oracle_slip_columns(bags[1].patches.data.tolist(),
+                               tissues.embeddings.data.tolist(),
+                               classes.embeddings.data.tolist(), 1e-4)
+    assert np.max(np.abs(got[1] - np.array(want))) <= 1e-12
+
+
+def test_single_bag_is_not_copied(monkeypatch):
+    rng = np.random.default_rng(31)
+    big = random_bag(rng, 40, 8)
+    bags = [random_bag(rng, 3, 8), big, random_bag(rng, 2, 8)]
+    tissues, lw, _ = make_similarities(rng, big, 3, 2)
+    seen = []
+    correlation = pooling.slip_correlation
+    monkeypatch.setattr(pooling, "slip_correlation",
+                        lambda p, *a: seen.append(p) or correlation(p, *a))
+    alone = slip_features([big], tissues, lw, 0.1)
+    assert len(seen) == 1 and seen[0] is big.patches.data
+    # and it is pooled with exactly the per-bag arithmetic
+    assert np.array_equal(alone[0], slip_pool(big, tissues, lw, 0.1).columns.T)
+    # a bag that reaches the limit is pooled alone, in place
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 40)
+    seen.clear()
+    slip_features(bags, tissues, lw, 0.1)
+    assert [p is big.patches.data for p in seen] == [False, True, False]
+
+
+def test_list_rejects_mismatched_patch_width():
+    rng = np.random.default_rng(32)
+    bags = [random_bag(rng, 3, 8), random_bag(rng, 3, 6)]
+    with pytest.raises(DimensionMismatchError):
+        topk_features(bags, class_set(unit_rows(rng, 2, 8)), 2)

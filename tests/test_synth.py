@@ -5,7 +5,6 @@ import pytest
 
 from slipmil.encoder import FrozenEncoderWeights, encode_text
 from slipmil.errors import RejectionExhaustedError
-from slipmil.pooling import pool_average
 from slipmil.synth import (
     MAX_SEPARATION_COSINE,
     PRESETS,
@@ -15,7 +14,7 @@ from slipmil.synth import (
     preset_spec,
 )
 
-from oracles import oracle_softmax
+from oracles import oracle_softmax, pool_average
 
 
 class TestGenerate:

@@ -15,8 +15,8 @@ from slipmil.pooling import (
     SlideFeature,
     TissuePromptSet,
     log_tissue_wsi_similarity,
-    pooled_feature,
 )
+from slipmil import trainer
 from slipmil.trainer import TrainConfig, TrainedPrompts, train_prompts
 from slipmil.synth import generate, preset_spec
 
@@ -26,6 +26,7 @@ from oracles import (
     infonce_grad,
     infonce_loss,
     oracle_infonce,
+    pooled_feature,
 )
 
 
@@ -117,6 +118,22 @@ class TestInfonceLoss:
             loss = infonce_loss(f, classes, 0, tau)
             spread = float(z.max() - z.min())
             assert 0.0 <= loss <= np.log(c * c) + spread / tau + 1e-12
+
+
+    def test_nearly_solved_step_keeps_relative_precision(self):
+        # The label pair leads every other pair by at least 0.25 / tau = 25,
+        # so the loss is below 8 e^-25 = 1.1e-10. log(total) with total
+        # near 1 carries an absolute error near 1e-16, a relative one of
+        # about 1e-6; log1p of the off-label terms keeps full precision.
+        z = [[1.0, 0.75, 0.75], [0.75, 0.7, 0.74], [0.74, 0.73, 0.75]]
+        for label, pairs in ((0, z), (2, [row[::-1] for row in z[::-1]])):
+            # pair products first, then [h G] @ h^T = 1: every nu_c is 1
+            products = [v for row in pairs for v in row] + [1.0] * 9
+            loss, _ = trainer._infonce_coefficients(products, label, 0.01,
+                                                    0.0, [1, 1, 1])
+            want = oracle_infonce(pairs, label, 0.01)
+            assert 1e-11 < want < 1e-9
+            assert abs(loss - want) <= 1e-12 * want
 
 
 class TestInfonceGrad:
