@@ -8,20 +8,14 @@ from .encoder import (
     Vocabulary,
     encode_text,
 )
-from .evaluation import (
-    Pipeline,
-    classify,
-    evaluate,
-    run_ablation,
-    run_single,
-    select_few_shot,
-)
+from .evaluation import evaluate, run_ablation, run_single, select_few_shot
 from .pooling import (
     ClassPromptSet,
+    Pipeline,
     SlideFeature,
     TissuePromptSet,
     average_features,
-    bag_features,
+    classify,
     log_tissue_wsi_similarity,
     slip_correlation,
     slip_features,

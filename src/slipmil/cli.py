@@ -13,9 +13,8 @@ import sys
 import numpy as np
 
 from .encoder import FrozenEncoderWeights, PromptContext
-from .errors import SchemaError, SlipError
-from .evaluation import Pipeline, evaluate, run_ablation, run_single, \
-    select_few_shot
+from .errors import InvalidSettingError, SchemaError, SlipError
+from .evaluation import evaluate, run_ablation, run_single, select_few_shot
 from .io_formats import (
     export_heatmap,
     read_dataset,
@@ -24,8 +23,7 @@ from .io_formats import (
     write_dataset,
     write_report,
 )
-from .pooling import POOLING_VARIANTS, ClassPromptSet, TissuePromptSet, \
-    log_tissue_wsi_similarity, slip_correlation
+from .pooling import POOLING_VARIANTS, Pipeline
 from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import TrainConfig, TrainedPrompts
 
@@ -49,17 +47,6 @@ def _load_config_file(path) -> dict:
     return values
 
 
-def _coerce(value: str):
-    for cast in (int, float):
-        try:
-            return cast(value)
-        except ValueError:
-            pass
-    if value.lower() in ("true", "false"):
-        return value.lower() == "true"
-    return value
-
-
 def _reject_unknown_keys(path, keys, allowed) -> None:
     unknown = sorted(set(keys) - set(allowed))
     if unknown:
@@ -71,16 +58,28 @@ def _reject_unknown_keys(path, keys, allowed) -> None:
 
 def _apply_config_defaults(parser, args_list):
     """Install --config values as defaults of the chosen subcommand, whose
-    flags (with - spelled _) are the only keys accepted."""
+    flags (with - spelled _) are the only keys accepted. argparse parses a
+    string default with the flag's own type, as if it were given on the
+    command line, but checks only given values against the flag's choices;
+    here a switch's choices are true and false."""
     pre = argparse.ArgumentParser(add_help=False)
     pre.add_argument("--config")
     known, _ = pre.parse_known_args(args_list)
     sub = parser._command_parsers.get(args_list[0]) if args_list else None
     if known.config and sub is not None:
         values = _load_config_file(known.config)
-        flags = {a.dest for a in sub._actions} - {"help", "config"}
-        _reject_unknown_keys(known.config, values, flags)
-        sub.set_defaults(**{k: _coerce(v) for k, v in values.items()})
+        actions = {a.dest: a for a in sub._actions}
+        _reject_unknown_keys(known.config, values,
+                             set(actions) - {"help", "config"})
+        for key, raw in values.items():
+            switch = actions[key].nargs == 0
+            choices = ("true", "false") if switch else actions[key].choices
+            if choices is not None and raw not in choices:
+                raise CliInputError(f"{known.config}: {key} = {raw!r} must "
+                                    f"be one of {', '.join(choices)}")
+            if switch:
+                values[key] = raw == "true"
+        sub.set_defaults(**values)
 
 
 def _require_seed(value):
@@ -105,13 +104,9 @@ def _check_dataset(bags, num_classes, class_names, source,
         )
 
 
-def _shots_value(raw):
-    if raw == "all":
-        return "all"
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise CliInputError("--shots must be an integer or 'all'") from exc
+def int_or_all(raw: str):
+    """A shots value: a whole number, or 'all'."""
+    return "all" if raw == "all" else int(raw)
 
 
 def _context_payload(prompts: TrainedPrompts) -> dict:
@@ -166,6 +161,29 @@ def _flag_list(dests) -> str:
     return ", ".join("--" + k.replace("_", "-") for k in dests)
 
 
+# optional grid key -> (TrainConfig field, type); a key left out of the grid
+# takes the TrainConfig default
+GRID_SETTINGS = {"tau": ("tau", float), "lr": ("learning_rate", float),
+                 "epochs": ("epochs", int), "d_t": ("d_t", int),
+                 "context_length": ("context_length", int),
+                 "encoder_seed": ("encoder_seed", int),
+                 "topk_k": ("topk_k", int)}
+# the settings block of a report: train writes every key, eval reads it back
+REPORT_SETTINGS = {**GRID_SETTINGS, "shots": ("shots", int_or_all),
+                   "seed": ("seed", int), "pooling": ("pooling", str)}
+
+
+def _setting(source, key, raw: str, cast, error=CliInputError):
+    """One setting parsed from its text; a value that does not parse is an
+    `error` naming the source and key."""
+    try:
+        return cast(raw)
+    except ValueError as exc:
+        raise error(
+            f"{source}: {key} = {raw!r} is not a valid {cast.__name__}"
+        ) from exc
+
+
 def cmd_synth(args) -> None:
     seed = _require_seed(args.seed)
     given = _given(args, SPEC_FLAGS)
@@ -211,7 +229,7 @@ def cmd_synth(args) -> None:
 def _train_config_from_args(args, seed) -> TrainConfig:
     return TrainConfig(
         tau=args.tau, learning_rate=args.lr, epochs=args.epochs,
-        shots=_shots_value(args.shots), seed=seed, pooling=args.pooling,
+        shots=args.shots, seed=seed, pooling=args.pooling,
         context_length=args.context_length, d_t=args.dt,
         encoder_seed=args.encoder_seed, topk_k=args.topk_k,
     )
@@ -226,36 +244,38 @@ def cmd_train(args) -> None:
     prompts, history, metrics, pool_size = run_single(
         bags, class_names, tissue_descriptions, cfg
     )
-    config_echo = {
-        "tau": cfg.tau, "lr": cfg.learning_rate, "epochs": cfg.epochs,
-        "shots": cfg.shots, "seed": cfg.seed,
-        "pooling": cfg.pooling, "context_length": cfg.context_length,
-        "d_t": cfg.d_t, "d_v": bags[0].patches.cols,
-        "encoder_seed": cfg.encoder_seed,
-        "topk_k": cfg.topk_k, "data": os.path.basename(args.data),
-        "eval_pool_size": pool_size,
-    }
-    write_report(args.out, config_echo, history.records, metrics,
+    config = {key: getattr(cfg, field)
+              for key, (field, _) in REPORT_SETTINGS.items()}
+    config.update(d_v=bags[0].patches.cols, eval_pool_size=pool_size,
+                  data=os.path.basename(args.data))
+    write_report(args.out, config, history.records, metrics,
                  class_names, tissue_descriptions,
                  context=_context_payload(prompts))
     print(json.dumps({"report": args.out, "metrics": metrics},
                      indent=2, sort_keys=True))
 
 
-def _pipeline_from_report(doc) -> Pipeline:
-    cfg = doc["config"]
-    weights = FrozenEncoderWeights.create(
-        int(cfg["encoder_seed"]), d_t=int(cfg["d_t"]), d_v=int(cfg["d_v"])
-    )
-    tissues = TissuePromptSet.from_descriptions(
-        weights, doc["tissue_descriptions"]
-    )
-    prompts = _prompts_from_payload(doc.get("context"))
-    return Pipeline(
-        weights=weights, tissues=tissues,
-        class_names=tuple(doc["class_names"]), tau=float(cfg["tau"]),
-        pooling=cfg["pooling"], topk_k=int(cfg["topk_k"]), prompts=prompts,
-    )
+def _report_config(path, doc):
+    """The report's TrainConfig and d_v, read through REPORT_SETTINGS. A
+    setting that is missing, does not parse or is out of range is a
+    SchemaError."""
+    block = doc["config"]
+    if not isinstance(block, dict):
+        raise SchemaError(f"report {path}: config must be a JSON object")
+
+    def value(key, cast):
+        if key not in block:
+            raise SchemaError(f"report {path}: config has no {key!r}")
+        # parsed from its text, as a flag value is: an int of 2.5 fails
+        return _setting(f"report {path}", key, str(block[key]), cast,
+                        SchemaError)
+
+    try:
+        cfg = TrainConfig(**{field: value(key, cast)
+                             for key, (field, cast) in REPORT_SETTINGS.items()})
+    except InvalidSettingError as exc:
+        raise SchemaError(f"report {path}: {exc}") from exc
+    return cfg, value("d_v", int)
 
 
 def cmd_eval(args) -> None:
@@ -283,15 +303,13 @@ def cmd_eval(args) -> None:
                          indent=2, sort_keys=True))
         return
     doc = read_report(args.report)
-    cfg = doc["config"]
+    cfg, d_v = _report_config(args.report, doc)
     _check_dataset(bags, num_classes, doc["class_names"],
-                   f"report {args.report}", d_v=int(cfg["d_v"]))
-    pipeline = _pipeline_from_report(doc)
-    shots = cfg.get("shots", "all")
-    if shots == "all":
-        eval_bags = bags
-    else:
-        _, eval_bags = select_few_shot(bags, int(shots))
+                   f"report {args.report}", d_v=d_v)
+    pipeline = cfg.pipeline(cfg.encoder_weights(d_v),
+                            doc["tissue_descriptions"], doc["class_names"],
+                            _prompts_from_payload(doc.get("context")))
+    _, eval_bags = select_few_shot(bags, cfg.shots)
     metrics = evaluate(eval_bags, pipeline)
     print(json.dumps({"mode": "trained", "metrics": metrics},
                      indent=2, sort_keys=True))
@@ -319,26 +337,10 @@ def _cell(value) -> str:
 
 
 GRID_REQUIRED = ("data", "classes", "poolings", "shots", "tissues", "seeds")
-# optional grid key -> (TrainConfig field, type); a key left out of the grid
-# takes the TrainConfig default
-GRID_SETTINGS = {"tau": ("tau", float), "lr": ("learning_rate", float),
-                 "epochs": ("epochs", int), "d_t": ("d_t", int),
-                 "context_length": ("context_length", int),
-                 "encoder_seed": ("encoder_seed", int),
-                 "topk_k": ("topk_k", int)}
-
-
-def _grid_value(path, key, raw, cast):
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise CliInputError(
-            f"{path}: {key} = {raw!r} is not a valid {cast.__name__}"
-        ) from exc
 
 
 def _grid_list(path, grid, key, cast=str) -> list:
-    return [_grid_value(path, key, v.strip(), cast)
+    return [_setting(path, key, v.strip(), cast)
             for v in grid[key].split(",") if v.strip()]
 
 
@@ -356,7 +358,7 @@ def cmd_ablate(args) -> None:
     shots_list = _grid_list(args.grid, grid, "shots", int)
     seeds = _grid_list(args.grid, grid, "seeds", int)
     base_cfg = TrainConfig(**{
-        field: _grid_value(args.grid, key, grid[key], cast)
+        field: _setting(args.grid, key, grid[key], cast)
         for key, (field, cast) in GRID_SETTINGS.items() if key in grid
     })
     bags, num_classes = read_dataset(grid["data"])
@@ -381,14 +383,11 @@ def cmd_heatmap(args) -> None:
     if not 0 <= args.bag < len(bags):
         raise CliInputError(f"--bag {args.bag} outside [0, {len(bags)})")
     bag = bags[args.bag]
-    class_names = read_prompt_lines(args.classes)
-    tissue_descriptions = read_prompt_lines(args.tissues)
-    weights = FrozenEncoderWeights.create(args.encoder_seed, d_t=args.dt,
-                                          d_v=bag.patches.cols)
-    tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
-    classes = ClassPromptSet.from_names(weights, class_names)
-    lw = log_tissue_wsi_similarity(classes, tissues, args.tau)
-    corr = slip_correlation(bag.patches.data, tissues, lw, args.tau)
+    cfg = TrainConfig(tau=args.tau, d_t=args.dt,
+                      encoder_seed=args.encoder_seed)
+    corr = cfg.pipeline(cfg.encoder_weights(bag.patches.cols),
+                        read_prompt_lines(args.tissues),
+                        read_prompt_lines(args.classes)).correlation(bag)
     csv_path = args.out_prefix + ".csv"
     pgm_path = args.out_prefix + ".pgm"
     top, bottom = export_heatmap(bag, corr.T, args.class_index,
@@ -448,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--tissues", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--shots", default=TrainConfig.shots,
+    p.add_argument("--shots", type=int_or_all, default=TrainConfig.shots,
                    help="bags per class for training, or 'all' "
                         "(default %(default)s)")
     p.add_argument("--pooling", choices=POOLING_VARIANTS,

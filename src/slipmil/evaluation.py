@@ -1,42 +1,22 @@
-"""Classification, few-shot split construction, metrics and ablation sweeps."""
+"""Few-shot split construction, metrics and ablation sweeps."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .core import WsiBag
-from .encoder import FrozenEncoderWeights
-from .errors import (
-    DimensionMismatchError,
-    EmptyDatasetError,
-    InsufficientBagsError,
-)
-from .pooling import (
-    ClassPromptSet,
-    SlideFeature,
-    TissuePromptSet,
-    bag_features,
-    log_tissue_wsi_similarity,
-    zero_shot_probabilities,
-)
-from .trainer import TrainConfig, TrainedPrompts, train_prompts
+from .errors import EmptyDatasetError, InsufficientBagsError
+from .pooling import Pipeline
+from .trainer import TrainConfig, train_prompts
 
 
-def classify(features: np.ndarray, classes: ClassPromptSet) -> np.ndarray:
-    """Per bag of B x C x d_v features, the argmax over diagonal (column j,
-    class prompt j) alignments; ties go to the lowest class index."""
-    if features.shape[1] != classes.size:
-        raise DimensionMismatchError(f"{features.shape[1]} feature columns "
-                                     f"vs {classes.size} classes")
-    scores = np.einsum("bjd,jd->bj", features, classes.embeddings.data)
-    return np.argmax(scores, axis=1)
-
-
-def select_few_shot(dataset, shots: int):
+def select_few_shot(dataset, shots: int | str):
     """Per class, pick the `shots` bags with the most patches (ties by
-    dataset order). Returns (training subset, evaluation pool)."""
+    dataset order). Returns (training subset, evaluation pool); with shots
+    "all", both are the whole dataset."""
     dataset = list(dataset)
+    if shots == "all":
+        return dataset, dataset
     shots = int(shots)
     if shots < 1:
         raise InsufficientBagsError(f"shots={shots} must be >= 1")
@@ -54,66 +34,6 @@ def select_few_shot(dataset, shots: int):
     train = [dataset[i] for i in range(len(dataset)) if i in selected]
     pool = [dataset[i] for i in range(len(dataset)) if i not in selected]
     return train, pool
-
-
-@dataclass(frozen=True)
-class Pipeline:
-    """Everything needed to score a bag: encoder, prompt sets, pooling.
-
-    Pooling uses the context-free class prompts, scoring the prompted ones;
-    both, and log S_wsi for slip pooling, are computed at construction. Only
-    slip pooling reads tissues; the other variants take tissues=None."""
-
-    weights: FrozenEncoderWeights
-    tissues: TissuePromptSet | None
-    class_names: tuple
-    tau: float = 0.01
-    pooling: str = "slip"  # slip | topk | avg | zero
-    topk_k: int = 16
-    prompts: TrainedPrompts | None = None
-
-    def __post_init__(self):
-        names = tuple(self.class_names)
-        frozen = ClassPromptSet.from_names(self.weights, names)
-        scoring = frozen
-        if self.prompts is not None:
-            scoring = ClassPromptSet.from_names(self.weights, names,
-                                                self.prompts.contexts[0])
-        lw = None
-        if self.pooling == "slip":
-            if self.tissues is None:
-                raise ValueError("slip pooling needs a tissue prompt set")
-            lw = log_tissue_wsi_similarity(frozen, self.tissues, self.tau)
-        object.__setattr__(self, "class_names", names)
-        object.__setattr__(self, "_frozen", frozen)
-        object.__setattr__(self, "_scoring", scoring)
-        object.__setattr__(self, "_lw", lw)
-
-    def scoring_classes(self) -> ClassPromptSet:
-        """Class prompts used on the text side of classification."""
-        return self._scoring
-
-    def pooling_classes(self) -> ClassPromptSet:
-        return self._frozen
-
-    def features(self, bags) -> np.ndarray:
-        """Pooled features of a list of bags, B x C x d_v (not zero-shot)."""
-        return bag_features(bags, self.tissues, self._frozen, self.pooling,
-                            self.tau, self.topk_k, lw=self._lw)
-
-    def slide_feature(self, bag: WsiBag) -> SlideFeature:
-        return SlideFeature(self.features([bag])[0].T)
-
-    def predict_bags(self, bags) -> np.ndarray:
-        """The predicted class of each bag in a list; zero-shot averages
-        each patch's softmax over the raw class names."""
-        if self.pooling == "zero":
-            return np.argmax(
-                zero_shot_probabilities(bags, self._frozen, self.tau), axis=1)
-        return classify(self.features(bags), self.scoring_classes())
-
-    def predict(self, bag: WsiBag) -> int:
-        return int(self.predict_bags([bag])[0])
 
 
 def evaluate(bags, pipeline: Pipeline) -> dict:
@@ -162,19 +82,12 @@ def run_single(dataset, class_names, tissue_descriptions,
     dataset = list(dataset)
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
-    if cfg.shots == "all":
-        train_bags, eval_bags = dataset, dataset
-    else:
-        train_bags, eval_bags = select_few_shot(dataset, int(cfg.shots))
+    train_bags, eval_bags = select_few_shot(dataset, cfg.shots)
     weights = cfg.encoder_weights(dataset[0].patches.cols)
     prompts, history = train_prompts(train_bags, tissue_descriptions,
                                      class_names, cfg, weights=weights)
-    tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
-    pipeline = Pipeline(weights=weights, tissues=tissues,
-                        class_names=tuple(class_names), tau=cfg.tau,
-                        pooling=cfg.pooling, topk_k=cfg.topk_k,
-                        prompts=prompts)
-    metrics = evaluate(eval_bags, pipeline)
+    metrics = evaluate(eval_bags, cfg.pipeline(
+        weights, tissue_descriptions, class_names, prompts))
     return prompts, history, metrics, len(eval_bags)
 
 
@@ -190,7 +103,11 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
     if set(poolings) != {"zero"}:  # check every split before any row trains
         for shots in shots_list:
             select_few_shot(dataset, replace(base_cfg, shots=int(shots)).shots)
-    zero_metrics = None
+    if "zero" in poolings:
+        zero_metrics = evaluate(dataset, Pipeline(
+            weights=base_cfg.encoder_weights(dataset[0].patches.cols),
+            tissues=None, class_names=class_names, tau=base_cfg.tau,
+            pooling="zero"))
     rows = []
     for pooling in poolings:
         for shots in shots_list:
@@ -204,14 +121,6 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
                         "seed": int(seed),
                     }
                     if pooling == "zero":
-                        if zero_metrics is None:
-                            zero_metrics = evaluate(dataset, Pipeline(
-                                weights=base_cfg.encoder_weights(
-                                    dataset[0].patches.cols),
-                                tissues=None,
-                                class_names=tuple(class_names),
-                                tau=base_cfg.tau, pooling="zero",
-                            ))
                         metrics = zero_metrics
                         row["final_loss"] = 0.0
                     else:

@@ -1,4 +1,5 @@
-"""Dual-similarity pooling and its ablation variants, over a list of bags.
+"""Dual-similarity pooling and its ablation variants, over a list of bags,
+and the Pipeline that pools and scores with them.
 
 The slide feature weights each patch by how strongly it matches each
 tissue description, composed with how relevant each tissue is to each
@@ -10,17 +11,23 @@ one array pass; a bag pooled alone is used in place, never copied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (
     EmbeddingMatrix,
+    WsiBag,
     cosine_matrix,
     NORM_EPS,
 )
 from .encoder import FrozenEncoderWeights, PromptContext, encode_text
 from .errors import (DimensionMismatchError, KOutOfRangeError,
-                     NonPositiveTemperatureError, ZeroVectorError)
+                     NonPositiveTemperatureError, ZeroVectorError,
+                     check_setting)
+
+if TYPE_CHECKING:
+    from .trainer import TrainedPrompts
 
 DEFAULT_TOPK = 16
 
@@ -243,20 +250,6 @@ def average_features(bags, classes: ClassPromptSet) -> np.ndarray:
     return np.repeat(_unit_columns(out), classes.size, axis=1)
 
 
-def bag_features(bags, tissues: TissuePromptSet | None,
-                 frozen_classes: ClassPromptSet, pooling: str, tau: float,
-                 topk_k: int, lw: np.ndarray | None) -> np.ndarray:
-    """B x C x d_v features of a list of bags under one of POOLING_VARIANTS;
-    slip needs lw, the log tissue-class similarity of frozen_classes."""
-    if pooling == "slip":
-        return slip_features(bags, tissues, lw, tau)
-    if pooling == "topk":
-        return topk_features(bags, frozen_classes, topk_k)
-    if pooling == "avg":
-        return average_features(bags, frozen_classes)
-    raise ValueError(f"pooling must be one of {POOLING_VARIANTS}")
-
-
 def zero_shot_probabilities(bags, classes: ClassPromptSet,
                             temperature: float) -> np.ndarray:
     """Per bag, the per-patch class softmax averaged over patches: B x C,
@@ -274,3 +267,86 @@ def zero_shot_probabilities(bags, classes: ClassPromptSet,
         z /= z.sum(axis=0)
         out[group] = (np.add.reduceat(z, starts, axis=1) / sizes).T
     return out
+
+
+def classify(features: np.ndarray, classes: ClassPromptSet) -> np.ndarray:
+    """Per bag of B x C x d_v features, the argmax over diagonal (column j,
+    class prompt j) alignments; ties go to the lowest class index."""
+    if features.shape[1] != classes.size:
+        raise DimensionMismatchError(f"{features.shape[1]} feature columns "
+                                     f"vs {classes.size} classes")
+    scores = np.einsum("bjd,jd->bj", features, classes.embeddings.data)
+    return np.argmax(scores, axis=1)
+
+
+@dataclass(frozen=True)
+class Pipeline:
+    """Everything needed to score a bag: encoder, prompt sets, pooling.
+
+    Pooling uses the context-free class prompts, scoring the prompted ones;
+    both, and log S_wsi for slip pooling, are computed at construction. Only
+    slip pooling reads tissues; the other variants take tissues=None."""
+
+    weights: FrozenEncoderWeights
+    tissues: TissuePromptSet | None
+    class_names: tuple
+    tau: float = 0.01
+    pooling: str = "slip"  # one of POOLING_VARIANTS, or zero
+    topk_k: int = DEFAULT_TOPK
+    prompts: TrainedPrompts | None = None
+
+    def __post_init__(self):
+        check_setting(self.pooling in POOLING_VARIANTS + ("zero",),
+                      f"pooling {self.pooling!r} must be one of "
+                      f"{', '.join(POOLING_VARIANTS)} or zero")
+        names = tuple(self.class_names)
+        frozen = ClassPromptSet.from_names(self.weights, names)
+        scoring = frozen
+        if self.prompts is not None:
+            scoring = ClassPromptSet.from_names(self.weights, names,
+                                                self.prompts.contexts[0])
+        lw = None
+        if self.pooling == "slip":
+            check_setting(self.tissues is not None,
+                          "slip pooling needs a tissue prompt set")
+            lw = log_tissue_wsi_similarity(frozen, self.tissues, self.tau)
+        object.__setattr__(self, "class_names", names)
+        object.__setattr__(self, "_frozen", frozen)
+        object.__setattr__(self, "_scoring", scoring)
+        object.__setattr__(self, "_lw", lw)
+
+    def scoring_classes(self) -> ClassPromptSet:
+        """Class prompts used on the text side of classification."""
+        return self._scoring
+
+    def pooling_classes(self) -> ClassPromptSet:
+        return self._frozen
+
+    def correlation(self, bag: WsiBag) -> np.ndarray:
+        """Patch-to-class correlation of one bag under slip pooling, C x N."""
+        return slip_correlation(bag.patches.data, self.tissues, self._lw,
+                                self.tau)
+
+    def features(self, bags) -> np.ndarray:
+        """Pooled features of a list of bags, B x C x d_v (not zero-shot)."""
+        if self.pooling == "slip":
+            return slip_features(bags, self.tissues, self._lw, self.tau)
+        if self.pooling == "topk":
+            return topk_features(bags, self._frozen, self.topk_k)
+        check_setting(self.pooling == "avg",
+                      "zero-shot scoring pools no slide feature")
+        return average_features(bags, self._frozen)
+
+    def slide_feature(self, bag: WsiBag) -> SlideFeature:
+        return SlideFeature(self.features([bag])[0].T)
+
+    def predict_bags(self, bags) -> np.ndarray:
+        """The predicted class of each bag in a list; zero-shot averages
+        each patch's softmax over the raw class names."""
+        if self.pooling == "zero":
+            return np.argmax(
+                zero_shot_probabilities(bags, self._frozen, self.tau), axis=1)
+        return classify(self.features(bags), self.scoring_classes())
+
+    def predict(self, bag: WsiBag) -> int:
+        return int(self.predict_bags([bag])[0])

@@ -2,7 +2,7 @@
 
 Only the prompt context is trainable. Slide features are pooled with
 context-free class prompts, so they stay constant during training and are
-pooled once, for all training bags in one call.
+pooled once, for all training bags in one call of the run's Pipeline.
 
 Every SGD step works in the token dimension d_t. The encoder mean-pools
 [context; tokens], so class c's embedding depends on the M context rows
@@ -50,14 +50,8 @@ from .errors import (
     ZeroVectorError,
     check_setting,
 )
-from .pooling import (
-    ClassPromptSet,
-    DEFAULT_TOPK,
-    POOLING_VARIANTS,
-    TissuePromptSet,
-    bag_features,
-    log_tissue_wsi_similarity,
-)
+from .pooling import DEFAULT_TOPK, POOLING_VARIANTS, Pipeline, \
+    TissuePromptSet
 
 DEFAULT_ENCODER_SEED = 42
 
@@ -95,6 +89,19 @@ class TrainConfig:
         return FrozenEncoderWeights.create(
             self.encoder_seed, d_t=self.d_t, d_v=d_v
         )
+
+    def pipeline(self, weights: FrozenEncoderWeights, tissue_descriptions,
+                 class_names, prompts: TrainedPrompts | None = None
+                 ) -> Pipeline:
+        """The Pipeline of these settings: the one place that encodes
+        tissue descriptions, which only slip pooling reads."""
+        tissues = (TissuePromptSet.from_descriptions(weights,
+                                                     tissue_descriptions)
+                   if self.pooling == "slip" else None)
+        return Pipeline(weights=weights, tissues=tissues,
+                        class_names=tuple(class_names), tau=self.tau,
+                        pooling=self.pooling, topk_k=self.topk_k,
+                        prompts=prompts)
 
 
 @dataclass(frozen=True)
@@ -149,16 +156,12 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     rng = np.random.default_rng(cfg.seed)
     ctx = PromptContext.init(rng, cfg.context_length, weights.d_t).vectors
 
-    tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
-    frozen_classes = ClassPromptSet.from_names(weights, class_names)
-    lw = log_tissue_wsi_similarity(frozen_classes, tissues, cfg.tau)
     proj = weights.projection
     gram = proj @ proj.T  # G
     # Per bag, rows [0, C) hold Q_b; each step writes h G into rows [C, 2C).
     stacks = np.empty((len(dataset), 2 * num_classes, weights.d_t))
-    stacks[:, :num_classes] = bag_features(
-        dataset, tissues, frozen_classes, cfg.pooling, cfg.tau, cfg.topk_k,
-        lw=lw) @ proj.T
+    stacks[:, :num_classes] = cfg.pipeline(
+        weights, tissue_descriptions, class_names).features(dataset) @ proj.T
     tok_sums, lengths = token_sums(weights, class_names, cfg.context_length)
     lengths = lengths.tolist()
     s0 = ctx.sum(axis=0)

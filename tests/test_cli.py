@@ -296,6 +296,44 @@ class TestEvalCommand:
         assert code == 2 and stdout == ""
         assert "one shared context" in err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("pooling", "bogus", "pooling"),
+        ("pooling", "zero", "pooling"),  # the report holds a context
+        ("topk_k", None, "topk_k"),
+        ("d_v", None, "d_v"),
+        ("tau", "abc", "tau = 'abc'"),
+        ("epochs", 2.5, "epochs = '2.5'"),
+        ("shots", 0, "shots must be >= 1"),
+    ], ids=["pooling-bogus", "pooling-zero", "no-topk_k", "no-d_v",
+            "tau-abc", "epochs-2.5", "shots-0"])
+    def test_malformed_report_config(self, synth_paths, capsys, key, value,
+                                     message):
+        # every setting is read back through the table train writes it by
+        report = self._train(synth_paths, capsys)
+        doc = json.loads(report.read_text())
+        if value is None:
+            del doc["config"][key]
+        else:
+            doc["config"][key] = value
+        report.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
+                                "--report", str(report))
+        assert code == 2, err
+        assert "internal error" not in err and stdout == ""
+        assert message in err
+
+    def test_zero_shot_switch_in_config(self, synth_paths, capsys):
+        flags = ["--data", synth_paths["data"]]
+        want = run(capsys, "eval", *flags, "--zero-shot",
+                   "--classes", synth_paths["classes"])
+        cfg = synth_paths["dir"] / "eval.cfg"
+        cfg.write_text(f"zero_shot = true\nclasses = {synth_paths['classes']}\n")
+        assert run(capsys, "eval", "--config", str(cfg), *flags) == want
+        cfg.write_text("zero_shot = yes\n")
+        code, stdout, err = run(capsys, "eval", "--config", str(cfg), *flags)
+        assert code == 2 and stdout == ""
+        assert "zero_shot = 'yes' must be one of true, false" in err
+
     def test_zero_shot(self, synth_paths, capsys):
         code, stdout, err = run(capsys, "eval",
                                 "--data", synth_paths["data"],
@@ -530,6 +568,45 @@ class TestOutOfRangeSettings:
                                 "--out", str(out))
         assert code == 2, err
         assert "internal error" not in err and stdout == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line, flags", [
+        ("epochs = 2.5", []), ("context_length = 2.5", []), ("dt = 8.5", []),
+        ("seed = 1.5", []), ("topk_k = 3.5", ["--pooling", "topk"]),
+        ("shots = 2.5", []), ("tau = abc", []),
+    ], ids=lambda x: x if isinstance(x, str) else "")
+    def test_train_config_file(self, synth_paths, capsys, line, flags):
+        # a --config value is parsed by its flag's own type, as on the
+        # command line; a seed of 1.5 is not trained as seed 1
+        cfg = synth_paths["dir"] / "train.cfg"
+        cfg.write_text(line + "\n")
+        report = synth_paths["dir"] / "r.json"
+        code, stdout, err = run(capsys, "train", "--config", str(cfg),
+                                "--data", synth_paths["data"],
+                                "--tissues", synth_paths["tissues"],
+                                "--classes", synth_paths["classes"],
+                                *(["--seed", "1"] if "seed" not in line
+                                  else []), *flags, "--out", str(report))
+        assert code == 2, err
+        assert "internal error" not in err and stdout == ""
+        flag = "--" + line.partition(" = ")[0].replace("_", "-")
+        assert f"argument {flag}: invalid" in err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("line, message", [
+        ("n_min = 2.5", "argument --n-min: invalid int value"),
+        ("num_classes = 2.5", "argument --num-classes: invalid int value"),
+        ("preset = bogus", "preset = 'bogus' must be one of needle"),
+    ])
+    def test_synth_config_file(self, tmp_path, capsys, line, message):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text(line + "\n")
+        out = tmp_path / "d.bin"
+        code, stdout, err = run(capsys, "synth", "--config", str(cfg),
+                                "--seed", "1", "--out", str(out))
+        assert code == 2, err
+        assert "internal error" not in err and stdout == ""
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("line, message", [

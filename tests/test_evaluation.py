@@ -6,15 +6,15 @@ import pytest
 from slipmil import core
 from slipmil import pooling as pooling_module
 from slipmil.core import EmbeddingMatrix, WsiBag
-from slipmil.errors import InsufficientBagsError
-from slipmil.evaluation import (
+from slipmil.errors import InsufficientBagsError, InvalidSettingError
+from slipmil.evaluation import evaluate, run_ablation, select_few_shot
+from slipmil.pooling import (
+    ClassPromptSet,
     Pipeline,
+    SlideFeature,
+    TissuePromptSet,
     classify,
-    evaluate,
-    run_ablation,
-    select_few_shot,
 )
-from slipmil.pooling import ClassPromptSet, SlideFeature, TissuePromptSet
 from slipmil.trainer import TrainConfig
 from slipmil.synth import generate, preset_spec
 
@@ -95,6 +95,8 @@ class TestSelectFewShot:
                 bag_with_patches(3, 1, "c"), bag_with_patches(6, 1, "d")]
         train, pool = select_few_shot(bags, 2)
         assert len(train) == 4 and pool == []
+        # "all" trains and evaluates on the whole dataset
+        assert select_few_shot(bags, "all") == (bags, bags)
 
     def test_tie_break_by_order(self):
         bags = [bag_with_patches(10, 0, "a"), bag_with_patches(7, 0, "b"),
@@ -227,6 +229,11 @@ class TestPipelineTissues:
         with pytest.raises(ValueError, match="tissue"):
             Pipeline(weights=weights, tissues=None,
                      class_names=ds.class_names, pooling="slip")
+
+    def test_unknown_pooling_rejected_at_construction(self, weights):
+        with pytest.raises(InvalidSettingError, match="bogus"):
+            Pipeline(weights=weights, tissues=None,
+                     class_names=("a", "b"), pooling="bogus")
 
 
 def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):

@@ -1,7 +1,8 @@
 """Package hygiene: runtime modules import only what they use, every
 function they define runs at runtime, the runtime package does not pull in
-test-only dependencies, and every training setting is reachable from the
-command line."""
+test-only dependencies, every training setting is reachable from the
+command line and stored in reports, and the text side of the model is
+built in one place."""
 import ast
 import dataclasses
 import os
@@ -122,6 +123,59 @@ class TestTrainSettingsReachCli:
                                  "TrainConfig")
         fields = {f.name for f in dataclasses.fields(TrainConfig)}
         assert sorted(fields - passed) == []
+
+    def test_every_train_config_field_is_a_report_setting(self):
+        # eval --report rebuilds the TrainConfig from these settings alone
+        from slipmil.cli import REPORT_SETTINGS
+        from slipmil.trainer import TrainConfig
+        fields = {f.name for f in dataclasses.fields(TrainConfig)}
+        stored = {field for field, _ in REPORT_SETTINGS.values()}
+        assert sorted(fields - stored) == []
+
+
+TEXT_SIDE = ("from_descriptions", "from_names", "log_tissue_wsi_similarity")
+
+
+def text_side_calls(source: str, allowed=None) -> list[str]:
+    """Calls of a TEXT_SIDE function, as "name (line n)", outside the
+    method `allowed` = (class name, method name)."""
+    tree = ast.parse(source)
+    skipped = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and allowed is not None \
+                and node.name == allowed[0]:
+            for method in node.body:
+                if (isinstance(method, ast.FunctionDef)
+                        and method.name == allowed[1]):
+                    skipped.update(map(id, ast.walk(method)))
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in skipped:
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in TEXT_SIDE:
+                calls.append(f"{name} (line {node.lineno})")
+    return sorted(calls)
+
+
+class TestOneTextSide:
+    """Tissue prompts, raw class prompts and S_wsi are built by the Pipeline
+    in pooling.py, from tissues that only TrainConfig.pipeline encodes."""
+
+    def test_detects_calls_outside_the_allowed_method(self):
+        source = ("class A:\n    def ok(self):\n"
+                  "        return T.from_descriptions(w, d)\n"
+                  "def f():\n    return log_tissue_wsi_similarity(c, t, 1)\n"
+                  "class B:\n    def ok(self):\n"
+                  "        return C.from_names(w, n)\n")
+        assert text_side_calls(source, ("A", "ok")) == [
+            "from_names (line 8)", "log_tissue_wsi_similarity (line 5)"]
+
+    @pytest.mark.parametrize("path", [p for p in MODULES
+                                      if p.name != "pooling.py"],
+                             ids=lambda p: p.name)
+    def test_runtime_module(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert text_side_calls(source, ("TrainConfig", "pipeline")) == []
 
 
 def _imported_modules(path: Path) -> set[str]:

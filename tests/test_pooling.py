@@ -9,12 +9,11 @@ from slipmil.errors import (
     NonPositiveTemperatureError,
     ZeroVectorError,
 )
-from slipmil.evaluation import classify
 from slipmil.pooling import (
     ClassPromptSet,
     TissuePromptSet,
     average_features,
-    bag_features,
+    classify,
     log_tissue_wsi_similarity,
     slip_correlation,
     slip_features,
@@ -417,7 +416,11 @@ RAGGED_SIZES = (1, 5, 1, 12, 3, 1, 30, 7)  # 60 patches
 def pool_list(pooling, bags, tissues, classes, lw, tau, k):
     if pooling == "zero":
         return zero_shot_probabilities(bags, classes, tau)
-    return bag_features(bags, tissues, classes, pooling, tau, k, lw)
+    if pooling == "slip":
+        return slip_features(bags, tissues, lw, tau)
+    if pooling == "topk":
+        return topk_features(bags, classes, k)
+    return average_features(bags, classes)
 
 
 def pool_reference(pooling, bag, tissues, classes, lw, tau, k):
