@@ -109,25 +109,6 @@ def int_or_all(raw: str):
     return "all" if raw == "all" else int(raw)
 
 
-def _context_payload(prompts: TrainedPrompts) -> dict:
-    return {
-        "shared": prompts.shared,
-        "vectors": [ctx.vectors.tolist() for ctx in prompts.contexts],
-    }
-
-
-def _prompts_from_payload(payload) -> TrainedPrompts:
-    if not isinstance(payload, dict) or "vectors" not in payload:
-        raise SchemaError("report has no trained context")
-    try:
-        contexts = [PromptContext(np.asarray(v, dtype=np.float64))
-                    for v in payload["vectors"]]
-        return TrainedPrompts(contexts,
-                              shared=bool(payload.get("shared", True)))
-    except ValueError as exc:
-        raise SchemaError(f"report context: {exc}") from exc
-
-
 def _write_prompt_file(path, lines, header):
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {header}\n")
@@ -182,6 +163,18 @@ def _setting(source, key, raw: str, cast, error=CliInputError):
         raise error(
             f"{source}: {key} = {raw!r} is not a valid {cast.__name__}"
         ) from exc
+
+
+def _train_config(source, values, settings, error=CliInputError):
+    """A TrainConfig from the `settings` (key -> (field, type)) in `values`,
+    each parsed from its text as a flag is, so an int of 2.5 fails; a key left
+    out takes its default. A bad value is an `error` naming `source`."""
+    try:
+        return TrainConfig(**{
+            field: _setting(source, key, str(values[key]), cast, error)
+            for key, (field, cast) in settings.items() if key in values})
+    except InvalidSettingError as exc:
+        raise error(f"{source}: {exc}") from exc
 
 
 def cmd_synth(args) -> None:
@@ -248,34 +241,51 @@ def cmd_train(args) -> None:
               for key, (field, _) in REPORT_SETTINGS.items()}
     config.update(d_v=bags[0].patches.cols, eval_pool_size=pool_size,
                   data=os.path.basename(args.data))
+    context = {"shared": prompts.shared,
+               "vectors": [c.vectors.tolist() for c in prompts.contexts]}
     write_report(args.out, config, history.records, metrics,
-                 class_names, tissue_descriptions,
-                 context=_context_payload(prompts))
+                 class_names, tissue_descriptions, context=context)
     print(json.dumps({"report": args.out, "metrics": metrics},
                      indent=2, sort_keys=True))
 
 
-def _report_config(path, doc):
-    """The report's TrainConfig and d_v, read through REPORT_SETTINGS. A
-    setting that is missing, does not parse or is out of range is a
-    SchemaError."""
+def _read_run(path, bags, num_classes):
+    """The run a train report stores, checked against the dataset `bags` of
+    `num_classes` classes: (TrainConfig, class names, tissue descriptions,
+    TrainedPrompts). Every malformed field is a SchemaError."""
+    doc, source = read_report(path), f"report {path}"
     block = doc["config"]
     if not isinstance(block, dict):
-        raise SchemaError(f"report {path}: config must be a JSON object")
-
-    def value(key, cast):
+        raise SchemaError(f"{source}: config must be a JSON object")
+    for key in (*REPORT_SETTINGS, "d_v"):
         if key not in block:
-            raise SchemaError(f"report {path}: config has no {key!r}")
-        # parsed from its text, as a flag value is: an int of 2.5 fails
-        return _setting(f"report {path}", key, str(block[key]), cast,
-                        SchemaError)
-
+            raise SchemaError(f"{source}: config has no {key!r}")
+    cfg = _train_config(source, block, REPORT_SETTINGS, SchemaError)
+    for key in ("class_names", "tissue_descriptions"):
+        if not (isinstance(doc[key], list) and doc[key] and all(
+                isinstance(s, str) and s.strip() for s in doc[key])):
+            raise SchemaError(f"{source}: {key} must be a non-empty list of "
+                              f"non-empty strings")
+    d_v = _setting(source, "d_v", str(block["d_v"]), int, SchemaError)
+    _check_dataset(bags, num_classes, doc["class_names"], source, d_v=d_v)
+    context = doc.get("context")
+    if not (isinstance(context, dict) and context.get("shared") is True
+            and isinstance(context.get("vectors"), list)
+            and len(context["vectors"]) == 1):
+        raise SchemaError(f"{source}: expected one shared context")
     try:
-        cfg = TrainConfig(**{field: value(key, cast)
-                             for key, (field, cast) in REPORT_SETTINGS.items()})
-    except InvalidSettingError as exc:
-        raise SchemaError(f"report {path}: {exc}") from exc
-    return cfg, value("d_v", int)
+        vectors = np.asarray(context["vectors"][0])
+    except ValueError as exc:
+        raise SchemaError(f"{source}: context is ragged") from exc
+    if vectors.shape == (0,):  # train writes a 0 x d_t context as []
+        vectors = vectors.reshape(0, cfg.d_t)
+    if (vectors.shape != (cfg.context_length, cfg.d_t)
+            or vectors.dtype.kind not in "iuf"
+            or not np.isfinite(vectors).all()):
+        raise SchemaError(f"{source}: context must be a finite context_length "
+                          f"x d_t = {cfg.context_length} x {cfg.d_t} matrix")
+    return (cfg, doc["class_names"], doc["tissue_descriptions"],
+            TrainedPrompts([PromptContext(vectors)]))
 
 
 def cmd_eval(args) -> None:
@@ -302,13 +312,10 @@ def cmd_eval(args) -> None:
         print(json.dumps({"mode": "zero-shot", "metrics": metrics},
                          indent=2, sort_keys=True))
         return
-    doc = read_report(args.report)
-    cfg, d_v = _report_config(args.report, doc)
-    _check_dataset(bags, num_classes, doc["class_names"],
-                   f"report {args.report}", d_v=d_v)
-    pipeline = cfg.pipeline(cfg.encoder_weights(d_v),
-                            doc["tissue_descriptions"], doc["class_names"],
-                            _prompts_from_payload(doc.get("context")))
+    cfg, class_names, tissue_descriptions, prompts = _read_run(
+        args.report, bags, num_classes)
+    pipeline = cfg.pipeline(cfg.encoder_weights(bags[0].patches.cols),
+                            tissue_descriptions, class_names, prompts)
     _, eval_bags = select_few_shot(bags, cfg.shots)
     metrics = evaluate(eval_bags, pipeline)
     print(json.dumps({"mode": "trained", "metrics": metrics},
@@ -357,10 +364,7 @@ def cmd_ablate(args) -> None:
                             f"expected {', '.join(POOLING_VARIANTS)} or zero")
     shots_list = _grid_list(args.grid, grid, "shots", int)
     seeds = _grid_list(args.grid, grid, "seeds", int)
-    base_cfg = TrainConfig(**{
-        field: _setting(args.grid, key, grid[key], cast)
-        for key, (field, cast) in GRID_SETTINGS.items() if key in grid
-    })
+    base_cfg = _train_config(args.grid, grid, GRID_SETTINGS)
     bags, num_classes = read_dataset(grid["data"])
     class_names = read_prompt_lines(grid["classes"])
     _check_dataset(bags, num_classes, class_names, f"grid {args.grid}")

@@ -37,13 +37,12 @@ DEFAULT_D_V = 32
 class Vocabulary:
     """Stable hashing tokenizer: lowercase, split on non-alphanumeric runs."""
 
-    hash_buckets: int = DEFAULT_HASH_BUCKETS
     seed: int = 0
 
     def token_id(self, token: str) -> int:
         key = (self.seed & 0xFFFFFFFFFFFFFFFF).to_bytes(8, "little")
         digest = hashlib.blake2b(token.encode("utf-8"), key=key, digest_size=8)
-        return int.from_bytes(digest.digest(), "little") % self.hash_buckets
+        return int.from_bytes(digest.digest(), "little") % DEFAULT_HASH_BUCKETS
 
     def tokenize(self, text: str) -> list[int]:
         return [self.token_id(t) for t in _TOKEN_RE.findall(text.lower())]
@@ -53,7 +52,7 @@ class Vocabulary:
 class FrozenEncoderWeights:
     """Seeded token table and projection; never modified after construction."""
 
-    token_table: np.ndarray  # hash_buckets x d_t
+    token_table: np.ndarray  # DEFAULT_HASH_BUCKETS x d_t
     projection: np.ndarray  # d_t x d_v
     vocab: Vocabulary
 

@@ -347,6 +347,3 @@ class Pipeline:
             return np.argmax(
                 zero_shot_probabilities(bags, self._frozen, self.tau), axis=1)
         return classify(self.features(bags), self.scoring_classes())
-
-    def predict(self, bag: WsiBag) -> int:
-        return int(self.predict_bags([bag])[0])

@@ -8,6 +8,8 @@ from slipmil.io_formats import read_dataset, read_report
 from slipmil.synth import SynthSpec, generate
 from slipmil.trainer import TrainConfig
 
+DROP = object()  # a parametrized value that deletes its key
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -281,46 +283,83 @@ class TestEvalCommand:
         assert code == 2 and stdout == ""
         assert "--report" in err and "--zero-shot" in err
 
-    @pytest.mark.parametrize("context", [
-        {"shared": False, "vectors": [[[0.0] * 16]]},
-        {"shared": True, "vectors": [[[0.0] * 16], [[0.0] * 16]]},
-    ], ids=["not-shared", "two-contexts"])
-    def test_report_needs_one_shared_context(self, synth_paths, capsys,
-                                             context):
-        report = self._train(synth_paths, capsys)
-        doc = json.loads(report.read_text())
-        doc["context"] = context
-        report.write_text(json.dumps(doc))
-        code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
-                                "--report", str(report))
-        assert code == 2 and stdout == ""
-        assert "one shared context" in err
-
-    @pytest.mark.parametrize("key, value, message", [
-        ("pooling", "bogus", "pooling"),
-        ("pooling", "zero", "pooling"),  # the report holds a context
-        ("topk_k", None, "topk_k"),
-        ("d_v", None, "d_v"),
-        ("tau", "abc", "tau = 'abc'"),
-        ("epochs", 2.5, "epochs = '2.5'"),
-        ("shots", 0, "shots must be >= 1"),
-    ], ids=["pooling-bogus", "pooling-zero", "no-topk_k", "no-d_v",
-            "tau-abc", "epochs-2.5", "shots-0"])
-    def test_malformed_report_config(self, synth_paths, capsys, key, value,
+    @pytest.mark.parametrize("path, value, message", [
+        (("config",), [], "config must be a JSON object"),
+        (("config", "pooling"), "bogus", "pooling"),
+        (("config", "pooling"), "zero", "pooling"),  # it holds a context
+        (("config", "topk_k"), DROP, "topk_k"),
+        (("config", "d_v"), DROP, "d_v"),
+        (("config", "tau"), "abc", "tau = 'abc'"),
+        (("config", "epochs"), 2.5, "epochs = '2.5'"),
+        (("config", "shots"), 0, "shots must be >= 1"),
+        (("config", "d_v"), 24, "d_v=24"),
+        (("class_names",), "abc", "class_names must be"),
+        (("class_names",), [1, 2, 3], "class_names must be"),
+        (("class_names",), [], "class_names must be"),
+        (("class_names",), ["a", " ", "c"], "class_names must be"),
+        (("class_names",), ["a", "b"], "declares 3 classes"),
+        (("tissue_descriptions",), [5], "tissue_descriptions must be"),
+        (("tissue_descriptions",), "gland", "tissue_descriptions must be"),
+        (("context",), None, "one shared context"),
+        (("context",), {"shared": True}, "one shared context"),
+        (("context",), {"vectors": [[[0.0] * 16] * 4]}, "one shared context"),
+        (("context",), {"shared": False, "vectors": [[[0.0] * 16] * 4]},
+         "one shared context"),
+        (("context",), {"shared": True, "vectors": [[[0.0] * 16] * 4] * 2},
+         "one shared context"),
+        (("context", "vectors"), [[[1.0] * 16] * 3 + [[1.0] * 15]],
+         "context is ragged"),
+        (("context", "vectors"), [[[1.0]]], "4 x 16 matrix"),
+        (("context", "vectors"), [[[[1.0] * 16] * 4]], "4 x 16 matrix"),
+        (("context", "vectors"), [[[1.0] * 16] * 3], "4 x 16 matrix"),
+        (("context", "vectors"), [[]], "4 x 16 matrix"),
+        (("context", "vectors"), [[[float("nan")] * 16] * 4], "finite"),
+        (("context", "vectors"), [[["1.0"] * 16] * 4], "finite"),
+        (("context", "vectors"), [[[None] * 16] * 4], "finite"),
+    ], ids=["config-list", "pooling-bogus", "pooling-zero", "no-topk_k",
+            "no-d_v", "tau-abc", "epochs-2.5", "shots-0", "d_v-mismatch",
+            "classes-str", "classes-int", "classes-empty",
+            "classes-blank-name", "classes-count", "tissues-int",
+            "tissues-str", "no-context", "no-vectors", "no-shared",
+            "not-shared", "two-contexts", "ragged", "context-1x1",
+            "context-3d", "context-3x16", "context-empty", "context-nan",
+            "context-str", "context-null"])
+    def test_malformed_report_config(self, synth_paths, capsys, path, value,
                                      message):
-        # every setting is read back through the table train writes it by
+        # every field train writes is checked when eval reads it back
         report = self._train(synth_paths, capsys)
         doc = json.loads(report.read_text())
-        if value is None:
-            del doc["config"][key]
+        *parents, key = path
+        block = doc
+        for parent in parents:
+            block = block[parent]
+        if value is DROP:
+            del block[key]
         else:
-            doc["config"][key] = value
+            block[key] = value
         report.write_text(json.dumps(doc))
         code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
                                 "--report", str(report))
         assert code == 2, err
         assert "internal error" not in err and stdout == ""
         assert message in err
+
+    def test_context_length_zero_round_trip(self, synth_paths, capsys):
+        # train stores a 0 x d_t context as [], which eval reads back
+        report = synth_paths["dir"] / "r.json"
+        code, stdout, err = run(capsys, "train", "--data", synth_paths["data"],
+                                "--tissues", synth_paths["tissues"],
+                                "--classes", synth_paths["classes"],
+                                "--shots", "2", "--epochs", "1",
+                                "--context-length", "0",
+                                "--seed", "1", "--out", str(report))
+        assert code == 0, err
+        assert read_report(report)["context"]["vectors"] == [[]]
+        train_metrics = json.loads(stdout)["metrics"]
+        code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
+                                "--report", str(report))
+        assert code == 0, err
+        assert json.loads(stdout)["metrics"] == train_metrics
 
     def test_zero_shot_switch_in_config(self, synth_paths, capsys):
         flags = ["--data", synth_paths["data"]]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from slipmil.encoder import (
+    DEFAULT_HASH_BUCKETS,
     FrozenEncoderWeights,
     PromptContext,
     Vocabulary,
@@ -57,9 +58,9 @@ class TestTokenize:
                 != Vocabulary(seed=1).tokenize("gland"))
 
     def test_ids_within_buckets(self):
-        v = Vocabulary(hash_buckets=17)
-        ids = v.tokenize("lepidic acinar solid papillary micropapillary")
-        assert all(0 <= i < 17 for i in ids)
+        ids = Vocabulary().tokenize(
+            "lepidic acinar solid papillary micropapillary")
+        assert all(0 <= i < DEFAULT_HASH_BUCKETS for i in ids)
 
 
 class TestEncodeText:

@@ -225,7 +225,8 @@ class TestPipelineTissues:
                                class_names=ds.class_names, pooling=pooling)
             with_set = Pipeline(weights=weights, tissues=tissues,
                                 class_names=ds.class_names, pooling=pooling)
-            assert without.predict(bag) == with_set.predict(bag)
+            assert (without.predict_bags([bag])[0]
+                    == with_set.predict_bags([bag])[0])
         with pytest.raises(ValueError, match="tissue"):
             Pipeline(weights=weights, tissues=None,
                      class_names=ds.class_names, pooling="slip")
@@ -262,7 +263,7 @@ def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
                                  core.EmbeddingMatrix.__post_init__))
     for bag in ds.bags:
         for pipeline in pipelines:
-            pipeline.predict(bag)
+            pipeline.predict_bags([bag])[0]
     assert counts == {}
 
     groups = []

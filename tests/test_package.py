@@ -1,8 +1,9 @@
 """Package hygiene: runtime modules import only what they use, every
-function they define runs at runtime, the runtime package does not pull in
-test-only dependencies, every training setting is reachable from the
-command line and stored in reports, and the text side of the model is
-built in one place."""
+function and public method they define runs at runtime or in the
+benchmark, the benchmark's view of the package exists, the runtime package
+does not pull in test-only dependencies, every training setting is
+reachable from the command line and stored in reports, and the text side
+of the model is built in one place."""
 import ast
 import dataclasses
 import os
@@ -15,6 +16,7 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 MODULES = sorted(p for p in (SRC / "slipmil").glob("*.py")
                  if p.name != "__init__.py")
+PERFBENCH = SRC.parent / "perfbench"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,20 +51,28 @@ class TestUnusedImports:
         assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def unreferenced_functions(sources: dict) -> list[str]:
-    """Module-level functions, as "module.name", that no module's code
-    reads by name or attribute; `sources` maps module names to source."""
+def unreferenced_functions(sources: dict, *callers: str) -> list[str]:
+    """Module-level functions, as "module.name", and public methods and
+    properties of module-level classes, as "module.Class.name", that no
+    code in `sources` (module name -> source) or in the `callers` sources
+    reads by name or attribute."""
     defined, used = [], set()
     for module, source in sources.items():
-        tree = ast.parse(source)
-        defined += [(module, node.name) for node in tree.body
-                    if isinstance(node, ast.FunctionDef)]
-        for node in ast.walk(tree):
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                defined.append((f"{module}.{node.name}", node.name))
+            elif isinstance(node, ast.ClassDef):
+                defined += [(f"{module}.{node.name}.{m.name}", m.name)
+                            for m in node.body
+                            if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_")]
+    for source in [*sources.values(), *callers]:
+        for node in ast.walk(ast.parse(source)):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
-    return sorted(f"{module}.{name}" for module, name in defined
+    return sorted(qualified for qualified, name in defined
                   if name not in used)
 
 
@@ -73,11 +83,59 @@ class TestRuntimeFunctionsHaveCallers:
                    "b": "import a\ndef h():\n    return a.f()\n"}
         assert unreferenced_functions(sources) == ["b.h"]
 
+    def test_detects_unreferenced_method(self):
+        sources = {"a": "class C:\n    def used(self):\n"
+                        "        return self.size\n"
+                        "    @property\n    def size(self):\n"
+                        "        return 1\n"
+                        "    def _private(self):\n        return 2\n"
+                        "    def unused(self):\n        return 3\n"
+                        "    def benched(self):\n        return 4\n"}
+        bench = "def run(c):\n    return c.used(), c.benched()\n"
+        assert unreferenced_functions(sources, bench) == ["a.C.unused"]
+        assert unreferenced_functions(sources) == ["a.C.benched",
+                                                   "a.C.unused", "a.C.used"]
+
     def test_runtime_modules(self):
-        # a function only tests call belongs in tests/oracles.py
+        # a function only tests call belongs in tests/oracles.py; the
+        # benchmark's calls count, since it measures the public API
         sources = {path.stem: path.read_text(encoding="utf-8")
                    for path in MODULES}
-        assert unreferenced_functions(sources) == []
+        bench = [path.read_text(encoding="utf-8")
+                 for path in sorted(PERFBENCH.glob("*.py"))]
+        assert unreferenced_functions(sources, *bench) == []
+
+
+class TestBenchmarkSurface:
+    """perfbench/ drives the package through the names below; they change
+    only together with it."""
+
+    def test_read_report_accepts_partial_report(self, tmp_path):
+        # large-bag-scoring writes a config of encoder_seed and tau alone
+        # and no metrics, then reads the context back itself
+        from slipmil.io_formats import read_report, write_report
+        path = tmp_path / "prompts.json"
+        context = {"shared": True, "vectors": [[[0.5] * 16] * 4]}
+        write_report(path, {"encoder_seed": 0, "tau": 0.01}, [[0, 0, 1.5]],
+                     {}, ["a", "b"], ["t"], context=context)
+        doc = read_report(path)
+        assert doc["config"] == {"encoder_seed": 0, "tau": 0.01}
+        assert doc["metrics"] == {} and doc["context"] == context
+
+    def test_workload_attributes_exist(self):
+        import slipmil
+        from slipmil import cli, evaluation, io_formats
+        modules = {"slipmil": slipmil, "cli": cli, "evaluation": evaluation,
+                   "io_formats": io_formats}
+        tree = ast.parse((PERFBENCH / "workloads.py").read_text(
+            encoding="utf-8"))
+        read = {(node.value.id, node.attr) for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules}
+        assert ("io_formats", "read_report") in read  # the walk sees reads
+        assert sorted(f"{m}.{a}" for m, a in read
+                      if not hasattr(modules[m], a)) == []
 
 
 class TestTestOnlyDependencies:
