@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .encoder import FrozenEncoderWeights, PromptContext
+from .encoder import PromptContext
 from .errors import InvalidSettingError, SchemaError, SlipError
 from .evaluation import evaluate, run_ablation, run_single, select_few_shot
 from .io_formats import (
@@ -23,7 +23,7 @@ from .io_formats import (
     write_dataset,
     write_report,
 )
-from .pooling import POOLING_VARIANTS, Pipeline
+from .pooling import POOLING_VARIANTS
 from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import TrainConfig, TrainedPrompts
 
@@ -177,6 +177,16 @@ def _train_config(source, values, settings, error=CliInputError):
         raise error(f"{source}: {exc}") from exc
 
 
+def _flag_config(args, **fixed) -> TrainConfig:
+    """The TrainConfig of a command's setting flags, named as the keys of
+    REPORT_SETTINGS but --dt for d_t: each flag the command has (and was
+    given, if it can be left unset) sets its field, and `fixed` overrides."""
+    flags = {field: {"d_t": "dt"}.get(key, key)
+             for key, (field, _) in REPORT_SETTINGS.items()}
+    return TrainConfig(**{field: getattr(args, flag) for field, flag
+                          in flags.items() if hasattr(args, flag)} | fixed)
+
+
 def cmd_synth(args) -> None:
     seed = _require_seed(args.seed)
     given = _given(args, SPEC_FLAGS)
@@ -219,17 +229,8 @@ def cmd_synth(args) -> None:
     print(json.dumps(summary, indent=2, sort_keys=True))
 
 
-def _train_config_from_args(args, seed) -> TrainConfig:
-    return TrainConfig(
-        tau=args.tau, learning_rate=args.lr, epochs=args.epochs,
-        shots=args.shots, seed=seed, pooling=args.pooling,
-        context_length=args.context_length, d_t=args.dt,
-        encoder_seed=args.encoder_seed, topk_k=args.topk_k,
-    )
-
-
 def cmd_train(args) -> None:
-    cfg = _train_config_from_args(args, _require_seed(args.seed))
+    cfg = _flag_config(args, seed=_require_seed(args.seed))
     bags, num_classes = read_dataset(args.data)
     tissue_descriptions = read_prompt_lines(args.tissues)
     class_names = read_prompt_lines(args.classes)
@@ -261,6 +262,9 @@ def _read_run(path, bags, num_classes):
         if key not in block:
             raise SchemaError(f"{source}: config has no {key!r}")
     cfg = _train_config(source, block, REPORT_SETTINGS, SchemaError)
+    if cfg.pooling not in POOLING_VARIANTS:
+        raise SchemaError(f"{source}: pooling {cfg.pooling!r} trains no "
+                          f"context; expected {', '.join(POOLING_VARIANTS)}")
     for key in ("class_names", "tissue_descriptions"):
         if not (isinstance(doc[key], list) and doc[key] and all(
                 isinstance(s, str) and s.strip() for s in doc[key])):
@@ -299,27 +303,19 @@ def cmd_eval(args) -> None:
     if args.zero_shot:
         if "classes" not in given:
             raise CliInputError("--zero-shot requires --classes")
+        cfg, tissue_descriptions, prompts = (
+            _flag_config(args, pooling="zero"), (), None)
         class_names = read_prompt_lines(given["classes"])
         _check_dataset(bags, num_classes, class_names, "--classes")
-        weights = FrozenEncoderWeights.create(
-            given.get("encoder_seed", TrainConfig.encoder_seed),
-            d_t=given.get("dt", TrainConfig.d_t), d_v=bags[0].patches.cols)
-        pipeline = Pipeline(weights=weights, tissues=None,
-                            class_names=tuple(class_names),
-                            tau=given.get("tau", TrainConfig.tau),
-                            pooling="zero")
-        metrics = evaluate(bags, pipeline)
-        print(json.dumps({"mode": "zero-shot", "metrics": metrics},
-                         indent=2, sort_keys=True))
-        return
-    cfg, class_names, tissue_descriptions, prompts = _read_run(
-        args.report, bags, num_classes)
+    else:
+        cfg, class_names, tissue_descriptions, prompts = _read_run(
+            args.report, bags, num_classes)
     pipeline = cfg.pipeline(cfg.encoder_weights(bags[0].patches.cols),
                             tissue_descriptions, class_names, prompts)
     _, eval_bags = select_few_shot(bags, cfg.shots)
     metrics = evaluate(eval_bags, pipeline)
-    print(json.dumps({"mode": "trained", "metrics": metrics},
-                     indent=2, sort_keys=True))
+    print(json.dumps({"mode": "zero-shot" if args.zero_shot else "trained",
+                      "metrics": metrics}, indent=2, sort_keys=True))
 
 
 def _format_table(rows) -> str:
@@ -358,10 +354,6 @@ def cmd_ablate(args) -> None:
             raise CliInputError(f"grid file missing required key {key!r}")
     _reject_unknown_keys(args.grid, grid, GRID_REQUIRED + tuple(GRID_SETTINGS))
     poolings = _grid_list(args.grid, grid, "poolings")
-    bad = sorted(set(poolings) - set(POOLING_VARIANTS + ("zero",)))
-    if bad:
-        raise CliInputError(f"{args.grid}: unknown pooling(s) {bad}; "
-                            f"expected {', '.join(POOLING_VARIANTS)} or zero")
     shots_list = _grid_list(args.grid, grid, "shots", int)
     seeds = _grid_list(args.grid, grid, "seeds", int)
     base_cfg = _train_config(args.grid, grid, GRID_SETTINGS)
@@ -387,8 +379,7 @@ def cmd_heatmap(args) -> None:
     if not 0 <= args.bag < len(bags):
         raise CliInputError(f"--bag {args.bag} outside [0, {len(bags)})")
     bag = bags[args.bag]
-    cfg = TrainConfig(tau=args.tau, d_t=args.dt,
-                      encoder_seed=args.encoder_seed)
+    cfg = _flag_config(args)
     corr = cfg.pipeline(cfg.encoder_weights(bag.patches.cols),
                         read_prompt_lines(args.tissues),
                         read_prompt_lines(args.classes)).correlation(bag)

@@ -31,6 +31,7 @@ _TOKEN_RE = re.compile(r"[0-9a-z]+")
 DEFAULT_HASH_BUCKETS = 4096
 DEFAULT_D_T = 16
 DEFAULT_D_V = 32
+DEFAULT_ENCODER_SEED = 42
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,8 @@ def encode_text(weights: FrozenEncoderWeights, text: str,
     h = seq.mean(axis=0)
     e = h @ weights.projection
     n = np.linalg.norm(e)
-    if n < NORM_EPS:
-        raise ZeroVectorError(f"projected embedding norm {n:.3e} < 1e-12")
+    if not NORM_EPS <= n < np.inf:
+        raise ZeroVectorError(f"embedding norm {n:.3e} not in [1e-12, inf)")
     return e / n
 
 

@@ -19,7 +19,8 @@ def check_setting(ok: bool, message: str) -> None:
 
 
 class ZeroVectorError(SlipError):
-    """A vector that must be normalizable has norm below 1e-12."""
+    """A vector that must be normalizable has a norm below 1e-12 or one
+    that is not finite."""
 
 
 class DimensionMismatchError(SlipError):

@@ -97,35 +97,37 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
 
     `tissue_sets` is a list of (name, descriptions). Pooling "zero" skips
     training and reads no tissues: it scores the whole dataset once, and
-    every zero row carries those metrics.
+    every zero row carries those metrics. Every row's settings, and each
+    trained row's split, are checked before any row trains.
     """
     dataset = list(dataset)
-    if set(poolings) != {"zero"}:  # check every split before any row trains
-        for shots in shots_list:
-            select_few_shot(dataset, replace(base_cfg, shots=int(shots)).shots)
+    cfgs = {(pooling, shots, seed): replace(base_cfg, pooling=pooling,
+                                            shots=int(shots), seed=int(seed))
+            for pooling in poolings for shots in shots_list for seed in seeds}
+    for shots in dict.fromkeys(cfg.shots for cfg in cfgs.values()
+                               if cfg.pooling != "zero"):
+        select_few_shot(dataset, shots)
     if "zero" in poolings:
-        zero_metrics = evaluate(dataset, Pipeline(
-            weights=base_cfg.encoder_weights(dataset[0].patches.cols),
-            tissues=None, class_names=class_names, tau=base_cfg.tau,
-            pooling="zero"))
+        zero = replace(base_cfg, pooling="zero")
+        zero_metrics = evaluate(dataset, zero.pipeline(
+            zero.encoder_weights(dataset[0].patches.cols), (), class_names))
     rows = []
     for pooling in poolings:
         for shots in shots_list:
             for tissue_name, descriptions in tissue_sets:
                 for seed in seeds:
+                    cfg = cfgs[pooling, shots, seed]
                     row = {
                         "pooling": pooling,
-                        "shots": int(shots),
+                        "shots": cfg.shots,
                         "tissue_set": tissue_name,
                         "num_tissue_types": len(descriptions),
-                        "seed": int(seed),
+                        "seed": cfg.seed,
                     }
                     if pooling == "zero":
                         metrics = zero_metrics
                         row["final_loss"] = 0.0
                     else:
-                        cfg = replace(base_cfg, pooling=pooling,
-                                      shots=int(shots), seed=int(seed))
                         _, history, metrics, _ = run_single(
                             dataset, class_names, descriptions, cfg
                         )

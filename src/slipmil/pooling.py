@@ -31,7 +31,8 @@ if TYPE_CHECKING:
 
 DEFAULT_TOPK = 16
 
-POOLING_VARIANTS = ("slip", "topk", "avg")
+POOLING_VARIANTS = ("slip", "topk", "avg")  # the poolings that train
+POOLINGS = POOLING_VARIANTS + ("zero",)
 
 GROUP_PATCHES = 4096  # most patches pooled in one array pass
 
@@ -291,14 +292,13 @@ class Pipeline:
     tissues: TissuePromptSet | None
     class_names: tuple
     tau: float = 0.01
-    pooling: str = "slip"  # one of POOLING_VARIANTS, or zero
+    pooling: str = "slip"  # one of POOLINGS
     topk_k: int = DEFAULT_TOPK
     prompts: TrainedPrompts | None = None
 
     def __post_init__(self):
-        check_setting(self.pooling in POOLING_VARIANTS + ("zero",),
-                      f"pooling {self.pooling!r} must be one of "
-                      f"{', '.join(POOLING_VARIANTS)} or zero")
+        check_setting(self.pooling in POOLINGS, f"pooling {self.pooling!r} "
+                      f"must be one of {', '.join(POOLINGS)}")
         names = tuple(self.class_names)
         frozen = ClassPromptSet.from_names(self.weights, names)
         scoring = frozen

@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_D_V, EmbeddingMatrix, WsiBag
-from .encoder import DEFAULT_D_T, DEFAULT_D_V, FrozenEncoderWeights, \
-    encode_text
+from .encoder import DEFAULT_D_T, DEFAULT_D_V, DEFAULT_ENCODER_SEED, \
+    FrozenEncoderWeights, encode_text
 from .errors import RejectionExhaustedError, check_setting
-from .trainer import DEFAULT_ENCODER_SEED
 
 MAX_SEPARATION_COSINE = 0.3
 _REJECTION_TRIES = 200
@@ -61,7 +60,10 @@ class SynthSpec:
                       "need at least one tissue per class")
         check_setting(0 < self.signal_fraction <= 1,
                       "signal_fraction must be in (0, 1]")
-        check_setting(self.noise_sigma >= 0, "noise_sigma must be >= 0")
+        check_setting(0 <= self.noise_sigma < math.inf,
+                      "noise_sigma must be in [0, inf)")
+        for name in ("seed", "encoder_seed"):
+            check_setting(getattr(self, name) >= 0, f"{name} must be >= 0")
         check_setting(1 <= self.d_v <= MAX_D_V,
                       f"d_v={self.d_v} must be in [1, {MAX_D_V}]")
         lo, hi = self.n_range

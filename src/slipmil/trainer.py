@@ -12,7 +12,8 @@ sum, L_c = M + n_tokens_c), P the d_t x d_v projection and G = P P^T:
     e_c = h_c P / nu_c,  nu_c = sqrt(h_c G h_c^T) = |h_c P|.
 
 nu_c is computed from h_c as written, so a class whose nu_c / L_c falls
-below 1e-12 raises ZeroVectorError where encode_text would.
+below 1e-12, or whose nu_c overflows, raises ZeroVectorError where
+encode_text would.
 
 A training bag with pooled feature F_b (d_v x C) enters only through
 Q_b = F_b^T P^T (C x d_t): its pair logits are z[i, c] = Q_b[i] . h_c / nu_c.
@@ -31,7 +32,7 @@ loop matches to rounding (`infonce_loss`, `infonce_grad`,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import exp, log, log1p, sqrt
+from math import exp, inf, log, log1p, sqrt
 from operator import mul
 
 import numpy as np
@@ -39,6 +40,7 @@ import numpy as np
 from .core import NORM_EPS
 from .encoder import (
     DEFAULT_D_T,
+    DEFAULT_ENCODER_SEED,
     FrozenEncoderWeights,
     PromptContext,
     token_sums,
@@ -50,10 +52,7 @@ from .errors import (
     ZeroVectorError,
     check_setting,
 )
-from .pooling import DEFAULT_TOPK, POOLING_VARIANTS, Pipeline, \
-    TissuePromptSet
-
-DEFAULT_ENCODER_SEED = 42
+from .pooling import DEFAULT_TOPK, POOLINGS, Pipeline, TissuePromptSet
 
 
 @dataclass(frozen=True)
@@ -73,12 +72,15 @@ class TrainConfig:
     topk_k: int = DEFAULT_TOPK
 
     def __post_init__(self):
-        check_setting(self.tau > 0, f"tau={self.tau} must be > 0")
-        check_setting(self.learning_rate >= 0,
-                      f"learning rate {self.learning_rate} must be >= 0")
+        check_setting(0 < self.tau < inf,
+                      f"tau={self.tau} must be in (0, inf)")
+        check_setting(0 <= self.learning_rate < inf, f"learning rate "
+                      f"{self.learning_rate} must be in [0, inf)")
         check_setting(self.epochs >= 1, f"epochs={self.epochs} must be >= 1")
-        check_setting(self.pooling in POOLING_VARIANTS,
-                      f"pooling must be one of {POOLING_VARIANTS}")
+        check_setting(self.pooling in POOLINGS, f"pooling {self.pooling!r} "
+                      f"must be one of {', '.join(POOLINGS)}")
+        for name in ("seed", "encoder_seed"):
+            check_setting(getattr(self, name) >= 0, f"{name} must be >= 0")
         check_setting(self.context_length >= 0,
                       f"context_length={self.context_length} must be >= 0")
         check_setting(self.topk_k >= 1, f"topk_k={self.topk_k} must be >= 1")
@@ -93,8 +95,9 @@ class TrainConfig:
     def pipeline(self, weights: FrozenEncoderWeights, tissue_descriptions,
                  class_names, prompts: TrainedPrompts | None = None
                  ) -> Pipeline:
-        """The Pipeline of these settings: the one place that encodes
-        tissue descriptions, which only slip pooling reads."""
+        """The Pipeline of these settings, zero-shot included: the one
+        place that encodes tissue descriptions, which only slip pooling
+        reads."""
         tissues = (TissuePromptSet.from_descriptions(weights,
                                                      tissue_descriptions)
                    if self.pooling == "slip" else None)
@@ -199,9 +202,9 @@ def _infonce_coefficients(products: list, label: int, tau: float,
     nus = [sqrt(q) if q > 0.0 else 0.0
            for q in products[pairs::num_classes + 1]]
     for nu, length in zip(nus, lengths):
-        if nu < NORM_EPS * length:
-            raise ZeroVectorError(
-                f"projected embedding norm {nu / length:.3e} < 1e-12")
+        if not NORM_EPS * length <= nu < inf:
+            raise ZeroVectorError(f"embedding norm {nu / length:.3e} not in "
+                                  "[1e-12, inf)")
     inv = [1.0 / nu for nu in nus]
     k = [v / tau for v in inv] * num_classes  # 1 / (tau nu_c) at i * C + c
     zs = list(map(mul, products, k))  # z / tau; map stops after C * C

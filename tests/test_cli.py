@@ -9,6 +9,7 @@ from slipmil.synth import SynthSpec, generate
 from slipmil.trainer import TrainConfig
 
 DROP = object()  # a parametrized value that deletes its key
+OVERFLOWS = pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 
 
 def run(capsys, *argv):
@@ -29,6 +30,17 @@ def synth_paths(tmp_path, capsys):
         "classes": str(out) + ".classes.txt",
         "dir": tmp_path,
     }
+
+
+def train_report(synth_paths, capsys):
+    report = synth_paths["dir"] / "r.json"
+    code, _, err = run(capsys, "train", "--data", synth_paths["data"],
+                       "--tissues", synth_paths["tissues"],
+                       "--classes", synth_paths["classes"],
+                       "--shots", "2", "--epochs", "1",
+                       "--seed", "1", "--out", str(report))
+    assert code == 0, err
+    return report
 
 
 class TestSynthCommand:
@@ -175,6 +187,21 @@ class TestTrainCommand:
         assert doc["config"]["shots"] == 1
         assert doc["config"]["seed"] == 9
 
+    @OVERFLOWS
+    def test_overflowing_step_exits_2(self, synth_paths, capsys):
+        # a learning rate so large that a class embedding norm overflows
+        # used to train a zero prompt and exit 0
+        report = synth_paths["dir"] / "r.json"
+        code, stdout, err = run(capsys, "train",
+                                "--data", synth_paths["data"],
+                                "--tissues", synth_paths["tissues"],
+                                "--classes", synth_paths["classes"],
+                                "--shots", "4", "--epochs", "5",
+                                "--lr", "1e200", "--seed", "0",
+                                "--out", str(report))
+        assert code == 2 and stdout == "" and not report.exists()
+        assert "norm inf" in err and "internal error" not in err
+
     def test_config_file_unknown_keys(self, synth_paths, capsys):
         # typos must not fall back silently to the flag defaults
         cfg = synth_paths["dir"] / "typo.cfg"
@@ -244,19 +271,9 @@ class TestEvalCommand:
         assert code == 2
         assert message in err and stdout == ""
 
-    def _train(self, synth_paths, capsys):
-        report = synth_paths["dir"] / "r.json"
-        code, _, err = run(capsys, "train", "--data", synth_paths["data"],
-                           "--tissues", synth_paths["tissues"],
-                           "--classes", synth_paths["classes"],
-                           "--shots", "2", "--epochs", "1",
-                           "--seed", "1", "--out", str(report))
-        assert code == 0, err
-        return report
-
     def test_report_rejects_zero_shot_flags(self, synth_paths, capsys):
         # the report fixes tau, d_t, the encoder and the class names
-        report = self._train(synth_paths, capsys)
+        report = train_report(synth_paths, capsys)
         code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
                                 "--report", str(report), "--tau", "5",
                                 "--dt", "3", "--encoder-seed", "9",
@@ -267,7 +284,7 @@ class TestEvalCommand:
 
     def test_report_rejects_zero_shot_key_in_config(self, synth_paths,
                                                     capsys):
-        report = self._train(synth_paths, capsys)
+        report = train_report(synth_paths, capsys)
         cfg = synth_paths["dir"] / "eval.cfg"
         cfg.write_text("tau = 5\n")
         code, stdout, err = run(capsys, "eval", "--config", str(cfg),
@@ -277,7 +294,7 @@ class TestEvalCommand:
         assert "--tau" in err
 
     def test_report_and_zero_shot_exclusive(self, synth_paths, capsys):
-        report = self._train(synth_paths, capsys)
+        report = train_report(synth_paths, capsys)
         code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
                                 "--report", str(report), "--zero-shot")
         assert code == 2 and stdout == ""
@@ -316,6 +333,8 @@ class TestEvalCommand:
         (("context", "vectors"), [[[float("nan")] * 16] * 4], "finite"),
         (("context", "vectors"), [[["1.0"] * 16] * 4], "finite"),
         (("context", "vectors"), [[[None] * 16] * 4], "finite"),
+        pytest.param(("context", "vectors"), [[[1e200] * 16] * 4], "norm inf",
+                     marks=OVERFLOWS),
     ], ids=["config-list", "pooling-bogus", "pooling-zero", "no-topk_k",
             "no-d_v", "tau-abc", "epochs-2.5", "shots-0", "d_v-mismatch",
             "classes-str", "classes-int", "classes-empty",
@@ -323,11 +342,11 @@ class TestEvalCommand:
             "tissues-str", "no-context", "no-vectors", "no-shared",
             "not-shared", "two-contexts", "ragged", "context-1x1",
             "context-3d", "context-3x16", "context-empty", "context-nan",
-            "context-str", "context-null"])
+            "context-str", "context-null", "context-overflows"])
     def test_malformed_report_config(self, synth_paths, capsys, path, value,
                                      message):
         # every field train writes is checked when eval reads it back
-        report = self._train(synth_paths, capsys)
+        report = train_report(synth_paths, capsys)
         doc = json.loads(report.read_text())
         *parents, key = path
         block = doc
@@ -577,9 +596,72 @@ class TestParserSurface:
         assert "unrecognized arguments: --dv 32" in err
 
 
+FILES = "--data {data} --tissues {tissues} --classes {classes}"
+ZERO_SHOT = "eval --data {data} --zero-shot --classes {classes}"
+HEATMAP = f"heatmap {FILES} --bag 0 --class-index 0 --out-prefix {{dir}}/o"
+GRID = "ablate --grid {dir}/grid.cfg --out {dir}/o"
+REPORT = "eval --data {data} --report {dir}/r.json"
+# command line, then the grid line or report setting that is out of range
+OUT_OF_RANGE = [
+    pytest.param("synth --seed -1 --out {dir}/o", None, id="synth-seed"),
+    pytest.param("synth --seed 1 --encoder-seed -3 --out {dir}/o", None,
+                 id="synth-encoder-seed"),
+    pytest.param("synth --seed 1 --noise-sigma inf --out {dir}/o", None,
+                 id="synth-noise-sigma"),
+    pytest.param(f"train {FILES} --seed -1 --out {{dir}}/o", None,
+                 id="train-seed"),
+    pytest.param(f"train {FILES} --seed 1 --encoder-seed -3 --out {{dir}}/o",
+                 None, id="train-encoder-seed"),
+    pytest.param(f"train {FILES} --seed 1 --tau inf --out {{dir}}/o", None,
+                 id="train-tau"),
+    pytest.param(f"train {FILES} --seed 1 --lr inf --out {{dir}}/o", None,
+                 id="train-lr"),
+    pytest.param(ZERO_SHOT + " --encoder-seed -3", None,
+                 id="zero-shot-encoder-seed"),
+    pytest.param(ZERO_SHOT + " --tau inf", None, id="zero-shot-tau"),
+    pytest.param(HEATMAP + " --encoder-seed -3", None,
+                 id="heatmap-encoder-seed"),
+    pytest.param(HEATMAP + " --tau inf", None, id="heatmap-tau"),
+    pytest.param(GRID, "seeds = 0,-1", id="grid-seeds"),
+    pytest.param(GRID, "encoder_seed = -1", id="grid-encoder-seed"),
+    pytest.param(REPORT, "seed = -1", id="report-seed"),
+    pytest.param(REPORT, "encoder_seed = -1", id="report-encoder-seed"),
+]
+
+
 class TestOutOfRangeSettings:
     """A setting outside its range is a user error (exit 2) naming the
     setting, never an internal error, and nothing is written."""
+
+    @pytest.mark.parametrize("line, setting", OUT_OF_RANGE)
+    def test_every_command(self, synth_paths, capsys, monkeypatch, line,
+                           setting):
+        # every command checks its settings before it trains or writes;
+        # an ablate grid checks seed -1 before seed 0's row trains
+        import slipmil.evaluation as evaluation
+
+        work = synth_paths["dir"]
+        key, _, value = (setting or "").partition(" = ")
+        if line == GRID:
+            grid = {"data": synth_paths["data"], "poolings": "avg",
+                    "classes": synth_paths["classes"], "shots": "1",
+                    "tissues": synth_paths["tissues"], "seeds": "0",
+                    "epochs": "1", key: value}
+            (work / "grid.cfg").write_text(
+                "".join(f"{k} = {v}\n" for k, v in grid.items()))
+        elif line == REPORT:
+            report = train_report(synth_paths, capsys)
+            doc = json.loads(report.read_text())
+            doc["config"][key] = int(value)
+            report.write_text(json.dumps(doc))
+        calls = []
+        monkeypatch.setattr(evaluation, "train_prompts",
+                            lambda *a, **k: calls.append(1))
+        code, stdout, err = run(capsys,
+                                *line.format(**synth_paths).split())
+        assert code == 2, err
+        assert "internal error" not in err and stdout == ""
+        assert calls == [] and list(work.glob("o*")) == []
 
     @pytest.mark.parametrize("flags", [
         ["--tau", "-1"], ["--epochs", "0"], ["--lr", "-1"],

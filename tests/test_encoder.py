@@ -89,6 +89,14 @@ class TestEncodeText:
         with pytest.raises(EmptySequenceError):
             encode_text(weights, "", PromptContext(np.zeros((0, 16))))
 
+    def test_overflowed_norm(self, weights):
+        # a finite context whose embedding norm overflows would encode as
+        # e / inf, a zero vector
+        ctx = PromptContext(np.full((2, 16), 1e200))
+        with (np.errstate(over="ignore"),
+              pytest.raises(ZeroVectorError, match="norm inf")):
+            encode_text(weights, "solid", ctx)
+
     def test_context_only(self, weights):
         rng = np.random.default_rng(5)
         ctx = PromptContext(rng.standard_normal((2, 16)))

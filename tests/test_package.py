@@ -3,7 +3,7 @@ function and public method they define runs at runtime or in the
 benchmark, the benchmark's view of the package exists, the runtime package
 does not pull in test-only dependencies, every training setting is
 reachable from the command line and stored in reports, and the text side
-of the model is built in one place."""
+of the model, the model and its encoder are each built in one place."""
 import ast
 import dataclasses
 import os
@@ -153,34 +153,22 @@ class TestTestOnlyDependencies:
         assert offenders == []
 
 
-def keywords_passed(source: str, function: str, callee: str) -> set[str]:
-    """Keyword names of every call to `callee` inside `function`."""
-    tree = ast.parse(source)
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.FunctionDef) and node.name == function:
-            for call in ast.walk(node):
-                if (isinstance(call, ast.Call)
-                        and isinstance(call.func, ast.Name)
-                        and call.func.id == callee):
-                    names.update(k.arg for k in call.keywords)
-    return names
-
-
 class TestTrainSettingsReachCli:
-    def test_keywords_passed(self):
-        source = ("def f(a):\n    return C(x=1, y=a)\n"
-                  "def g():\n    return C(z=2)\n")
-        assert keywords_passed(source, "f", "C") == {"x", "y"}
-
     def test_every_train_config_field_has_a_flag(self):
-        # a TrainConfig field the CLI never sets is a knob only tests turn
+        # a TrainConfig field the CLI never sets is a knob only tests turn:
+        # a non-default value on every train flag moves every field
+        from slipmil.cli import _flag_config, build_parser
         from slipmil.trainer import TrainConfig
-        source = (SRC / "slipmil" / "cli.py").read_text(encoding="utf-8")
-        passed = keywords_passed(source, "_train_config_from_args",
-                                 "TrainConfig")
-        fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        assert sorted(fields - passed) == []
+        args = build_parser().parse_args([
+            "train", "--data", "d", "--tissues", "t", "--classes", "c",
+            "--out", "o", "--tau", "0.5", "--lr", "0.5", "--epochs", "3",
+            "--shots", "2", "--seed", "5", "--pooling", "topk",
+            "--context-length", "2", "--dt", "8", "--encoder-seed", "1",
+            "--topk-k", "3"])
+        cfg, default = _flag_config(args), TrainConfig()
+        assert sorted(f.name for f in dataclasses.fields(TrainConfig)
+                      if getattr(cfg, f.name) == getattr(default, f.name)
+                      ) == []
 
     def test_every_train_config_field_is_a_report_setting(self):
         # eval --report rebuilds the TrainConfig from these settings alone
@@ -192,25 +180,32 @@ class TestTrainSettingsReachCli:
 
 
 TEXT_SIDE = ("from_descriptions", "from_names", "log_tissue_wsi_similarity")
+MODEL_SIDE = ("Pipeline", "FrozenEncoderWeights.create")
 
 
-def text_side_calls(source: str, allowed=None) -> list[str]:
-    """Calls of a TEXT_SIDE function, as "name (line n)", outside the
-    method `allowed` = (class name, method name)."""
+def calls_outside(source: str, names, allowed=()) -> list[str]:
+    """Calls of a function named in `names`, by its own name or as
+    "Owner.name", reported as "name (line n)", outside the module-level
+    functions and methods named in `allowed` ("function", "Class.method")."""
     tree = ast.parse(source)
     skipped = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and allowed is not None \
-                and node.name == allowed[0]:
-            for method in node.body:
-                if (isinstance(method, ast.FunctionDef)
-                        and method.name == allowed[1]):
-                    skipped.update(map(id, ast.walk(method)))
+    for node in tree.body:
+        prefix, scopes = "", [node]
+        if isinstance(node, ast.ClassDef):
+            prefix, scopes = node.name + ".", node.body
+        for scope in scopes:
+            if (isinstance(scope, ast.FunctionDef)
+                    and prefix + scope.name in allowed):
+                skipped.update(map(id, ast.walk(scope)))
     calls = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Call) and id(node) not in skipped:
-            name = getattr(node.func, "attr", getattr(node.func, "id", None))
-            if name in TEXT_SIDE:
+            func = node.func
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(getattr(func, "value", None), ast.Name) \
+                    and f"{func.value.id}.{name}" in names:
+                name = f"{func.value.id}.{name}"
+            if name in names:
                 calls.append(f"{name} (line {node.lineno})")
     return sorted(calls)
 
@@ -225,7 +220,7 @@ class TestOneTextSide:
                   "def f():\n    return log_tissue_wsi_similarity(c, t, 1)\n"
                   "class B:\n    def ok(self):\n"
                   "        return C.from_names(w, n)\n")
-        assert text_side_calls(source, ("A", "ok")) == [
+        assert calls_outside(source, TEXT_SIDE, {"A.ok"}) == [
             "from_names (line 8)", "log_tissue_wsi_similarity (line 5)"]
 
     @pytest.mark.parametrize("path", [p for p in MODULES
@@ -233,7 +228,29 @@ class TestOneTextSide:
                              ids=lambda p: p.name)
     def test_runtime_module(self, path):
         source = path.read_text(encoding="utf-8")
-        assert text_side_calls(source, ("TrainConfig", "pipeline")) == []
+        assert calls_outside(source, TEXT_SIDE, {"TrainConfig.pipeline"}) == []
+
+
+class TestOneModelPath:
+    """Every command, zero-shot included, builds its Pipeline through
+    TrainConfig.pipeline and its encoder through TrainConfig.encoder_weights;
+    only synth.generate draws an encoder of its own, for the archetypes."""
+
+    def test_detects_calls_outside_the_allowed_function(self):
+        source = ("def generate():\n"
+                  "    return FrozenEncoderWeights.create(1)\n"
+                  "def f(w):\n    return Pipeline(w), Other.create(2)\n"
+                  "class C:\n    def g(self):\n"
+                  "        return FrozenEncoderWeights.create(3)\n")
+        assert calls_outside(source, MODEL_SIDE, {"generate"}) == [
+            "FrozenEncoderWeights.create (line 7)", "Pipeline (line 4)"]
+
+    @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+    def test_runtime_module(self, path):
+        source = path.read_text(encoding="utf-8")
+        assert calls_outside(source, MODEL_SIDE, {
+            "TrainConfig.pipeline", "TrainConfig.encoder_weights",
+            "generate"}) == []
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from slipmil.encoder import FrozenEncoderWeights, encode_text
-from slipmil.errors import RejectionExhaustedError
+from slipmil.errors import InvalidSettingError, RejectionExhaustedError
 from slipmil.synth import (
     MAX_SEPARATION_COSINE,
     PRESETS,
@@ -164,6 +164,21 @@ class TestPresets:
     def test_needle_requires_seed(self):
         with pytest.raises(ValueError):
             preset_spec("needle")
+
+
+class TestSpecRange:
+    @pytest.mark.parametrize("kwargs", [
+        {"seed": -1}, {"encoder_seed": -3}, {"noise_sigma": math.inf},
+        {"noise_sigma": math.nan}, {"noise_sigma": -1.0},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_out_of_range_spec(self, kwargs):
+        with pytest.raises(InvalidSettingError):
+            SynthSpec(**kwargs)
+
+    def test_seeds_have_no_upper_bound(self):
+        # benchmark workloads draw dataset seeds well past 2**31
+        spec = SynthSpec(seed=10 ** 12 + 8, encoder_seed=2 ** 63)
+        assert spec.seed == 10 ** 12 + 8
 
 
 class TestOracleSelfConsistency:

@@ -189,15 +189,33 @@ class TestInfonceGrad:
 
 class TestSettings:
     @pytest.mark.parametrize("kwargs", [
-        {"tau": 0.0}, {"tau": float("nan")}, {"learning_rate": -1e-9},
-        {"epochs": 0}, {"pooling": "zero"}, {"context_length": -1},
-        {"topk_k": 0}, {"shots": 0},
+        {"tau": 0.0}, {"tau": float("nan")}, {"tau": float("inf")},
+        {"learning_rate": -1e-9}, {"learning_rate": float("inf")},
+        {"learning_rate": float("nan")}, {"epochs": 0}, {"pooling": "bogus"},
+        {"context_length": -1}, {"topk_k": 0}, {"shots": 0}, {"seed": -1},
+        {"encoder_seed": -3},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_out_of_range_config(self, kwargs):
         # one error type, still a ValueError for callers that catch that
         with pytest.raises(InvalidSettingError):
             TrainConfig(**kwargs)
         assert issubclass(InvalidSettingError, ValueError)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"pooling": "zero"}, {"seed": 0, "encoder_seed": 0},
+        {"seed": 10 ** 9 + 7, "encoder_seed": 2 ** 63},
+        {"learning_rate": 0.0}, {"tau": 1e-300},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_edge_of_range_config(self, kwargs):
+        # zero-shot is a Pipeline of its own; seeds have no upper bound
+        assert TrainConfig(**kwargs)
+
+    def test_zero_shot_trains_nothing(self, weights):
+        bags = small_dataset(np.random.default_rng(3))
+        with pytest.raises(InvalidSettingError, match="zero-shot"):
+            train_prompts(bags, TISSUES, NAMES3[:2],
+                          TrainConfig(pooling="zero", epochs=1),
+                          weights=weights)
 
     def test_prompts_hold_one_shared_context(self):
         ctx = PromptContext(np.zeros((2, 4)))
@@ -412,4 +430,13 @@ class TestClosedFormEquivalence:
         bags = small_dataset(np.random.default_rng(48), num_classes=3)
         cfg = TrainConfig(context_length=1, epochs=1, seed=0)
         with pytest.raises(ZeroVectorError, match="norm 0.000e"):
+            train_prompts(bags, TISSUES, NAMES3, cfg, weights=weights)
+
+    def test_overflowed_class_embedding_raises(self, weights):
+        # A huge step overflows nu_c to inf, which would make every class
+        # logit 0; the step raises instead of training on it.
+        bags = small_dataset(np.random.default_rng(48), num_classes=3)
+        cfg = TrainConfig(learning_rate=1e200, epochs=2, seed=0)
+        with (np.errstate(over="ignore"),
+              pytest.raises(ZeroVectorError, match="norm inf")):
             train_prompts(bags, TISSUES, NAMES3, cfg, weights=weights)
