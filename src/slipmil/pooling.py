@@ -7,10 +7,20 @@ slide class. Ablations: plain averaging, per-class top-k selection, and
 patch-averaged zero-shot scoring. Each takes a list of bags (one bag is a
 list of one) and pools consecutive bags, up to GROUP_PATCHES patches, in
 one array pass; a bag pooled alone is used in place, never copied.
+
+Slip pooling streams a bag of more than GROUP_PATCHES patches through row
+blocks of at most GROUP_PATCHES, views of the bag, so no temporary grows
+with the bag. Each block gives its class totals and weighted patch sums,
+spread over the cores the process may run on when there are enough
+blocks, and added in block order: the result is bitwise the same for any
+core count.
 """
 from __future__ import annotations
 
+import os
+from collections import deque
 from dataclasses import dataclass
+from math import inf
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -35,6 +45,13 @@ POOLING_VARIANTS = ("slip", "topk", "avg")  # the poolings that train
 POOLINGS = POOLING_VARIANTS + ("zero",)
 
 GROUP_PATCHES = 4096  # most patches pooled in one array pass
+
+
+def check_tau(tau: float) -> None:
+    """Reject a temperature that is not positive and finite or whose
+    reciprocal, which scales every logit, overflows."""
+    check_setting(0 < tau < inf and 1 / float(tau) < inf,
+                  f"tau={tau} must be in (0, inf) with a finite 1/tau")
 
 
 @dataclass(frozen=True)
@@ -190,6 +207,74 @@ def _log_space_weights(patches: np.ndarray, tissues: TissuePromptSet,
     return w / w.sum(axis=1, keepdims=True)
 
 
+def _cores() -> int:
+    """Cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        return os.cpu_count() or 1
+
+
+def _pool_blocks(blocks: list, todo: deque, sums: list,
+                 tissues: TissuePromptSet, lw: np.ndarray, tau: float) -> None:
+    """Pool row blocks of a bag until `todo`, the indices of the blocks
+    that no thread has taken, is empty: sums[i] gets block i's C class
+    totals and C x d_v correlation-weighted patch sum."""
+    while True:
+        try:
+            i = todo.popleft()  # atomic: threads share todo
+        except IndexError:
+            return
+        corr = slip_correlation(blocks[i], tissues, lw, tau)
+        sums[i] = corr.sum(axis=1), corr @ blocks[i]
+
+
+def _streamed_slip(patches: np.ndarray, tissues: TissuePromptSet,
+                   lw: np.ndarray, tau: float, tiny: float) -> np.ndarray:
+    """The C x d_v weighted patch mean of one bag of more than
+    GROUP_PATCHES patches, pooled over equal row blocks of at most
+    GROUP_PATCHES, each a view of the bag. When every worker gets three or
+    more blocks, the caller and one thread per further core take blocks
+    in turn until none is left. The block sums are added in block order,
+    so the result does not depend on the core count.
+
+    Worker threads call only numpy: the call tracer in perfbench keeps
+    one span stack and would misplace spans recorded from a thread."""
+    n = len(patches)
+    count = -(-n // GROUP_PATCHES)
+    blocks = [patches[i * n // count:(i + 1) * n // count]
+              for i in range(count)]
+    todo, sums = deque(range(count)), [None] * count
+    args = (blocks, todo, sums, tissues, lw, tau)
+    # starting a thread costs about a block's work, and two threads
+    # contend for the interpreter lock between numpy calls: on 2 cores,
+    # bags of 4 and 5 blocks pooled slower over two threads than in one
+    workers = min(_cores(), count // 3)
+    if workers > 1:
+        # imported here: concurrent.futures loads logging, which would
+        # add about 7 ms to every `import slipmil`
+        from concurrent.futures import ThreadPoolExecutor
+        with ThreadPoolExecutor(workers - 1) as pool:
+            helpers = [pool.submit(_pool_blocks, *args)
+                       for _ in range(workers - 1)]
+            _pool_blocks(*args)
+            for helper in helpers:
+                helper.result()
+    else:
+        _pool_blocks(*args)
+    totals, raw = sums[0]
+    for block_totals, block_raw in sums[1:]:
+        totals += block_totals
+        raw += block_raw
+    rows = np.flatnonzero(totals < n * tiny)
+    if rows.size:
+        raw[rows] = _log_space_weights(patches, tissues, lw, tau,
+                                       rows) @ patches
+        totals[rows] = 1.0
+    raw /= totals[:, None]
+    return raw
+
+
 def slip_features(bags, tissues: TissuePromptSet, lw: np.ndarray,
                   tau: float) -> np.ndarray:
     """Per bag and class, the mean of the bag's patches weighted by the
@@ -200,6 +285,9 @@ def slip_features(bags, tissues: TissuePromptSet, lw: np.ndarray,
     out = np.empty((len(bags), lw.shape[0], width))
     tiny = tissues.size * np.finfo(float).tiny
     for group, patches, starts, sizes in _groups(bags, width):
+        if len(patches) > GROUP_PATCHES:  # one bag, pooled in blocks
+            out[group.start] = _streamed_slip(patches, tissues, lw, tau, tiny)
+            continue
         corr = slip_correlation(patches, tissues, lw, tau)
         # C x bags; a bag alone keeps the pairwise sum of a per-bag pooling
         totals = (corr.sum(axis=1, keepdims=True) if sizes.size == 1
@@ -297,6 +385,7 @@ class Pipeline:
     prompts: TrainedPrompts | None = None
 
     def __post_init__(self):
+        check_tau(self.tau)
         check_setting(self.pooling in POOLINGS, f"pooling {self.pooling!r} "
                       f"must be one of {', '.join(POOLINGS)}")
         names = tuple(self.class_names)

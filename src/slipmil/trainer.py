@@ -52,7 +52,8 @@ from .errors import (
     ZeroVectorError,
     check_setting,
 )
-from .pooling import DEFAULT_TOPK, POOLINGS, Pipeline, TissuePromptSet
+from .pooling import (DEFAULT_TOPK, POOLINGS, Pipeline, TissuePromptSet,
+                      check_tau)
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,7 @@ class TrainConfig:
     topk_k: int = DEFAULT_TOPK
 
     def __post_init__(self):
-        check_setting(0 < self.tau < inf,
-                      f"tau={self.tau} must be in (0, inf)")
+        check_tau(self.tau)
         check_setting(0 <= self.learning_rate < inf, f"learning rate "
                       f"{self.learning_rate} must be in [0, inf)")
         check_setting(self.epochs >= 1, f"epochs={self.epochs} must be >= 1")

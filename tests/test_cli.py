@@ -616,9 +616,13 @@ OUT_OF_RANGE = [
                  id="train-tau"),
     pytest.param(f"train {FILES} --seed 1 --lr inf --out {{dir}}/o", None,
                  id="train-lr"),
+    pytest.param(f"train {FILES} --tau 5e-324 --shots 4 --epochs 2 --seed 0 "
+                 "--out {dir}/o", None, id="train-tau-reciprocal"),
     pytest.param(ZERO_SHOT + " --encoder-seed -3", None,
                  id="zero-shot-encoder-seed"),
     pytest.param(ZERO_SHOT + " --tau inf", None, id="zero-shot-tau"),
+    pytest.param(ZERO_SHOT + " --tau 5e-324", None,
+                 id="zero-shot-tau-reciprocal"),
     pytest.param(HEATMAP + " --encoder-seed -3", None,
                  id="heatmap-encoder-seed"),
     pytest.param(HEATMAP + " --tau inf", None, id="heatmap-tau"),

@@ -236,6 +236,17 @@ class TestPipelineTissues:
             Pipeline(weights=weights, tissues=None,
                      class_names=("a", "b"), pooling="bogus")
 
+    @pytest.mark.parametrize("tau", [float("inf"), 5e-324, 0.0, -1.0,
+                                     float("nan")])
+    @pytest.mark.parametrize("pooling", ["zero", "slip"])
+    def test_out_of_range_tau_rejected_at_construction(self, weights, tau,
+                                                       pooling):
+        # the check TrainConfig makes; zero-shot at tau = inf used to
+        # score every bag as class 0
+        with pytest.raises(InvalidSettingError, match="tau"):
+            Pipeline(weights=weights, tissues=None, class_names=("a", "b"),
+                     pooling=pooling, tau=tau)
+
 
 def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
     """Bags are validated once, at ingestion: scoring one with slip pooling

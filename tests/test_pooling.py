@@ -1,3 +1,7 @@
+import os
+import threading
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -525,3 +529,147 @@ def test_list_rejects_mismatched_patch_width():
     bags = [random_bag(rng, 3, 8), random_bag(rng, 3, 6)]
     with pytest.raises(DimensionMismatchError):
         topk_features(bags, class_set(unit_rows(rng, 2, 8)), 2)
+
+
+# -- a bag of more than GROUP_PATCHES, pooled in row blocks -------------------
+
+def spy_blocks(monkeypatch, worker_tau=lambda tau: tau):
+    """Record each block slip_correlation pools, with the thread that
+    pooled it; worker threads pool at worker_tau(tau). Each thread starts
+    its first block only once every running worker thread and the caller
+    have taken one, so each of them pools at least one block."""
+    seen = []
+    changed = threading.Condition()
+    threads = threading.active_count()
+    caller = threading.main_thread().ident
+    correlation = pooling.slip_correlation
+
+    def spy(p, tissues, lw, tau):
+        ident = threading.get_ident()
+        with changed:
+            seen.append((p, ident))
+            changed.notify_all()
+            assert changed.wait_for(
+                lambda: len({i for _, i in seen})
+                > threading.active_count() - threads, timeout=10)
+        return correlation(p, tissues, lw,
+                           tau if ident == caller else worker_tau(tau))
+
+    monkeypatch.setattr(pooling, "slip_correlation", spy)
+    return seen
+
+
+class LastFirst(deque):
+    """Hands out the blocks last first, so they finish in reverse order."""
+
+    def popleft(self):
+        return self.pop()
+
+
+@pytest.mark.parametrize("tau", [1e-2, 1e-3, 1e-4])
+def test_streamed_bag_matches_oracle(tau, monkeypatch):
+    # 7 blocks of at most 16 patches, pooled in one thread and in two
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 16)
+    rng = np.random.default_rng(40 + int(-np.log10(tau)))
+    seen = spy_blocks(monkeypatch)
+    for _ in range(5):
+        bag = random_bag(rng, int(rng.integers(97, 113)), 8)
+        tissues, lw, _ = make_similarities(rng, bag, 4, 3, tau=tau)
+        want = slip_pool(bag, tissues, lw, tau).columns.T
+        for cores in (1, 2):
+            monkeypatch.setattr(pooling, "_cores", lambda: cores)
+            seen.clear()
+            got = slip_features([bag], tissues, lw, tau)[0]
+            assert len(seen) == 7
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+
+def test_streamed_bag_is_bitwise_independent_of_cores(monkeypatch):
+    # 13 blocks of at most 8 patches: with 3 cores, three workers; the
+    # sums are added in block order whatever order the blocks finish in
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 8)
+    rng = np.random.default_rng(41)
+    bag = random_bag(rng, 100, 8)
+    tissues, lw, _ = make_similarities(rng, bag, 5, 3, tau=0.01)
+    seen = spy_blocks(monkeypatch)
+    threads = threading.active_count()
+    results = []
+    for order in (deque, LastFirst):
+        monkeypatch.setattr(pooling, "deque", order)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(pooling, "_cores", lambda: cores)
+            seen.clear()
+            results.append(slip_features([bag], tissues, lw, 0.01))
+            assert len(seen) == 13
+            assert len({ident for _, ident in seen}) == cores
+            assert threading.active_count() == threads
+    assert all(np.array_equal(results[0], r) for r in results[1:])
+
+
+def test_streamed_blocks_are_views_of_the_bag(monkeypatch):
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 10)
+    monkeypatch.setattr(pooling, "_cores", lambda: 2)
+    rng = np.random.default_rng(42)
+    bag = random_bag(rng, 61, 8)
+    tissues, lw, _ = make_similarities(rng, bag, 3, 2)
+    seen = spy_blocks(monkeypatch)
+    slip_features([bag], tissues, lw, 0.1)
+    blocks = sorted((p for p, _ in seen), key=lambda p: p.ctypes.data)
+    data = bag.patches.data
+    assert [len(p) for p in blocks] == [8, 9, 9, 8, 9, 9, 9]
+    assert all(np.shares_memory(p, data) for p in blocks)
+    assert blocks[0].ctypes.data == data.ctypes.data
+    assert np.array_equal(np.concatenate(blocks), data)
+
+
+def test_streamed_underflow_recomputes_only_that_class(monkeypatch):
+    # the bag of test_underflowed_class_gets_log_space_weights, ten times
+    # over in blocks of at most 4: class 1's total underflows over the
+    # whole bag, so its weights alone are recomputed, over the whole bag
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 4)
+    e = np.eye(4)
+    patches = np.tile(np.stack([e[0], 0.6 * e[0] + 0.8 * e[2],
+                                0.8 * e[0] + 0.6 * e[3]]), (10, 1))
+    bag = WsiBag(patches=EmbeddingMatrix(patches),
+                 coords=tuple((i, 0) for i in range(30)), label=0,
+                 patient_id="p")
+    tissues = tissue_set([e[0], -e[0]])
+    classes = class_set([e[0], -e[0]])
+    lw = log_tissue_wsi_similarity(classes, tissues, 1e-4)
+    calls = []
+    log_space = pooling._log_space_weights
+    monkeypatch.setattr(
+        pooling, "_log_space_weights",
+        lambda *a: calls.append((a[0], a[-1].tolist())) or log_space(*a))
+    got = slip_features([bag], tissues, lw, 1e-4)[0]
+    assert len(calls) == 1
+    assert calls[0][0] is bag.patches.data and calls[0][1] == [1]
+    want = oracle_slip_columns(patches.tolist(),
+                               tissues.embeddings.data.tolist(),
+                               classes.embeddings.data.tolist(), 1e-4)
+    assert np.max(np.abs(got - np.array(want))) <= 1e-12
+
+
+def test_worker_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 8)
+    monkeypatch.setattr(pooling, "_cores", lambda: 2)
+    rng = np.random.default_rng(43)
+    bag = random_bag(rng, 60, 8)
+    tissues, lw, _ = make_similarities(rng, bag, 3, 2)
+    threads = threading.active_count()
+    with pytest.raises(NonPositiveTemperatureError):
+        slip_features([bag], tissues, lw, 0.0)
+    assert threading.active_count() == threads
+    # the same error raised in the worker thread alone
+    seen = spy_blocks(monkeypatch, worker_tau=lambda tau: -tau)
+    with pytest.raises(NonPositiveTemperatureError):
+        slip_features([bag], tissues, lw, 0.1)
+    assert len({ident for _, ident in seen}) == 2
+    assert threading.active_count() == threads
+
+
+def test_cores_the_process_may_run_on(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        assert pooling._cores() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity")
+    assert pooling._cores() == (os.cpu_count() or 1)

@@ -190,6 +190,7 @@ class TestInfonceGrad:
 class TestSettings:
     @pytest.mark.parametrize("kwargs", [
         {"tau": 0.0}, {"tau": float("nan")}, {"tau": float("inf")},
+        {"tau": 5e-324},
         {"learning_rate": -1e-9}, {"learning_rate": float("inf")},
         {"learning_rate": float("nan")}, {"epochs": 0}, {"pooling": "bogus"},
         {"context_length": -1}, {"topk_k": 0}, {"shots": 0}, {"seed": -1},
