@@ -6,6 +6,8 @@ always explicit; every subcommand is deterministic under fixed flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import json
 import os
 import sys
@@ -56,30 +58,33 @@ def _reject_unknown_keys(path, keys, allowed) -> None:
         )
 
 
-def _apply_config_defaults(parser, args_list):
-    """Install --config values as defaults of the chosen subcommand, whose
-    flags (with - spelled _) are the only keys accepted. argparse parses a
-    string default with the flag's own type, as if it were given on the
-    command line, but checks only given values against the flag's choices;
-    here a switch's choices are true and false."""
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config")
-    known, _ = pre.parse_known_args(args_list)
-    sub = parser._command_parsers.get(args_list[0]) if args_list else None
-    if known.config and sub is not None:
-        values = _load_config_file(known.config)
-        actions = {a.dest: a for a in sub._actions}
-        _reject_unknown_keys(known.config, values,
-                             set(actions) - {"help", "config"})
-        for key, raw in values.items():
-            switch = actions[key].nargs == 0
-            choices = ("true", "false") if switch else actions[key].choices
-            if choices is not None and raw not in choices:
-                raise CliInputError(f"{known.config}: {key} = {raw!r} must "
-                                    f"be one of {', '.join(choices)}")
-            if switch:
-                values[key] = raw == "true"
-        sub.set_defaults(**values)
+@contextlib.contextmanager
+def _config_defaults(sub, path):
+    """The values of the --config file at `path` as defaults of subcommand
+    parser `sub` within the block, and its own defaults after it. Its flags
+    (- spelled _) are the only keys accepted. argparse parses a string
+    default with the flag's own type, as if it were given on the command
+    line, but checks only given values against the flag's choices; here a
+    switch's choices are true and false."""
+    values = _load_config_file(path)
+    actions = {a.dest: a for a in sub._actions}
+    _reject_unknown_keys(path, values, set(actions) - {"help", "config"})
+    for key, raw in values.items():
+        switch = actions[key].nargs == 0
+        choices = ("true", "false") if switch else actions[key].choices
+        if choices is not None and raw not in choices:
+            raise CliInputError(f"{path}: {key} = {raw!r} must be one of "
+                                f"{', '.join(choices)}")
+        if switch:
+            values[key] = raw == "true"
+    own = {key: actions[key].default for key in values}
+    for key, value in values.items():
+        actions[key].default = value
+    try:
+        yield
+    finally:
+        for key, default in own.items():
+            actions[key].default = default
 
 
 def _require_seed(value):
@@ -504,12 +509,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process; main leaves it as it
+    found it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = _parser()
     try:
-        _apply_config_defaults(parser, argv)
         args = parser.parse_args(argv)
+        if args.config:  # parsed again, with the file's values as defaults
+            with _config_defaults(parser._command_parsers[args.command],
+                                  args.config):
+                args = parser.parse_args(argv)
         args.func(args)
         return 0
     except (SlipError, OSError) as exc:

@@ -23,7 +23,7 @@ def _as_matrix(data) -> np.ndarray:
         raise DimensionMismatchError(f"expected 2-d matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
         raise DimensionMismatchError(f"matrix must be at least 1x1, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
     return arr
 

@@ -75,7 +75,8 @@ def evaluate(bags, pipeline: Pipeline) -> dict:
 
 def run_single(dataset, class_names, tissue_descriptions,
                cfg: TrainConfig):
-    """Train on the few-shot split and evaluate on the held-out pool.
+    """Train on the few-shot split and evaluate on the held-out pool; both
+    use one Pipeline's text side, so tissue descriptions are encoded once.
 
     Returns (prompts, history, metrics, eval_pool_size).
     """
@@ -83,11 +84,11 @@ def run_single(dataset, class_names, tissue_descriptions,
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
     train_bags, eval_bags = select_few_shot(dataset, cfg.shots)
-    weights = cfg.encoder_weights(dataset[0].patches.cols)
+    pipeline = cfg.pipeline(cfg.encoder_weights(dataset[0].patches.cols),
+                            tissue_descriptions, class_names)
     prompts, history = train_prompts(train_bags, tissue_descriptions,
-                                     class_names, cfg, weights=weights)
-    metrics = evaluate(eval_bags, cfg.pipeline(
-        weights, tissue_descriptions, class_names, prompts))
+                                     class_names, cfg, pipeline=pipeline)
+    metrics = evaluate(eval_bags, replace(pipeline, prompts=prompts))
     return prompts, history, metrics, len(eval_bags)
 
 

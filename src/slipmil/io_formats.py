@@ -33,6 +33,7 @@ REPORT_SCHEMA_VERSION = 1
 # Sanity bounds so corrupted counts fail fast instead of allocating wildly.
 MAX_BAGS = 1_000_000
 MAX_PATCHES = 1_000_000
+BAG_HEADER = struct.Struct("<IIH")  # patch count, label, patient id bytes
 
 
 class _Reader:
@@ -49,12 +50,6 @@ class _Reader:
         out = self.blob[self.pos:self.pos + n]
         self.pos += n
         return out
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
 
 
 def write_dataset(path, bags) -> None:
@@ -74,8 +69,7 @@ def write_dataset(path, bags) -> None:
         pid = bag.patient_id.encode("utf-8")
         if len(pid) > 0xFFFF:
             raise ValueError("patient id too long")
-        parts.append(struct.pack("<II", bag.num_patches, bag.label))
-        parts.append(struct.pack("<H", len(pid)))
+        parts.append(BAG_HEADER.pack(bag.num_patches, bag.label, len(pid)))
         parts.append(pid)
         parts.append(np.asarray(bag.coords, dtype="<u4").tobytes())
         parts.append(
@@ -85,6 +79,9 @@ def write_dataset(path, bags) -> None:
         fh.write(b"".join(parts))
 
 
+# corrupted bytes may decode to signaling NaNs; the cast warning is moot
+# because EmbeddingMatrix rejects non-finite values
+@np.errstate(invalid="ignore")
 def read_dataset(path):
     """Parse the container; returns (bags, num_classes)."""
     with open(path, "rb") as fh:
@@ -93,12 +90,10 @@ def read_dataset(path):
     magic = r.take(len(MAGIC))
     if magic != MAGIC:
         raise BadMagicError(f"bad magic {magic!r}")
-    version = r.u32()
+    (version,) = struct.unpack("<I", r.take(4))
     if version != DATASET_VERSION:
         raise VersionUnsupportedError(f"unsupported version {version}")
-    d_v = r.u32()
-    num_bags = r.u32()
-    num_classes = r.u32()
+    d_v, num_bags, num_classes = struct.unpack("<III", r.take(12))
     if not 1 <= d_v <= MAX_D_V:
         raise CorruptHeaderError(f"d_v={d_v} out of range")
     if not 1 <= num_bags <= MAX_BAGS:
@@ -109,8 +104,7 @@ def read_dataset(path):
     bags = []
     max_label = -1
     for b in range(num_bags):
-        n = r.u32()
-        label = r.u32()
+        n, label, pid_len = BAG_HEADER.unpack(r.take(BAG_HEADER.size))
         if not 1 <= n <= MAX_PATCHES:
             raise CorruptHeaderError(f"bag {b}: patch count {n} out of range")
         if label >= num_classes:
@@ -118,17 +112,13 @@ def read_dataset(path):
                 f"bag {b}: label {label} >= class count {num_classes}"
             )
         max_label = max(max_label, label)
-        pid_len = r.u16()
         try:
             pid = r.take(pid_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptHeaderError(f"bag {b}: patient id not UTF-8") from exc
         coords = np.frombuffer(r.take(8 * n), dtype="<u4").reshape(n, 2)
         emb = np.frombuffer(r.take(4 * n * d_v), dtype="<f4")
-        # corrupted bytes may decode to signaling NaNs; the cast warning is
-        # moot because EmbeddingMatrix rejects non-finite values below
-        with np.errstate(invalid="ignore"):
-            emb = emb.astype(np.float64).reshape(n, d_v)
+        emb = emb.astype(np.float64).reshape(n, d_v)
         try:
             bags.append(WsiBag(
                 patches=EmbeddingMatrix(emb),

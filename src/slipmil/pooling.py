@@ -48,10 +48,14 @@ GROUP_PATCHES = 4096  # most patches pooled in one array pass
 
 
 def check_tau(tau: float) -> None:
-    """Reject a temperature that is not positive and finite or whose
-    reciprocal, which scales every logit, overflows."""
-    check_setting(0 < tau < inf and 1 / float(tau) < inf,
-                  f"tau={tau} must be in (0, inf) with a finite 1/tau")
+    """Reject a temperature that is not positive and finite or at which
+    pooling's widest logit difference overflows: log S_wsi spans 2/tau, and
+    _patch_logits adds it to cosines over tau, then takes off each patch's
+    largest logit, 1/tau + 2/tau + 1/tau. The 1e-9 covers cosines of unit
+    vectors that round a little above 1."""
+    span = 4 * (1 + 1e-9)
+    check_setting(0 < tau < inf and span / float(tau) < inf,
+                  f"tau={tau} must be in (0, inf) with a finite {span!r}/tau")
 
 
 @dataclass(frozen=True)

@@ -133,12 +133,12 @@ class TrainHistory:
 
 
 def train_prompts(dataset, tissue_descriptions, class_names,
-                  cfg: TrainConfig,
-                  weights: FrozenEncoderWeights | None = None):
+                  cfg: TrainConfig, pipeline: Pipeline | None = None):
     """Plain SGD over the prompt context, batch size one.
 
     Each step takes the InfoNCE loss and its context gradient in d_t space
-    (see the module docstring).
+    (see the module docstring). The training bags are pooled by `pipeline`,
+    cfg's Pipeline without prompts, built here when not given.
     Returns (TrainedPrompts, TrainHistory); deterministic given cfg.seed.
     """
     dataset = list(dataset)
@@ -154,8 +154,10 @@ def train_prompts(dataset, tissue_descriptions, class_names,
         raise MissingClassError(f"no training bag for classes {missing}")
     labels = [_check_label(bag.label, num_classes) for bag in dataset]
 
-    if weights is None:
-        weights = cfg.encoder_weights(dataset[0].patches.cols)
+    if pipeline is None:
+        pipeline = cfg.pipeline(cfg.encoder_weights(dataset[0].patches.cols),
+                                tissue_descriptions, class_names)
+    weights = pipeline.weights
     rng = np.random.default_rng(cfg.seed)
     ctx = PromptContext.init(rng, cfg.context_length, weights.d_t).vectors
 
@@ -163,8 +165,7 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     gram = proj @ proj.T  # G
     # Per bag, rows [0, C) hold Q_b; each step writes h G into rows [C, 2C).
     stacks = np.empty((len(dataset), 2 * num_classes, weights.d_t))
-    stacks[:, :num_classes] = cfg.pipeline(
-        weights, tissue_descriptions, class_names).features(dataset) @ proj.T
+    stacks[:, :num_classes] = pipeline.features(dataset) @ proj.T
     tok_sums, lengths = token_sums(weights, class_names, cfg.context_length)
     lengths = lengths.tolist()
     s0 = ctx.sum(axis=0)
@@ -173,17 +174,22 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     rate = cfg.learning_rate * cfg.context_length
 
     history = TrainHistory()
+    # names bound once; each step writes h, h G and the products in place
+    append, dot, add, tau = history.records.append, np.dot, np.add, cfg.tau
+    h = np.empty_like(tok_sums)
+    products = np.empty((2 * num_classes, num_classes))  # [Q_b; h G] @ h^T
+    flat, h_t = products.ravel(), h.T
+    bag_stacks = [(stack, stack[num_classes:]) for stack in stacks]
     for epoch in range(cfg.epochs):
-        order = rng.permutation(len(dataset))
-        for idx in order.tolist():
-            h = s + tok_sums
-            stack = stacks[idx]
-            np.matmul(h, gram, out=stack[num_classes:])
-            loss, coef = _infonce_coefficients(
-                (stack @ h.T).ravel().tolist(), labels[idx], cfg.tau, rate,
-                lengths)
-            s += np.dot(coef, stack)
-            history.records.append((epoch, idx, loss))
+        for idx in rng.permutation(len(dataset)).tolist():
+            add(s, tok_sums, out=h)
+            stack, hg = bag_stacks[idx]
+            dot(h, gram, out=hg)
+            dot(stack, h_t, out=products)
+            loss, coef = _infonce_coefficients(flat.tolist(), labels[idx],
+                                               tau, rate, lengths)
+            s += dot(coef, stack)
+            append((epoch, idx, loss))
 
     ctx = ctx + (s - s0) / max(cfg.context_length, 1)  # M = 0: s is s0
     return TrainedPrompts([PromptContext(ctx)]), history

@@ -1,10 +1,14 @@
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 
-from slipmil.cli import main
+from slipmil.cli import REPORT_SETTINGS, main
+from slipmil.errors import InvalidSettingError
 from slipmil.io_formats import read_dataset, read_report
+from slipmil.pooling import check_tau
 from slipmil.synth import SynthSpec, generate
 from slipmil.trainer import TrainConfig
 
@@ -512,6 +516,55 @@ def test_slip_trains_and_evaluates_at_sharp_tau(needle_paths, tmp_path,
     assert metrics == read_report(report)["metrics"]
 
 
+def accepted(tau: float) -> bool:
+    try:
+        check_tau(tau)
+    except InvalidSettingError:
+        return False
+    return True
+
+
+def smallest_tau() -> float:
+    """The smallest tau that check_tau accepts."""
+    lo, hi = 5e-324, 1.0  # check_tau rejects lo and accepts hi
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (lo, mid) if accepted(mid) else (mid, hi)
+    return hi
+
+
+TAU_FLOOR = smallest_tau()
+
+
+@pytest.mark.parametrize("command", [
+    # a nonzero gradient step at a tau this small moves the context past
+    # the largest float, the typed `norm inf` error of an overflowing step,
+    # so train runs at lr 0 here and the pooling logits alone are tested
+    "train --tissues {tissues} --classes {classes} --shots 4 --epochs 2 "
+    "--seed 0 --lr 0 --out {dir}/r.json",
+    "eval --zero-shot --classes {classes}",
+    "heatmap --tissues {tissues} --classes {classes} --bag 0 "
+    "--class-index 0 --out-prefix {dir}/hm",
+], ids=["train", "eval-zero-shot", "heatmap"])
+@pytest.mark.parametrize("tau, code", [
+    (math.nextafter(TAU_FLOOR, 0), 2), (TAU_FLOOR, 0),
+    (math.nextafter(TAU_FLOOR, 1), 0), (6e-309, 2), (5.6e-309, 2),
+], ids=["below", "floor", "above", "6e-309", "5.6e-309"])
+def test_tau_floor(needle_paths, tmp_path, capsys, command, tau, code):
+    # check_tau bounds the widest logit pooling forms, about 4 / tau: a
+    # tau whose 1/tau alone was finite used to overflow there and exit 1
+    argv = command.format(**needle_paths, dir=tmp_path).split()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, stdout, err = run(capsys, *argv, "--data", needle_paths["data"],
+                               "--tau", repr(tau))
+    assert got == code, err
+    assert (stdout == "") == (code == 2) and "internal error" not in err
+    if code == 2:
+        assert f"tau={tau!r} must be in (0, inf)" in err
+    else:
+        assert err == ""
+
+
 class TestHeatmapCommand:
     def test_exports(self, synth_paths, capsys):
         prefix = synth_paths["dir"] / "hm"
@@ -594,6 +647,71 @@ class TestParserSurface:
                                 "--classes", synth_paths["classes"], *flags)
         assert code == 2 and stdout == ""
         assert "unrecognized arguments: --dv 32" in err
+
+
+class TestParserKeepsNoState:
+    """main builds its parser once per process, and a --config call leaves
+    no default behind for the calls after it."""
+
+    def test_train_after_config(self, synth_paths, capsys):
+        cfg = synth_paths["dir"] / "train.cfg"
+        cfg.write_text("epochs = 2\nshots = 1\ntau = 0.05\nlr = 0.001\n"
+                       "pooling = avg\ncontext_length = 2\ntopk_k = 3\n"
+                       "dt = 8\nencoder_seed = 4\n")
+        files = ["--data", synth_paths["data"],
+                 "--tissues", synth_paths["tissues"],
+                 "--classes", synth_paths["classes"]]
+        configured = synth_paths["dir"] / "configured.json"
+        report = synth_paths["dir"] / "plain.json"
+        code, _, err = run(capsys, "train", "--config", str(cfg), *files,
+                           "--seed", "1", "--out", str(configured))
+        assert code == 0, err
+        assert read_report(configured)["config"]["pooling"] == "avg"
+        code, _, err = run(capsys, "train", *files, "--seed", "1",
+                           "--out", str(report))
+        assert code == 0, err
+        default = TrainConfig(seed=1)
+        config = read_report(report)["config"]
+        assert {key: config[key] for key in REPORT_SETTINGS} == {
+            key: getattr(default, field)
+            for key, (field, _) in REPORT_SETTINGS.items()}
+
+    def test_synth_after_config(self, tmp_path, capsys):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("num_classes = 2\nnum_tissues = 4\nn_min = 3\n"
+                       "n_max = 5\nbags_per_class = 2\ndv = 16\n"
+                       "signal_fraction = 0.5\nencoder_seed = 3\n")
+        out = tmp_path / "d.bin"
+        argv = ["synth", "--seed", "5", "--out", str(out)]
+        summaries = []
+        for extra in ([], ["--config", str(cfg)], []):
+            code, stdout, err = run(capsys, *argv, *extra)
+            assert code == 0, err
+            summaries.append(json.loads(stdout))
+        first, configured, last = summaries
+        assert configured["num_classes"] == 2 and configured["d_v"] == 16
+        assert last == first
+        spec = SynthSpec(seed=5)
+        assert (first["num_classes"], first["bags"], first["d_v"],
+                first["n_range"], first["encoder_seed"]) == (
+            spec.num_classes, spec.num_classes * spec.bags_per_class,
+            spec.d_v, list(spec.n_range), spec.encoder_seed)
+
+    def test_parser_built_once(self, capsys, monkeypatch):
+        import slipmil.cli as cli
+
+        built = []
+        real = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or real())
+        cli._parser.cache_clear()
+        try:
+            assert main(["train", "--help"]) == 0
+            assert main(["frobnicate"]) == 2
+            assert main(["eval", "--zero-shot"]) == 2
+        finally:
+            cli._parser.cache_clear()
+        assert built == [1]
 
 
 FILES = "--data {data} --tissues {tissues} --classes {classes}"

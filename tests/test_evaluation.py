@@ -7,7 +7,8 @@ from slipmil import core
 from slipmil import pooling as pooling_module
 from slipmil.core import EmbeddingMatrix, WsiBag
 from slipmil.errors import InsufficientBagsError, InvalidSettingError
-from slipmil.evaluation import evaluate, run_ablation, select_few_shot
+from slipmil.evaluation import (evaluate, run_ablation, run_single,
+                                select_few_shot)
 from slipmil.pooling import (
     ClassPromptSet,
     Pipeline,
@@ -15,7 +16,7 @@ from slipmil.pooling import (
     TissuePromptSet,
     classify,
 )
-from slipmil.trainer import TrainConfig
+from slipmil.trainer import TrainConfig, train_prompts
 from slipmil.synth import generate, preset_spec
 
 from conftest import random_bag, unit_rows
@@ -300,6 +301,41 @@ def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
     core.EmbeddingMatrix(ds.bags[0].patches.data)  # the counters do count
     assert counts == {"EmbeddingMatrix": 1, "_as_matrix": 1,
                       "slip_correlation": 1}
+
+
+class TestRunSingleTextSide:
+    """A run encodes its text side once: training pools with the same
+    Pipeline that evaluation then scores with, prompts added."""
+
+    def test_tissues_encoded_once(self, monkeypatch):
+        ds = generate(preset_spec("needle", seed=0))
+        calls = []
+        real = TissuePromptSet.from_descriptions.__func__
+
+        def counting(cls, weights, descriptions):
+            calls.append(tuple(descriptions))
+            return real(cls, weights, descriptions)
+
+        monkeypatch.setattr(TissuePromptSet, "from_descriptions",
+                            classmethod(counting))
+        run_single(ds.bags, ds.class_names, ds.tissue_descriptions,
+                   TrainConfig(shots=2, epochs=2, seed=1))
+        assert calls == [tuple(ds.tissue_descriptions)]
+
+    @pytest.mark.parametrize("pooling", ["slip", "topk", "avg"])
+    def test_four_positional_call(self, pooling):
+        # perfbench calls train_prompts(bags, tissues, names, cfg), and its
+        # tracer reads the fourth argument as the TrainConfig
+        ds = generate(preset_spec("needle", seed=0))
+        cfg = TrainConfig(shots=2, epochs=3, seed=4, pooling=pooling)
+        train, _ = select_few_shot(ds.bags, cfg.shots)
+        prompts, history = train_prompts(train, ds.tissue_descriptions,
+                                         ds.class_names, cfg)
+        run_prompts, run_history, _, _ = run_single(
+            ds.bags, ds.class_names, ds.tissue_descriptions, cfg)
+        assert np.array_equal(prompts.contexts[0].vectors,
+                              run_prompts.contexts[0].vectors)
+        assert history.records == run_history.records
 
 
 class TestRunAblation:

@@ -126,6 +126,23 @@ class TestDatasetCorruption:
             with pytest.raises(TruncatedFileError):
                 read_dataset(bad)
 
+    def test_truncated_in_bag_header(self, dataset_file, tmp_path):
+        # each bag header (patch count, label, patient id length) is read
+        # in one piece; a file that ends inside it is still truncated
+        path, bags = dataset_file
+        blob = path.read_bytes()
+        first = len(MAGIC) + 16
+        second = (first + 10 + len(bags[0].patient_id.encode())
+                  + 8 * bags[0].num_patches
+                  + 4 * bags[0].num_patches * bags[0].patches.cols)
+        assert struct.unpack_from("<II", blob, second) == (
+            bags[1].num_patches, bags[1].label)
+        for cut in (first + 1, first + 4, first + 9, second + 8):
+            bad = tmp_path / "cut.bin"
+            bad.write_bytes(blob[:cut])
+            with pytest.raises(TruncatedFileError):
+                read_dataset(bad)
+
     def test_trailing_bytes(self, dataset_file, tmp_path):
         path, _ = dataset_file
         bad = tmp_path / "pad.bin"

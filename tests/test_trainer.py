@@ -213,10 +213,10 @@ class TestSettings:
 
     def test_zero_shot_trains_nothing(self, weights):
         bags = small_dataset(np.random.default_rng(3))
+        cfg = TrainConfig(pooling="zero", epochs=1)
         with pytest.raises(InvalidSettingError, match="zero-shot"):
-            train_prompts(bags, TISSUES, NAMES3[:2],
-                          TrainConfig(pooling="zero", epochs=1),
-                          weights=weights)
+            train_prompts(bags, TISSUES, NAMES3[:2], cfg,
+                          pipeline=cfg.pipeline(weights, TISSUES, NAMES3[:2]))
 
     def test_prompts_hold_one_shared_context(self):
         ctx = PromptContext(np.zeros((2, 4)))
@@ -386,8 +386,9 @@ class TestClosedFormEquivalence:
         cfg = TrainConfig(tau=0.1, learning_rate=0.05, epochs=4, seed=13,
                           pooling=pooling, context_length=context_length,
                           topk_k=2)
-        prompts, history = train_prompts(bags, TISSUES, NAMES3, cfg,
-                                         weights=weights)
+        prompts, history = train_prompts(
+            bags, TISSUES, NAMES3, cfg,
+            pipeline=cfg.pipeline(weights, TISSUES, NAMES3))
         contexts, records = reference_train(bags, TISSUES, NAMES3, cfg,
                                             weights)
         losses, want_losses = compare_with_reference(prompts, history,
@@ -408,8 +409,9 @@ class TestClosedFormEquivalence:
         # lr / tau as in the cases above, so the context moves as far
         cfg = TrainConfig(tau=tau, learning_rate=0.5 * tau, epochs=4,
                           seed=17, pooling="slip", context_length=4)
-        prompts, history = train_prompts(bags, TISSUES, names, cfg,
-                                         weights=weights)
+        prompts, history = train_prompts(
+            bags, TISSUES, names, cfg,
+            pipeline=cfg.pipeline(weights, TISSUES, names))
         contexts, records = reference_train(bags, TISSUES, names, cfg,
                                             weights)
         losses, want_losses = compare_with_reference(prompts, history,
@@ -431,7 +433,8 @@ class TestClosedFormEquivalence:
         bags = small_dataset(np.random.default_rng(48), num_classes=3)
         cfg = TrainConfig(context_length=1, epochs=1, seed=0)
         with pytest.raises(ZeroVectorError, match="norm 0.000e"):
-            train_prompts(bags, TISSUES, NAMES3, cfg, weights=weights)
+            train_prompts(bags, TISSUES, NAMES3, cfg,
+                          pipeline=cfg.pipeline(weights, TISSUES, NAMES3))
 
     def test_overflowed_class_embedding_raises(self, weights):
         # A huge step overflows nu_c to inf, which would make every class
@@ -440,4 +443,5 @@ class TestClosedFormEquivalence:
         cfg = TrainConfig(learning_rate=1e200, epochs=2, seed=0)
         with (np.errstate(over="ignore"),
               pytest.raises(ZeroVectorError, match="norm inf")):
-            train_prompts(bags, TISSUES, NAMES3, cfg, weights=weights)
+            train_prompts(bags, TISSUES, NAMES3, cfg,
+                          pipeline=cfg.pipeline(weights, TISSUES, NAMES3))
