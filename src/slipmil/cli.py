@@ -6,7 +6,6 @@ always explicit; every subcommand is deterministic under fixed flags.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import os
@@ -58,39 +57,37 @@ def _reject_unknown_keys(path, keys, allowed) -> None:
         )
 
 
-@contextlib.contextmanager
-def _config_defaults(sub, path):
-    """The values of the --config file at `path` as defaults of subcommand
-    parser `sub` within the block, and its own defaults after it. Its flags
-    (- spelled _) are the only keys accepted. argparse parses a string
-    default with the flag's own type, as if it were given on the command
-    line, but checks only given values against the flag's choices; here a
-    switch's choices are true and false."""
+def _config_flags(sub, path) -> list:
+    """The --config file at `path` as command-line text for subcommand
+    parser `sub`: key = value is --key=value, a switch set true the bare
+    flag and one set false nothing. Its keys are the flags (- spelled _)
+    but --help and --config; a value must be one of its flag's choices, a
+    switch's being true and false. argparse parses the rest as it parses
+    the command line."""
     values = _load_config_file(path)
-    actions = {a.dest: a for a in sub._actions}
-    _reject_unknown_keys(path, values, set(actions) - {"help", "config"})
+    actions = {flag[2:].replace("-", "_"): (flag, action)
+               for flag, action in sub._option_string_actions.items()
+               if flag.startswith("--") and flag not in ("--help", "--config")}
+    _reject_unknown_keys(path, values, actions)
+    flags = []
     for key, raw in values.items():
-        switch = actions[key].nargs == 0
-        choices = ("true", "false") if switch else actions[key].choices
+        flag, action = actions[key]
+        switch = action.nargs == 0
+        choices = ("true", "false") if switch else action.choices
         if choices is not None and raw not in choices:
             raise CliInputError(f"{path}: {key} = {raw!r} must be one of "
                                 f"{', '.join(choices)}")
-        if switch:
-            values[key] = raw == "true"
-    own = {key: actions[key].default for key in values}
-    for key, value in values.items():
-        actions[key].default = value
-    try:
-        yield
-    finally:
-        for key, default in own.items():
-            actions[key].default = default
+        if not switch:
+            flags.append(f"{flag}={raw}")
+        elif raw == "true":
+            flags.append(flag)
+    return flags
 
 
-def _require_seed(value):
-    if value is None:
+def _require_seed(args) -> int:
+    if "seed" not in vars(args):
         raise CliInputError("--seed is required (seeds are never implicit)")
-    return int(value)
+    return args.seed
 
 
 def _check_dataset(bags, num_classes, class_names, source,
@@ -121,32 +118,6 @@ def _write_prompt_file(path, lines, header):
             fh.write(line + "\n")
 
 
-# synth flags that set a SynthSpec field; an absent one takes its default
-SPEC_FLAGS = ("num_classes", "num_tissues", "n_min", "n_max",
-              "bags_per_class", "signal_fraction", "noise_sigma", "dv", "dt")
-# eval flags that only --zero-shot reads; --report takes them from the report
-ZERO_SHOT_FLAGS = ("classes", "tau", "dt", "encoder_seed")
-
-
-def _leave_unset(parser, dests) -> None:
-    """Flags in `dests` left off the command line stay unset, so a command
-    can tell an explicit flag from a default; help keeps naming the default.
-    """
-    for action in parser._actions:
-        if action.dest in dests:
-            if action.help:
-                action.help = action.help % {"default": action.default}
-            action.default = argparse.SUPPRESS
-
-
-def _given(args, dests) -> dict:
-    return {k: getattr(args, k) for k in dests if hasattr(args, k)}
-
-
-def _flag_list(dests) -> str:
-    return ", ".join("--" + k.replace("_", "-") for k in dests)
-
-
 # optional grid key -> (TrainConfig field, type); a key left out of the grid
 # takes the TrainConfig default
 GRID_SETTINGS = {"tau": ("tau", float), "lr": ("learning_rate", float),
@@ -157,6 +128,61 @@ GRID_SETTINGS = {"tau": ("tau", float), "lr": ("learning_rate", float),
 # the settings block of a report: train writes every key, eval reads it back
 REPORT_SETTINGS = {**GRID_SETTINGS, "shots": ("shots", int_or_all),
                    "seed": ("seed", int), "pooling": ("pooling", str)}
+# synth flags that set a SynthSpec field; n_min and n_max make its n_range
+SPEC_FLAGS = ("num_classes", "num_tissues", "n_min", "n_max",
+              "bags_per_class", "signal_fraction", "noise_sigma", "d_v", "d_t")
+# eval flags that only --zero-shot reads; --report takes them from the report
+ZERO_SHOT_FLAGS = ("classes", "tau", "d_t", "encoder_seed")
+# the help of each setting flag, by its dest: a report key or a SynthSpec flag
+SETTING_HELP = {
+    "encoder_seed": "seed of the frozen text encoder",
+    "d_t": "text embedding dimension",
+    "d_v": "visual embedding dimension",
+    "num_classes": "classes, one keyed tissue each",
+    "num_tissues": "tissue types, at least num_classes",
+    "n_min": "fewest patches in a bag",
+    "n_max": "most patches in a bag",
+    "bags_per_class": "bags of each class",
+    "signal_fraction": "share of a bag's patches near its class's tissue",
+    "noise_sigma": "standard deviation of the patch noise",
+    "shots": "bags per class for training, or 'all'",
+    "pooling": "pooling variant",
+    "tau": "softmax temperature",
+    "lr": "SGD learning rate",
+    "epochs": "training epochs",
+    "context_length": "learnable context vectors",
+    "topk_k": "k for topk pooling, clamped to N",
+}
+# settings whose flag is not --key
+SHORT_FLAGS = {"d_t": "dt", "d_v": "dv"}
+
+
+def _flag(key) -> str:
+    return "--" + SHORT_FLAGS.get(key, key).replace("_", "-")
+
+
+def _given(args, keys) -> dict:
+    """The flags among `keys` that were given, on the command line or in
+    --config; a setting flag not given is absent from `args`."""
+    values = vars(args)
+    return {key: values[key] for key in keys if key in values}
+
+
+def _add_settings(sub, spec, *keys) -> None:
+    """Flags for the settings `keys` of `spec` (TrainConfig or SynthSpec),
+    each stored under its key and only when given: `spec` supplies the
+    default, which the help names. The type is the report's, or else the
+    default's."""
+    defaults = dict(zip(("n_min", "n_max"), SynthSpec.n_range))
+    for key in keys:
+        field, cast = REPORT_SETTINGS.get(key, (key, None))
+        default = defaults[key] if key in defaults else getattr(spec, field)
+        sub.add_argument(
+            _flag(key), dest=key, type=cast or type(default),
+            default=argparse.SUPPRESS,
+            choices=POOLING_VARIANTS if key == "pooling" else None,
+            metavar=SHORT_FLAGS[key].upper() if key in SHORT_FLAGS else None,
+            help=f"{SETTING_HELP[key]} (default {default})")
 
 
 def _setting(source, key, raw: str, cast, error=CliInputError):
@@ -183,31 +209,25 @@ def _train_config(source, values, settings, error=CliInputError):
 
 
 def _flag_config(args, **fixed) -> TrainConfig:
-    """The TrainConfig of a command's setting flags, named as the keys of
-    REPORT_SETTINGS but --dt for d_t: each flag the command has (and was
-    given, if it can be left unset) sets its field, and `fixed` overrides."""
-    flags = {field: {"d_t": "dt"}.get(key, key)
-             for key, (field, _) in REPORT_SETTINGS.items()}
-    return TrainConfig(**{field: getattr(args, flag) for field, flag
-                          in flags.items() if hasattr(args, flag)} | fixed)
+    """The TrainConfig of the setting flags given; `fixed` overrides."""
+    return TrainConfig(**{REPORT_SETTINGS[key][0]: value for key, value
+                          in _given(args, REPORT_SETTINGS).items()} | fixed)
 
 
 def cmd_synth(args) -> None:
-    seed = _require_seed(args.seed)
+    seed = _require_seed(args)
     given = _given(args, SPEC_FLAGS)
+    encoder = _given(args, ("encoder_seed",))
     if args.preset:
         if given:
             raise CliInputError(f"--preset {args.preset} fixes the dataset "
-                                f"spec; drop {_flag_list(given)}")
-        spec = preset_spec(args.preset, seed=seed,
-                           encoder_seed=args.encoder_seed)
+                                f"spec; drop {', '.join(map(_flag, given))}")
+        spec = preset_spec(args.preset, seed=seed, **encoder)
     else:
         lo, hi = SynthSpec.n_range
         spec = SynthSpec(
             n_range=(given.pop("n_min", lo), given.pop("n_max", hi)),
-            d_v=given.pop("dv", SynthSpec.d_v),
-            d_t=given.pop("dt", SynthSpec.d_t),
-            seed=seed, encoder_seed=args.encoder_seed, **given,
+            seed=seed, **encoder, **given,
         )
     data = generate(spec)
     write_dataset(args.out, data.bags)
@@ -217,25 +237,18 @@ def cmd_synth(args) -> None:
                        "tissue descriptions, one per line")
     _write_prompt_file(classes_out, data.class_names,
                        "class names, one per line")
-    summary = {
-        "num_classes": spec.num_classes,
-        "num_tissues": spec.num_tissues,
-        "bags": len(data.bags),
-        "d_v": spec.d_v,
-        "signal_fraction": spec.signal_fraction,
-        "noise_sigma": spec.noise_sigma,
-        "n_range": list(spec.n_range),
-        "seed": spec.seed,
-        "encoder_seed": spec.encoder_seed,
-        "out": args.out,
-        "tissues_out": tissues_out,
-        "classes_out": classes_out,
-    }
+    summary = {key: getattr(spec, key) for key in (
+        "num_classes", "num_tissues", "d_v", "signal_fraction", "noise_sigma",
+        "seed", "encoder_seed")}
+    summary.update(bags=len(data.bags), n_range=list(spec.n_range),
+                   out=args.out, tissues_out=tissues_out,
+                   classes_out=classes_out)
     print(json.dumps(summary, indent=2, sort_keys=True))
 
 
 def cmd_train(args) -> None:
-    cfg = _flag_config(args, seed=_require_seed(args.seed))
+    _require_seed(args)
+    cfg = _flag_config(args)
     bags, num_classes = read_dataset(args.data)
     tissue_descriptions = read_prompt_lines(args.tissues)
     class_names = read_prompt_lines(args.classes)
@@ -303,14 +316,14 @@ def cmd_eval(args) -> None:
     given = _given(args, ZERO_SHOT_FLAGS)
     if args.report and given:
         raise CliInputError(f"--report takes its settings from the report; "
-                            f"drop {_flag_list(given)}")
+                            f"drop {', '.join(map(_flag, given))}")
     bags, num_classes = read_dataset(args.data)
     if args.zero_shot:
         if "classes" not in given:
             raise CliInputError("--zero-shot requires --classes")
         cfg, tissue_descriptions, prompts = (
             _flag_config(args, pooling="zero"), (), None)
-        class_names = read_prompt_lines(given["classes"])
+        class_names = read_prompt_lines(args.classes)
         _check_dataset(bags, num_classes, class_names, "--classes")
     else:
         cfg, class_names, tissue_descriptions, prompts = _read_run(
@@ -328,7 +341,8 @@ def _format_table(rows) -> str:
         return "(no rows)\n"
     headers = ["pooling", "shots", "tissue_set", "num_tissue_types", "seed",
                "class_averaged_accuracy", "bag_accuracy", "final_loss"]
-    cells = [[_cell(row[h]) for h in headers] for row in rows]
+    cells = [[f"{row[h]:.4f}" if isinstance(row[h], float) else str(row[h])
+              for h in headers] for row in rows]
     widths = [max(len(h), *(len(c[i]) for c in cells))
               for i, h in enumerate(headers)]
     lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
@@ -336,12 +350,6 @@ def _format_table(rows) -> str:
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines) + "\n"
-
-
-def _cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.4f}"
-    return str(value)
 
 
 GRID_REQUIRED = ("data", "classes", "poolings", "shots", "tissues", "seeds")
@@ -398,19 +406,6 @@ def cmd_heatmap(args) -> None:
     }, indent=2, sort_keys=True))
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value file of defaults")
-
-
-def _add_encoder_flags(sub):
-    sub.add_argument("--encoder-seed", type=int,
-                     default=TrainConfig.encoder_seed,
-                     help="seed of the frozen text encoder "
-                          "(default %(default)s)")
-    sub.add_argument("--dt", type=int, default=TrainConfig.d_t,
-                     help="text embedding dimension (default %(default)s)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="slipmil",
@@ -419,100 +414,71 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    _add_common(p)
-    _add_encoder_flags(p)
-    p.add_argument("--dv", type=int, default=SynthSpec.d_v,
-                   help="visual embedding dimension (default %(default)s)")
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--config", help="flat key = value file of defaults")
+        return p
+
+    def seed(p):
+        p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                       help="required; never implicit")
+
+    p = command("synth", cmd_synth, "generate a synthetic dataset")
+    _add_settings(p, SynthSpec, "encoder_seed", "d_t", "d_v")
     p.add_argument("--preset", choices=sorted(PRESETS),
                    help="named preset; the spec flags below (and --dv, "
                         "--dt) cannot be combined with it")
-    p.add_argument("--num-classes", type=int)
-    p.add_argument("--num-tissues", type=int)
-    p.add_argument("--n-min", type=int)
-    p.add_argument("--n-max", type=int)
-    p.add_argument("--bags-per-class", type=int)
-    p.add_argument("--signal-fraction", type=float)
-    p.add_argument("--noise-sigma", type=float)
-    _leave_unset(p, SPEC_FLAGS)
-    p.add_argument("--seed", type=int, help="required; never implicit")
+    _add_settings(p, SynthSpec, *SPEC_FLAGS[:-2])
+    seed(p)
     p.add_argument("--out", required=True)
     p.add_argument("--tissues-out")
     p.add_argument("--classes-out")
-    p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("train", help="few-shot prompt training + evaluation")
-    _add_common(p)
-    _add_encoder_flags(p)
+    p = command("train", cmd_train, "few-shot prompt training + evaluation")
+    _add_settings(p, TrainConfig, "encoder_seed", "d_t")
     p.add_argument("--data", required=True)
     p.add_argument("--tissues", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--shots", type=int_or_all, default=TrainConfig.shots,
-                   help="bags per class for training, or 'all' "
-                        "(default %(default)s)")
-    p.add_argument("--pooling", choices=POOLING_VARIANTS,
-                   default=TrainConfig.pooling,
-                   help="pooling variant (default %(default)s)")
-    p.add_argument("--tau", type=float, default=TrainConfig.tau,
-                   help="softmax temperature (default %(default)s)")
-    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate,
-                   help="SGD learning rate (default %(default)s)")
-    p.add_argument("--epochs", type=int, default=TrainConfig.epochs,
-                   help="training epochs (default %(default)s)")
-    p.add_argument("--context-length", type=int,
-                   default=TrainConfig.context_length,
-                   help="learnable context vectors (default %(default)s)")
-    p.add_argument("--topk-k", type=int, default=TrainConfig.topk_k,
-                   help="k for topk pooling, clamped to N "
-                        "(default %(default)s)")
-    p.add_argument("--seed", type=int, help="required; never implicit")
+    _add_settings(p, TrainConfig, "shots", "pooling", "tau", "lr", "epochs",
+                  "context_length", "topk_k")
+    seed(p)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate from a report or zero-shot")
-    _add_common(p)
-    _add_encoder_flags(p)
+    p = command("eval", cmd_eval, "evaluate from a report or zero-shot")
+    _add_settings(p, TrainConfig, "encoder_seed", "d_t")
     p.add_argument("--data", required=True)
     p.add_argument("--report", help="report with trained context; the "
                                     "report fixes every other setting")
     p.add_argument("--zero-shot", action="store_true")
-    p.add_argument("--classes", help="class names file (zero-shot mode)")
-    p.add_argument("--tau", type=float, default=TrainConfig.tau,
-                   help="softmax temperature (default %(default)s)")
-    _leave_unset(p, ZERO_SHOT_FLAGS)
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--classes", default=argparse.SUPPRESS,
+                   help="class names file (zero-shot mode)")
+    _add_settings(p, TrainConfig, "tau")
 
-    p = sub.add_parser("ablate", help="run a pooling/shots/tissues grid")
-    _add_common(p)
+    p = command("ablate", cmd_ablate, "run a pooling/shots/tissues grid")
     p.add_argument("--grid", required=True,
                    help="key = value grid file (data, classes, poolings, "
                         "shots, tissues, seeds, ...)")
     p.add_argument("--out", help="JSON rows path; .txt table alongside")
-    p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("heatmap", help="export per-patch scores for one bag")
-    _add_common(p)
-    _add_encoder_flags(p)
+    p = command("heatmap", cmd_heatmap, "export per-patch scores for one bag")
+    _add_settings(p, TrainConfig, "encoder_seed", "d_t")
     p.add_argument("--data", required=True)
     p.add_argument("--bag", type=int, required=True)
     p.add_argument("--class-index", type=int, required=True)
     p.add_argument("--tissues", required=True)
     p.add_argument("--classes", required=True)
-    p.add_argument("--tau", type=float, default=TrainConfig.tau,
-                   help="softmax temperature (default %(default)s)")
+    _add_settings(p, TrainConfig, "tau")
     p.add_argument("--out-prefix", required=True)
-    p.set_defaults(func=cmd_heatmap)
 
-    parser._command_parsers = {
-        name: sp for name, sp in sub.choices.items()
-    }
+    parser._command_parsers = dict(sub.choices)
     return parser
 
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """build_parser's parser, built once per process; main leaves it as it
-    found it."""
+    """build_parser's parser, built once per process; nothing writes to
+    it."""
     return build_parser()
 
 
@@ -521,10 +487,11 @@ def main(argv=None) -> int:
     parser = _parser()
     try:
         args = parser.parse_args(argv)
-        if args.config:  # parsed again, with the file's values as defaults
-            with _config_defaults(parser._command_parsers[args.command],
-                                  args.config):
-                args = parser.parse_args(argv)
+        if args.config:  # parsed again, the file's flags before the given
+            at = argv.index(args.command) + 1
+            args = parser.parse_args([*argv[:at], *_config_flags(
+                parser._command_parsers[args.command], args.config),
+                *argv[at:]])
         args.func(args)
         return 0
     except (SlipError, OSError) as exc:

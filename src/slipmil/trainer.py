@@ -13,7 +13,7 @@ sum, L_c = M + n_tokens_c), P the d_t x d_v projection and G = P P^T:
 
 nu_c is computed from h_c as written, so a class whose nu_c / L_c falls
 below 1e-12, or whose nu_c overflows, raises ZeroVectorError where
-encode_text would.
+encode_text would; so does a step whose arithmetic overflows.
 
 A training bag with pooled feature F_b (d_v x C) enters only through
 Q_b = F_b^T P^T (C x d_t): its pair logits are z[i, c] = Q_b[i] . h_c / nu_c.
@@ -180,16 +180,21 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     products = np.empty((2 * num_classes, num_classes))  # [Q_b; h G] @ h^T
     flat, h_t = products.ravel(), h.T
     bag_stacks = [(stack, stack[num_classes:]) for stack in stacks]
-    for epoch in range(cfg.epochs):
-        for idx in rng.permutation(len(dataset)).tolist():
-            add(s, tok_sums, out=h)
-            stack, hg = bag_stacks[idx]
-            dot(h, gram, out=hg)
-            dot(stack, h_t, out=products)
-            loss, coef = _infonce_coefficients(flat.tolist(), labels[idx],
-                                               tau, rate, lengths)
-            s += dot(coef, stack)
-            append((epoch, idx, loss))
+    try:  # an overflow fails its step, not a later norm that reads 0
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(cfg.epochs):
+                for idx in rng.permutation(len(dataset)).tolist():
+                    add(s, tok_sums, out=h)
+                    stack, hg = bag_stacks[idx]
+                    dot(h, gram, out=hg)
+                    dot(stack, h_t, out=products)
+                    loss, coef = _infonce_coefficients(
+                        flat.tolist(), labels[idx], tau, rate, lengths)
+                    s += dot(coef, stack)
+                    append((epoch, idx, loss))
+    except FloatingPointError as exc:
+        raise ZeroVectorError(f"embedding norm inf: an SGD step overflowed "
+                              f"({exc})") from exc
 
     ctx = ctx + (s - s0) / max(cfg.context_length, 1)  # M = 0: s is s0
     return TrainedPrompts([PromptContext(ctx)]), history

@@ -1,6 +1,11 @@
 import json
 import math
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -191,7 +196,6 @@ class TestTrainCommand:
         assert doc["config"]["shots"] == 1
         assert doc["config"]["seed"] == 9
 
-    @OVERFLOWS
     def test_overflowing_step_exits_2(self, synth_paths, capsys):
         # a learning rate so large that a class embedding norm overflows
         # used to train a zero prompt and exit 0
@@ -205,6 +209,29 @@ class TestTrainCommand:
                                 "--out", str(report))
         assert code == 2 and stdout == "" and not report.exists()
         assert "norm inf" in err and "internal error" not in err
+
+    @pytest.mark.parametrize("flags, want", [
+        ([], {"epochs": 2, "pooling": "avg"}),
+        (["--epochs", "3"], {"epochs": 3, "pooling": "avg"}),
+        (["--pooling", "topk"], {"epochs": 2, "pooling": "topk"}),
+        (["--epochs", "3", "--pooling", "topk"], {"epochs": 3,
+                                                  "pooling": "topk"}),
+    ], ids=["config", "epochs-flag", "pooling-flag", "both-flags"])
+    def test_command_line_overrides_config(self, synth_paths, capsys, flags,
+                                           want):
+        # --config is read as flags placed before the given ones, so a flag
+        # on the command line wins over the same key in the file
+        cfg = synth_paths["dir"] / "train.cfg"
+        cfg.write_text("epochs = 2\npooling = avg\n")
+        report = synth_paths["dir"] / "r.json"
+        code, _, err = run(capsys, "train", "--config", str(cfg),
+                           "--data", synth_paths["data"],
+                           "--tissues", synth_paths["tissues"],
+                           "--classes", synth_paths["classes"], *flags,
+                           "--shots", "2", "--seed", "1", "--out", str(report))
+        assert code == 0, err
+        config = read_report(report)["config"]
+        assert {key: config[key] for key in want} == want
 
     def test_config_file_unknown_keys(self, synth_paths, capsys):
         # typos must not fall back silently to the flag defaults
@@ -565,6 +592,26 @@ def test_tau_floor(needle_paths, tmp_path, capsys, command, tau, code):
         assert err == ""
 
 
+@pytest.mark.parametrize("flags", [
+    "--shots 4 --epochs 2 --seed 0 --tau 1e-200",
+    f"--shots 4 --epochs 2 --seed 0 --tau {TAU_FLOOR!r}",
+    f"--pooling avg --shots 1 --epochs 1 --seed 5 --tau {TAU_FLOOR!r}",
+], ids=["1e-200", "floor", "avg-floor"])
+def test_tau_floor_default_lr(needle_paths, tmp_path, capsys, flags):
+    # at the default lr a step at such a tau moves the context past the
+    # largest float: a typed `norm inf` error where it overflows, with no
+    # numpy warning before it and no norm of 0 read from an overflowed sum
+    report = tmp_path / "r.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, err = run(capsys, "train", "--data", needle_paths["data"],
+                                "--tissues", needle_paths["tissues"],
+                                "--classes", needle_paths["classes"],
+                                *flags.split(), "--out", str(report))
+    assert code == 2 and stdout == "" and not report.exists()
+    assert "norm inf" in err and "internal error" not in err
+
+
 class TestHeatmapCommand:
     def test_exports(self, synth_paths, capsys):
         prefix = synth_paths["dir"] / "hm"
@@ -647,6 +694,118 @@ class TestParserSurface:
                                 "--classes", synth_paths["classes"], *flags)
         assert code == 2 and stdout == ""
         assert "unrecognized arguments: --dv 32" in err
+
+
+# each command's setting flags and the TrainConfig or SynthSpec default that
+# a flag left out takes
+ENCODER_FLAGS = {"--encoder-seed": TrainConfig.encoder_seed,
+                 "--dt": TrainConfig.d_t}
+SETTING_FLAGS = {
+    "synth": {"--encoder-seed": SynthSpec.encoder_seed,
+              "--dt": SynthSpec.d_t, "--dv": SynthSpec.d_v,
+              "--num-classes": SynthSpec.num_classes,
+              "--num-tissues": SynthSpec.num_tissues,
+              "--n-min": SynthSpec.n_range[0],
+              "--n-max": SynthSpec.n_range[1],
+              "--bags-per-class": SynthSpec.bags_per_class,
+              "--signal-fraction": SynthSpec.signal_fraction,
+              "--noise-sigma": SynthSpec.noise_sigma},
+    "train": {**ENCODER_FLAGS, "--tau": TrainConfig.tau,
+              "--lr": TrainConfig.learning_rate,
+              "--epochs": TrainConfig.epochs, "--shots": TrainConfig.shots,
+              "--pooling": TrainConfig.pooling,
+              "--context-length": TrainConfig.context_length,
+              "--topk-k": TrainConfig.topk_k},
+    "eval": {**ENCODER_FLAGS, "--tau": TrainConfig.tau},
+    "heatmap": {**ENCODER_FLAGS, "--tau": TrainConfig.tau},
+}
+# a command line of each command, without its setting flags
+SETTINGS_LINE = {
+    "synth": "synth --seed 5 --out {dir}/s.bin",
+    "train": "train {files} --seed 1 --out {dir}/r.json",
+    "eval": "eval --data {data} --zero-shot --classes {classes}",
+    "heatmap": "heatmap {files} --bag 1 --class-index 2 --out-prefix {dir}/h",
+}
+
+
+class TestSettingsSurface:
+    """Every setting flag of every command names its default in --help,
+    and is accepted as a --config key."""
+
+    @pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
+    def test_help_names_defaults(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0
+        options = re.split(r"\n(?:options|optional arguments):\n", out)[1]
+        entries = {}
+        for entry in re.split(r"\n(?=  -)", options):
+            words = entry.split()
+            entries[words[0].rstrip(",")] = " ".join(words)
+        for flag, default in SETTING_FLAGS[command].items():
+            assert entries[flag].endswith(f"(default {default})"), flag
+
+    @pytest.mark.parametrize("command", sorted(SETTING_FLAGS))
+    def test_defaults_as_config_keys(self, synth_paths, capsys, command):
+        # a --config file that sets every setting to its default changes
+        # nothing that the command prints or writes
+        work = synth_paths["dir"]
+        files = FILES.format(**synth_paths)
+        argv = SETTINGS_LINE[command].format(**synth_paths,
+                                             files=files).split()
+        cfg = work / "defaults.cfg"
+        cfg.write_text("".join(f"{flag[2:].replace('-', '_')} = {default}\n"
+                               for flag, default
+                               in SETTING_FLAGS[command].items()))
+        outputs = []
+        for extra in ([], ["--config", str(cfg)]):
+            code, stdout, err = run(capsys, *argv, *extra)
+            assert code == 0, err
+            written = {}
+            # the files SETTINGS_LINE writes: s.bin*, r.json, h.csv, h.pgm
+            for path in sorted(work.glob("[shr]*")):
+                if path.name.endswith(".json"):
+                    doc = json.loads(path.read_text())
+                    doc.pop("created_at")
+                    written[path.name] = doc
+                else:
+                    written[path.name] = path.read_bytes()
+                path.unlink()
+            outputs.append((stdout, written))
+        assert outputs[0] == outputs[1]
+
+
+class TestRealProcess:
+    """`python -m slipmil.cli` exits with the codes main returns."""
+
+    def slipmil(self, *argv):
+        src = Path(__file__).resolve().parent.parent / "src"
+        return subprocess.run([sys.executable, "-m", "slipmil.cli", *argv],
+                              capture_output=True, text=True, timeout=120,
+                              env={**os.environ, "PYTHONPATH": str(src)})
+
+    def test_tiny_synth(self, tmp_path):
+        out = tmp_path / "d.bin"
+        done = self.slipmil("synth", "--seed", "0", "--num-classes", "2",
+                            "--num-tissues", "2", "--bags-per-class", "1",
+                            "--n-min", "2", "--n-max", "3", "--out", str(out))
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["bags"] == 2 and out.exists()
+
+    def test_unknown_flag(self, tmp_path):
+        done = self.slipmil("synth", "--seed", "0", "--bogus",
+                            "--out", str(tmp_path / "d.bin"))
+        assert done.returncode == 2
+        assert "unrecognized arguments: --bogus" in done.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    def test_unknown_config_key(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("bogus = 1\n")
+        done = self.slipmil("synth", "--config", str(cfg), "--seed", "0",
+                            "--out", str(tmp_path / "d.bin"))
+        assert done.returncode == 2
+        assert "unknown key(s) 'bogus'" in done.stderr
+        assert list(tmp_path.iterdir()) == [cfg]
 
 
 class TestParserKeepsNoState:
