@@ -328,8 +328,8 @@ def cmd_eval(args) -> None:
     else:
         cfg, class_names, tissue_descriptions, prompts = _read_run(
             args.report, bags, num_classes)
-    pipeline = cfg.pipeline(cfg.encoder_weights(bags[0].patches.cols),
-                            tissue_descriptions, class_names, prompts)
+    pipeline = cfg.pipeline(bags[0].patches.cols, tissue_descriptions,
+                            class_names, prompts)
     _, eval_bags = select_few_shot(bags, cfg.shots)
     metrics = evaluate(eval_bags, pipeline)
     print(json.dumps({"mode": "zero-shot" if args.zero_shot else "trained",
@@ -393,8 +393,7 @@ def cmd_heatmap(args) -> None:
         raise CliInputError(f"--bag {args.bag} outside [0, {len(bags)})")
     bag = bags[args.bag]
     cfg = _flag_config(args)
-    corr = cfg.pipeline(cfg.encoder_weights(bag.patches.cols),
-                        read_prompt_lines(args.tissues),
+    corr = cfg.pipeline(bag.patches.cols, read_prompt_lines(args.tissues),
                         read_prompt_lines(args.classes)).correlation(bag)
     csv_path = args.out_prefix + ".csv"
     pgm_path = args.out_prefix + ".pgm"

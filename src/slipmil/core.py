@@ -14,7 +14,13 @@ from .errors import DimensionMismatchError
 
 NORM_EPS = 1e-12
 COORD_MAX = 0xFFFFFFFF  # grid coordinates are stored as uint32 on disk
+# Sanity bounds, so that a setting or a corrupted count fails fast instead
+# of allocating wildly
 MAX_D_V = 4096  # widest embedding the dataset container reads or writes
+MAX_D_T = MAX_D_V  # widest text embedding the encoder draws
+MAX_CONTEXT_LENGTH = 1024  # most learnable context vectors
+MAX_BAGS = 1_000_000  # most bags in one dataset
+MAX_PATCHES = 1_000_000  # most patches in one bag
 
 
 def _as_matrix(data) -> np.ndarray:

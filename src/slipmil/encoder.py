@@ -5,7 +5,7 @@ encoder mean-pools the sequence (optionally prefixed by learnable context
 vectors), projects to the visual dimension and unit-normalizes.
 
 Because of the mean pooling, a text's embedding depends on its M context
-rows only through their sum:
+rows only through their sum, and `encode_text` computes it that way:
 
     encode_text(text, ctx) = normalize(((sum_rows ctx + tok_sum) / L) @ P)
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NORM_EPS
+from .core import MAX_D_T, NORM_EPS
 from .errors import EmptySequenceError, ZeroVectorError, check_setting
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
@@ -66,6 +66,7 @@ class FrozenEncoderWeights:
     ) -> "FrozenEncoderWeights":
         check_setting(min(d_t, d_v) >= 1, "embedding dimensions must be >= 1, "
                       f"got d_t={d_t}, d_v={d_v}")
+        check_setting(d_t <= MAX_D_T, f"d_t={d_t} must be <= {MAX_D_T}")
         rng = np.random.default_rng(seed)
         scale = 1.0 / np.sqrt(d_t)
         token_table = rng.uniform(-scale, scale,
@@ -110,24 +111,25 @@ class PromptContext:
         return cls(rng.uniform(-0.01, 0.01, size=(length, d_t)))
 
 
-def _sequence(weights: FrozenEncoderWeights, context, text: str) -> np.ndarray:
-    parts = []
-    if context is not None and context.length > 0:
-        parts.append(context.vectors)
+def _token_sum(weights: FrozenEncoderWeights, text: str,
+               context_length: int) -> tuple[np.ndarray, int]:
+    """The sum of the text's token embeddings (d_t,) and its sequence
+    length L = context_length + n_tokens."""
     ids = weights.vocab.tokenize(text)
-    if ids:
-        parts.append(weights.token_table[ids])
-    if not parts:
+    if not ids and not context_length:
         raise EmptySequenceError(f"no tokens and no context for text {text!r}")
-    return np.vstack(parts)
+    return weights.token_table[ids].sum(axis=0), context_length + len(ids)
 
 
 def encode_text(weights: FrozenEncoderWeights, text: str,
                 context: PromptContext | None = None) -> np.ndarray:
-    """Mean-pool the (context + token) sequence, project, unit-normalize."""
-    seq = _sequence(weights, context, text)
-    h = seq.mean(axis=0)
-    e = h @ weights.projection
+    """Mean-pool the (context + token) sequence, project, unit-normalize,
+    in the closed form of the module docstring."""
+    m = 0 if context is None else context.length
+    h, length = _token_sum(weights, text, m)
+    if m:
+        h = context.vectors.sum(axis=0) + h
+    e = (h / length) @ weights.projection
     n = np.linalg.norm(e)
     if not NORM_EPS <= n < np.inf:
         raise ZeroVectorError(f"embedding norm {n:.3e} not in [1e-12, inf)")
@@ -136,14 +138,7 @@ def encode_text(weights: FrozenEncoderWeights, text: str,
 
 def token_sums(weights: FrozenEncoderWeights, texts,
                context_length: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per text, the sum of its token embeddings (T x d_t) and its sequence
-    length L = context_length + n_tokens (T,)."""
-    texts = list(texts)
-    ids = [weights.vocab.tokenize(t) for t in texts]
-    lengths = np.array([context_length + len(i) for i in ids],
-                       dtype=np.float64)
-    if np.any(lengths == 0):
-        text = texts[int(np.argmin(lengths))]
-        raise EmptySequenceError(f"no tokens and no context for text {text!r}")
-    sums = np.stack([weights.token_table[i].sum(axis=0) for i in ids])
-    return sums, lengths
+    """`_token_sum` of many texts: token sums (T x d_t) and lengths (T,)."""
+    sums, lengths = zip(*(_token_sum(weights, t, context_length)
+                          for t in texts))
+    return np.stack(sums), np.array(lengths, dtype=np.float64)

@@ -27,10 +27,6 @@ class DimensionMismatchError(SlipError):
     """Operands have incompatible shapes."""
 
 
-class NonPositiveTemperatureError(SlipError):
-    """Softmax temperature must be strictly positive."""
-
-
 class EmptySequenceError(SlipError):
     """Text encoder received no tokens and no prompt context."""
 

@@ -84,8 +84,8 @@ def run_single(dataset, class_names, tissue_descriptions,
     if not dataset:
         raise EmptyDatasetError("dataset is empty")
     train_bags, eval_bags = select_few_shot(dataset, cfg.shots)
-    pipeline = cfg.pipeline(cfg.encoder_weights(dataset[0].patches.cols),
-                            tissue_descriptions, class_names)
+    pipeline = cfg.pipeline(dataset[0].patches.cols, tissue_descriptions,
+                            class_names)
     prompts, history = train_prompts(train_bags, tissue_descriptions,
                                      class_names, cfg, pipeline=pipeline)
     metrics = evaluate(eval_bags, replace(pipeline, prompts=prompts))
@@ -111,7 +111,7 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
     if "zero" in poolings:
         zero = replace(base_cfg, pooling="zero")
         zero_metrics = evaluate(dataset, zero.pipeline(
-            zero.encoder_weights(dataset[0].patches.cols), (), class_names))
+            dataset[0].patches.cols, (), class_names))
     rows = []
     for pooling in poolings:
         for shots in shots_list:

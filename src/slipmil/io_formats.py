@@ -13,7 +13,8 @@ import struct
 
 import numpy as np
 
-from .core import MAX_D_V, EmbeddingMatrix, WsiBag
+from .core import (MAX_BAGS, MAX_D_V, MAX_PATCHES, EmbeddingMatrix,
+                   WsiBag)
 from .errors import (
     BadMagicError,
     ClassOutOfRangeError,
@@ -29,10 +30,6 @@ from .errors import (
 MAGIC = b"SLIPEMB1"
 DATASET_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
-
-# Sanity bounds so corrupted counts fail fast instead of allocating wildly.
-MAX_BAGS = 1_000_000
-MAX_PATCHES = 1_000_000
 BAG_HEADER = struct.Struct("<IIH")  # patch count, label, patient id bytes
 
 
@@ -60,12 +57,16 @@ def write_dataset(path, bags) -> None:
         raise ValueError("cannot write an empty dataset")
     d_v = bags[0].patches.cols
     check_setting(d_v <= MAX_D_V, f"d_v={d_v} exceeds the format's {MAX_D_V}")
+    check_setting(len(bags) <= MAX_BAGS,
+                  f"{len(bags)} bags exceed the format's {MAX_BAGS}")
     num_classes = max(bag.label for bag in bags) + 1
     parts = [MAGIC, struct.pack("<IIII", DATASET_VERSION, d_v, len(bags),
                                 num_classes)]
     for bag in bags:
         if bag.patches.cols != d_v:
             raise ValueError("all bags must share one embedding dimension")
+        check_setting(bag.num_patches <= MAX_PATCHES, f"{bag.num_patches} "
+                      f"patches in a bag exceed the format's {MAX_PATCHES}")
         pid = bag.patient_id.encode("utf-8")
         if len(pid) > 0xFFFF:
             raise ValueError("patient id too long")

@@ -33,8 +33,7 @@ from .core import (
 )
 from .encoder import FrozenEncoderWeights, PromptContext, encode_text
 from .errors import (DimensionMismatchError, KOutOfRangeError,
-                     NonPositiveTemperatureError, ZeroVectorError,
-                     check_setting)
+                     ZeroVectorError, check_setting)
 
 if TYPE_CHECKING:
     from .trainer import TrainedPrompts
@@ -127,9 +126,9 @@ def log_tissue_wsi_similarity(classes: ClassPromptSet,
                               tissues: TissuePromptSet,
                               temperature: float) -> np.ndarray:
     """log S_wsi: row log-softmax of class-vs-tissue cosine similarities
-    over the temperature (C x K), finite at any temperature > 0."""
-    if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+    over the temperature (C x K), finite at any temperature that check_tau
+    accepts."""
+    check_tau(temperature)
     z = cosine_matrix(classes.embeddings, tissues.embeddings) / temperature
     z -= z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
@@ -170,8 +169,6 @@ def _patch_logits(patches: np.ndarray, tissues: TissuePromptSet,
                   m: np.ndarray, tau: float) -> np.ndarray:
     """cos(tissue, patch) / tau + m, K x N, shifted so that every patch's
     largest logit is 0."""
-    if tau <= 0:
-        raise NonPositiveTemperatureError(f"temperature {tau} <= 0")
     u = tissues.embeddings.data @ patches.T
     u *= 1.0 / tau
     u += m[:, None]
@@ -189,6 +186,7 @@ def slip_correlation(patches: np.ndarray, tissues: TissuePromptSet,
     the shifted logits a 0 in every patch column, so at any tau each patch
     has an entry >= 1 before the rescale, which also cancels S_patch's own
     normalisation; that is never computed."""
+    check_tau(tau)
     m = lw.max(axis=0)
     u = _patch_logits(patches, tissues, m, tau)
     np.exp(u, out=u)
@@ -320,7 +318,7 @@ def topk_features(bags, classes: ClassPromptSet, k: int) -> np.ndarray:
     width = classes.embeddings.cols
     out = np.empty((len(bags), classes.size, width))
     for group, patches, starts, sizes in _groups(bags, width):
-        kept = np.minimum(sizes, k)
+        kept = np.minimum(sizes, min(k, sizes.max()))  # k may pass int64
         bag = np.repeat(np.arange(sizes.size), sizes)
         # sorted by (bag, -score), position p holds rank p - starts[bag[p]]
         chosen = np.arange(bag.size) - starts[bag] < kept[bag]
@@ -348,8 +346,7 @@ def zero_shot_probabilities(bags, classes: ClassPromptSet,
     """Per bag, the per-patch class softmax averaged over patches: B x C,
     rows summing to one. Per group: one shifted exp over class-major C x N
     logits, a rescale of every patch column and a mean per bag and class."""
-    if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+    check_tau(temperature)
     out = np.empty((len(bags), classes.size))
     for group, patches, starts, sizes in _groups(bags,
                                                  classes.embeddings.cols):

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_D_V, EmbeddingMatrix, WsiBag
+from .core import MAX_BAGS, MAX_D_V, MAX_PATCHES, EmbeddingMatrix, WsiBag
 from .encoder import DEFAULT_D_T, DEFAULT_D_V, DEFAULT_ENCODER_SEED, \
     FrozenEncoderWeights, encode_text
-from .errors import RejectionExhaustedError, check_setting
+from .errors import (InvalidSettingError, RejectionExhaustedError,
+                     check_setting)
 
 MAX_SEPARATION_COSINE = 0.3
 _REJECTION_TRIES = 200
@@ -54,10 +55,13 @@ class SynthSpec:
     encoder_seed: int = DEFAULT_ENCODER_SEED
 
     def __post_init__(self):
-        for name in ("num_classes", "num_tissues", "bags_per_class"):
+        for name in ("num_classes", "bags_per_class"):
             check_setting(getattr(self, name) >= 1, f"{name} must be >= 1")
-        check_setting(self.num_tissues >= self.num_classes,
-                      "need at least one tissue per class")
+        # a bag's distractor is a tissue other than its class's
+        check_setting(self.num_tissues >= max(self.num_classes, 2),
+                      "need at least one tissue per class, and two tissues")
+        check_setting(self.num_classes * self.bags_per_class <= MAX_BAGS,
+                      f"num_classes x bags_per_class must be <= {MAX_BAGS}")
         check_setting(0 < self.signal_fraction <= 1,
                       "signal_fraction must be in (0, 1]")
         check_setting(0 <= self.noise_sigma < math.inf,
@@ -67,7 +71,8 @@ class SynthSpec:
         check_setting(1 <= self.d_v <= MAX_D_V,
                       f"d_v={self.d_v} must be in [1, {MAX_D_V}]")
         lo, hi = self.n_range
-        check_setting(1 <= lo <= hi, "n_range must satisfy 1 <= min <= max")
+        check_setting(1 <= lo <= hi <= MAX_PATCHES, "n_range must satisfy "
+                      f"1 <= min <= max <= {MAX_PATCHES}")
 
 
 # Free knobs (bag sizes, bag counts, tissue count) chosen so that
@@ -136,6 +141,7 @@ def _draw_archetypes(rng, weights, k):
     return descriptions, np.stack(vectors)
 
 
+@np.errstate(over="raise")
 def _perturb_bag(rng, informative, distractor, n_signal, n, sigma):
     """n unit rows: the first n_signal scatter around `informative`, the
     rest around `distractor`, each with isotropic N(0, sigma^2) noise.
@@ -183,8 +189,13 @@ def generate(spec: SynthSpec) -> SynthDataset:
             # One distractor tissue per bag: keeps the off-class content
             # coherent so averaging cannot wash it out.
             distractor = archetypes[pool[int(rng.integers(len(pool)))]]
-            patches = _perturb_bag(rng, informative, distractor, n_signal,
-                                   n, spec.noise_sigma)
+            try:
+                patches = _perturb_bag(rng, informative, distractor,
+                                       n_signal, n, spec.noise_sigma)
+            except FloatingPointError as exc:  # else it writes zero patches
+                raise InvalidSettingError(
+                    f"noise_sigma={spec.noise_sigma} overflows a patch "
+                    f"norm ({exc})") from exc
             width = math.ceil(math.sqrt(n))
             index = np.arange(n)
             bags.append(WsiBag(

@@ -37,7 +37,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import NORM_EPS
+from .core import MAX_CONTEXT_LENGTH, NORM_EPS
 from .encoder import (
     DEFAULT_D_T,
     DEFAULT_ENCODER_SEED,
@@ -81,23 +81,20 @@ class TrainConfig:
                       f"must be one of {', '.join(POOLINGS)}")
         for name in ("seed", "encoder_seed"):
             check_setting(getattr(self, name) >= 0, f"{name} must be >= 0")
-        check_setting(self.context_length >= 0,
-                      f"context_length={self.context_length} must be >= 0")
+        check_setting(0 <= self.context_length <= MAX_CONTEXT_LENGTH,
+                      f"context_length={self.context_length} must be in "
+                      f"[0, {MAX_CONTEXT_LENGTH}]")
         check_setting(self.topk_k >= 1, f"topk_k={self.topk_k} must be >= 1")
         check_setting(self.shots == "all" or int(self.shots) >= 1,
                       "shots must be >= 1 or 'all'")
 
-    def encoder_weights(self, d_v: int) -> FrozenEncoderWeights:
-        return FrozenEncoderWeights.create(
-            self.encoder_seed, d_t=self.d_t, d_v=d_v
-        )
-
-    def pipeline(self, weights: FrozenEncoderWeights, tissue_descriptions,
-                 class_names, prompts: TrainedPrompts | None = None
-                 ) -> Pipeline:
-        """The Pipeline of these settings, zero-shot included: the one
-        place that encodes tissue descriptions, which only slip pooling
-        reads."""
+    def pipeline(self, d_v: int, tissue_descriptions, class_names,
+                 prompts: TrainedPrompts | None = None) -> Pipeline:
+        """The Pipeline of these settings for d_v-wide patches, zero-shot
+        included: the one place that draws the encoder and encodes tissue
+        descriptions, which only slip pooling reads."""
+        weights = FrozenEncoderWeights.create(self.encoder_seed, d_t=self.d_t,
+                                              d_v=d_v)
         tissues = (TissuePromptSet.from_descriptions(weights,
                                                      tissue_descriptions)
                    if self.pooling == "slip" else None)
@@ -155,8 +152,8 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     labels = [_check_label(bag.label, num_classes) for bag in dataset]
 
     if pipeline is None:
-        pipeline = cfg.pipeline(cfg.encoder_weights(dataset[0].patches.cols),
-                                tissue_descriptions, class_names)
+        pipeline = cfg.pipeline(dataset[0].patches.cols, tissue_descriptions,
+                                class_names)
     weights = pipeline.weights
     rng = np.random.default_rng(cfg.seed)
     ctx = PromptContext.init(rng, cfg.context_length, weights.d_t).vectors
@@ -210,8 +207,8 @@ def _infonce_coefficients(products: list, label: int, tau: float,
     """
     num_classes = len(lengths)
     pairs = num_classes * num_classes
-    nus = [sqrt(q) if q > 0.0 else 0.0
-           for q in products[pairs::num_classes + 1]]
+    # max(q, 0.0) keeps a NaN q, which a BLAS overflow can leave unflagged
+    nus = [sqrt(max(q, 0.0)) for q in products[pairs::num_classes + 1]]
     for nu, length in zip(nus, lengths):
         if not NORM_EPS * length <= nu < inf:
             raise ZeroVectorError(f"embedding norm {nu / length:.3e} not in "

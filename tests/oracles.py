@@ -21,13 +21,13 @@ import mpmath
 import numpy as np
 
 from slipmil.core import NORM_EPS, EmbeddingMatrix, _as_matrix
-from slipmil.encoder import FrozenEncoderWeights, PromptContext, _sequence
+from slipmil.encoder import FrozenEncoderWeights, PromptContext
 from slipmil.errors import (
     DimensionMismatchError,
     EmptySequenceError,
+    InvalidSettingError,
     KOutOfRangeError,
     LabelOutOfRangeError,
-    NonPositiveTemperatureError,
     ZeroVectorError,
 )
 from slipmil.pooling import (
@@ -187,7 +187,7 @@ class SimilarityMatrix:
 def softmax_rows(logits, temperature: float) -> SimilarityMatrix:
     """Temperature softmax per row with max-subtraction stabilization."""
     if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+        raise InvalidSettingError(f"temperature {temperature} <= 0")
     z = _as_matrix(logits) / temperature
     z = z - z.max(axis=1, keepdims=True)
     e = np.exp(z)
@@ -202,6 +202,20 @@ def l2_normalize_rows(m: EmbeddingMatrix) -> EmbeddingMatrix:
         bad = int(np.argmin(norms))
         raise ZeroVectorError(f"row {bad} has norm {norms[bad]:.3e} < 1e-12")
     return EmbeddingMatrix(m.data / norms[:, None])
+
+
+def _sequence(weights: FrozenEncoderWeights, context,
+              text: str) -> np.ndarray:
+    """The [context; tokens] sequence that encode_text mean-pools, L x d_t."""
+    parts = []
+    if context is not None and context.length > 0:
+        parts.append(context.vectors)
+    ids = weights.vocab.tokenize(text)
+    if ids:
+        parts.append(weights.token_table[ids])
+    if not parts:
+        raise EmptySequenceError(f"no tokens and no context for text {text!r}")
+    return np.vstack(parts)
 
 
 def encode_text_grad(weights: FrozenEncoderWeights, text: str,
@@ -365,7 +379,7 @@ def pooled_feature(bag, tissues, frozen_classes, pooling: str, tau: float,
 def zero_shot_scores(bag, classes, temperature: float) -> np.ndarray:
     """Per-patch class softmax of one bag averaged over patches."""
     if temperature <= 0:
-        raise NonPositiveTemperatureError(f"temperature {temperature} <= 0")
+        raise InvalidSettingError(f"temperature {temperature} <= 0")
     z = classes.embeddings.data @ bag.patches.data.T
     z /= temperature
     z -= z.max(axis=0)

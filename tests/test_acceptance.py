@@ -11,7 +11,7 @@ import numpy as np
 
 from slipmil.cli import main as cli_main
 from slipmil.core import EmbeddingMatrix, WsiBag
-from slipmil.encoder import PromptContext, encode_text
+from slipmil.encoder import FrozenEncoderWeights, PromptContext, encode_text
 from slipmil.errors import FormatError
 from slipmil.evaluation import (
     Pipeline,
@@ -246,7 +246,8 @@ class TestAcceptance:
                                               ds.tissue_descriptions, cfg)
                 accs[pooling].append(metrics["class_averaged_accuracy"])
             cfg = TrainConfig(seed=seed)
-            weights = cfg.encoder_weights(bags[0].patches.cols)
+            weights = FrozenEncoderWeights.create(
+                cfg.encoder_seed, d_t=cfg.d_t, d_v=bags[0].patches.cols)
             tissues = TissuePromptSet.from_descriptions(
                 weights, ds.tissue_descriptions)
             _, eval_bags = select_few_shot(bags, 4)
@@ -311,7 +312,8 @@ class TestAcceptance:
         prompts, _ = train_prompts(*select_few_shot(bags, 2)[:1],
                                    ds.tissue_descriptions, ds.class_names,
                                    cfg)
-        weights = cfg.encoder_weights(bags[0].patches.cols)
+        weights = FrozenEncoderWeights.create(
+            cfg.encoder_seed, d_t=cfg.d_t, d_v=bags[0].patches.cols)
         tissues = TissuePromptSet.from_descriptions(
             weights, ds.tissue_descriptions)
         pipe = Pipeline(weights=weights, tissues=tissues,

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from slipmil.core import COORD_MAX, EmbeddingMatrix, WsiBag, cosine_matrix
 from slipmil.errors import (
     DimensionMismatchError,
-    NonPositiveTemperatureError,
+    InvalidSettingError,
     ZeroVectorError,
 )
 
@@ -98,9 +98,9 @@ class TestSoftmaxRows:
                                               rel=1e-12)
 
     def test_non_positive_temperature(self):
-        with pytest.raises(NonPositiveTemperatureError):
+        with pytest.raises(InvalidSettingError):
             softmax_rows([[1.0, 2.0]], 0.0)
-        with pytest.raises(NonPositiveTemperatureError):
+        with pytest.raises(InvalidSettingError):
             softmax_rows([[1.0, 2.0]], -0.5)
 
     @pytest.mark.parametrize("tau", [0.01, 0.1, 1.0])

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from slipmil import io_formats
 from slipmil.cli import main
 from slipmil.core import COORD_MAX, EmbeddingMatrix, WsiBag
 from slipmil.errors import (
@@ -94,6 +95,21 @@ class TestDatasetRoundTrip:
         rng = np.random.default_rng(71)
         bags = [random_bag(rng, 2, MAX_D_V + 1)]
         with pytest.raises(InvalidSettingError, match=f"d_v={MAX_D_V + 1}"):
+            write_dataset(tmp_path / "x.bin", bags)
+        assert not (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize("bound, match", [
+        ("MAX_PATCHES", "3 patches in a bag exceed the format's 2"),
+        ("MAX_BAGS", "3 bags exceed the format's 2")])
+    def test_counts_above_format_bound_rejected(self, tmp_path, monkeypatch,
+                                                bound, match):
+        # the reader refuses a file past either bound, so it is never
+        # written; the bounds are lowered here to keep the bags small
+        monkeypatch.setattr(io_formats, bound, 2)
+        rng = np.random.default_rng(72)
+        bags = [random_bag(rng, 3 if bound == "MAX_PATCHES" else 1, 4)
+                for _ in range(3 if bound == "MAX_BAGS" else 1)]
+        with pytest.raises(InvalidSettingError, match=match):
             write_dataset(tmp_path / "x.bin", bags)
         assert not (tmp_path / "x.bin").exists()
 

@@ -2,8 +2,9 @@
 function and public method they define runs at runtime or in the
 benchmark, the benchmark's view of the package exists, the runtime package
 does not pull in test-only dependencies, every training setting is
-reachable from the command line and stored in reports, and the text side
-of the model, the model and its encoder are each built in one place."""
+reachable from the command line and stored in reports, every error class
+is raised, and the text side of the model, the model and its encoder are
+each built in one place."""
 import ast
 import dataclasses
 import os
@@ -104,6 +105,47 @@ class TestRuntimeFunctionsHaveCallers:
         bench = [path.read_text(encoding="utf-8")
                  for path in sorted(PERFBENCH.glob("*.py"))]
         assert unreferenced_functions(sources, *bench) == []
+
+
+def unraised_errors(errors: str, *sources: str) -> list[str]:
+    """Exception classes defined in `errors` that no code in `sources`
+    raises by name and that are no base of a class that is raised."""
+    bases = {node.name: {b.id for b in node.bases if isinstance(b, ast.Name)}
+             for node in ast.parse(errors).body
+             if isinstance(node, ast.ClassDef)}
+    raised = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = getattr(node.exc, "func", node.exc)
+                raised.add(getattr(exc, "id", None))
+    covered, todo = set(), list(raised & set(bases))
+    while todo:
+        name = todo.pop()
+        if name not in covered:
+            covered.add(name)
+            todo += bases.get(name, ())
+    return sorted(set(bases) - covered)
+
+
+class TestEveryErrorIsRaised:
+    def test_detects_unraised_error(self):
+        errors = ("class Base(Exception):\n    pass\n"
+                  "class Mid(Base):\n    pass\n"
+                  "class Leaf(Mid):\n    pass\n"
+                  "class Dead(Base):\n    pass\n"
+                  "class Bare(Exception):\n    pass\n")
+        source = ("def f(x):\n    if x:\n        raise Leaf('no')\n"
+                  "    raise Bare\n")
+        assert unraised_errors(errors, source) == ["Dead"]
+        assert unraised_errors(errors) == ["Bare", "Base", "Dead", "Leaf",
+                                           "Mid"]
+
+    def test_runtime_modules(self):
+        # an error class nothing raises is a branch no caller can take
+        sources = [path.read_text(encoding="utf-8") for path in MODULES]
+        errors = (SRC / "slipmil" / "errors.py").read_text(encoding="utf-8")
+        assert unraised_errors(errors, *sources) == []
 
 
 class TestBenchmarkSurface:
@@ -232,9 +274,9 @@ class TestOneTextSide:
 
 
 class TestOneModelPath:
-    """Every command, zero-shot included, builds its Pipeline through
-    TrainConfig.pipeline and its encoder through TrainConfig.encoder_weights;
-    only synth.generate draws an encoder of its own, for the archetypes."""
+    """Every command, zero-shot included, builds its Pipeline and draws its
+    encoder through TrainConfig.pipeline; only synth.generate draws an
+    encoder of its own, for the archetypes."""
 
     def test_detects_calls_outside_the_allowed_function(self):
         source = ("def generate():\n"
@@ -249,8 +291,7 @@ class TestOneModelPath:
     def test_runtime_module(self, path):
         source = path.read_text(encoding="utf-8")
         assert calls_outside(source, MODEL_SIDE, {
-            "TrainConfig.pipeline", "TrainConfig.encoder_weights",
-            "generate"}) == []
+            "TrainConfig.pipeline", "generate"}) == []
 
 
 def _imported_modules(path: Path) -> set[str]:

@@ -1,5 +1,7 @@
+import math
 import os
 import threading
+import warnings
 from collections import deque
 
 import numpy as np
@@ -9,8 +11,8 @@ from slipmil import pooling
 from slipmil.core import EmbeddingMatrix, WsiBag
 from slipmil.errors import (
     DimensionMismatchError,
+    InvalidSettingError,
     KOutOfRangeError,
-    NonPositiveTemperatureError,
     ZeroVectorError,
 )
 from slipmil.pooling import (
@@ -114,8 +116,8 @@ class TestTissueWsiSimilarity:
         rng = np.random.default_rng(9)
         classes = class_set(unit_rows(rng, 2, 8))
         tissues = tissue_set(unit_rows(rng, 2, 8))
-        for tau in (0.0, -0.5):
-            with pytest.raises(NonPositiveTemperatureError):
+        for tau in (0.0, -0.5, 1e-309):
+            with pytest.raises(InvalidSettingError):
                 log_tissue_wsi_similarity(classes, tissues, tau)
 
 
@@ -226,8 +228,8 @@ class TestSlipPool:
         rng = np.random.default_rng(19)
         bag = random_bag(rng, 4, 8)
         tissues, lw, _ = make_similarities(rng, bag, 3, 2)
-        for tau in (0.0, -0.1):
-            with pytest.raises(NonPositiveTemperatureError):
+        for tau in (0.0, -0.1, 1e-309):
+            with pytest.raises(InvalidSettingError):
                 slip_one(bag, tissues, lw, tau)
 
 
@@ -650,6 +652,24 @@ def test_streamed_underflow_recomputes_only_that_class(monkeypatch):
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
+@pytest.mark.parametrize("tau", [1e-309, 5e-324, math.inf, math.nan])
+def test_public_poolings_check_tau(tau):
+    # each public pooling function checks tau as Pipeline does; below the
+    # floor they used to overflow to NaN with only a RuntimeWarning
+    rng = np.random.default_rng(44)
+    bag = random_bag(rng, 6, 8)
+    tissues, lw, classes = make_similarities(rng, bag, 3, 2)
+    calls = [lambda: log_tissue_wsi_similarity(classes, tissues, tau),
+             lambda: slip_correlation(bag.patches.data, tissues, lw, tau),
+             lambda: slip_features([bag], tissues, lw, tau),
+             lambda: zero_shot_probabilities([bag], classes, tau)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(InvalidSettingError, match=f"tau={tau}"):
+                call()
+
+
 def test_worker_error_reaches_the_caller(monkeypatch):
     monkeypatch.setattr(pooling, "GROUP_PATCHES", 8)
     monkeypatch.setattr(pooling, "_cores", lambda: 2)
@@ -657,12 +677,12 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     bag = random_bag(rng, 60, 8)
     tissues, lw, _ = make_similarities(rng, bag, 3, 2)
     threads = threading.active_count()
-    with pytest.raises(NonPositiveTemperatureError):
+    with pytest.raises(InvalidSettingError):
         slip_features([bag], tissues, lw, 0.0)
     assert threading.active_count() == threads
     # the same error raised in the worker thread alone
     seen = spy_blocks(monkeypatch, worker_tau=lambda tau: -tau)
-    with pytest.raises(NonPositiveTemperatureError):
+    with pytest.raises(InvalidSettingError):
         slip_features([bag], tissues, lw, 0.1)
     assert len({ident for _, ident in seen}) == 2
     assert threading.active_count() == threads

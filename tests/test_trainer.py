@@ -216,7 +216,8 @@ class TestSettings:
         cfg = TrainConfig(pooling="zero", epochs=1)
         with pytest.raises(InvalidSettingError, match="zero-shot"):
             train_prompts(bags, TISSUES, NAMES3[:2], cfg,
-                          pipeline=cfg.pipeline(weights, TISSUES, NAMES3[:2]))
+                          pipeline=cfg.pipeline(weights.d_v, TISSUES,
+                                                NAMES3[:2]))
 
     def test_prompts_hold_one_shared_context(self):
         ctx = PromptContext(np.zeros((2, 4)))
@@ -312,7 +313,8 @@ class TestTrainPrompts:
         cfg = TrainConfig(epochs=50, seed=3)
         prompts, _ = train_prompts(bags, ds.tissue_descriptions,
                                    ds.class_names, cfg)
-        w = cfg.encoder_weights(bags[0].patches.cols)
+        w = FrozenEncoderWeights.create(cfg.encoder_seed, d_t=cfg.d_t,
+                                        d_v=bags[0].patches.cols)
         tissues = TissuePromptSet.from_descriptions(w,
                                                     ds.tissue_descriptions)
         pipe = Pipeline(weights=w, tissues=tissues,
@@ -388,7 +390,7 @@ class TestClosedFormEquivalence:
                           topk_k=2)
         prompts, history = train_prompts(
             bags, TISSUES, NAMES3, cfg,
-            pipeline=cfg.pipeline(weights, TISSUES, NAMES3))
+            pipeline=cfg.pipeline(weights.d_v, TISSUES, NAMES3))
         contexts, records = reference_train(bags, TISSUES, NAMES3, cfg,
                                             weights)
         losses, want_losses = compare_with_reference(prompts, history,
@@ -411,7 +413,7 @@ class TestClosedFormEquivalence:
                           seed=17, pooling="slip", context_length=4)
         prompts, history = train_prompts(
             bags, TISSUES, names, cfg,
-            pipeline=cfg.pipeline(weights, TISSUES, names))
+            pipeline=cfg.pipeline(weights.d_v, TISSUES, names))
         contexts, records = reference_train(bags, TISSUES, names, cfg,
                                             weights)
         losses, want_losses = compare_with_reference(prompts, history,
@@ -434,7 +436,7 @@ class TestClosedFormEquivalence:
         cfg = TrainConfig(context_length=1, epochs=1, seed=0)
         with pytest.raises(ZeroVectorError, match="norm 0.000e"):
             train_prompts(bags, TISSUES, NAMES3, cfg,
-                          pipeline=cfg.pipeline(weights, TISSUES, NAMES3))
+                          pipeline=cfg.pipeline(weights.d_v, TISSUES, NAMES3))
 
     def test_overflowed_class_embedding_raises(self, weights):
         # A huge step overflows nu_c to inf, which would make every class
@@ -444,4 +446,4 @@ class TestClosedFormEquivalence:
         with (np.errstate(over="ignore"),
               pytest.raises(ZeroVectorError, match="norm inf")):
             train_prompts(bags, TISSUES, NAMES3, cfg,
-                          pipeline=cfg.pipeline(weights, TISSUES, NAMES3))
+                          pipeline=cfg.pipeline(weights.d_v, TISSUES, NAMES3))
