@@ -6,7 +6,8 @@ is a plain dot product.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -52,23 +53,26 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class WsiBag:
-    """One slide: patch embeddings, grid coordinates, label, patient id."""
+    """One slide: patch embeddings, grid coordinates, label, patient id.
+
+    `grid` holds the coordinates as a read-only N x 2 uint32 array; `coords`
+    is the same pairs as a tuple of (int, int), built on first read."""
 
     patches: EmbeddingMatrix
-    coords: tuple = field(default=())
+    grid: np.ndarray
     label: int = 0
     patient_id: str = ""
 
-    def __post_init__(self):
-        # Accepts any N x 2 integer array-like. Stored as a tuple of
-        # (int, int) so that callers can compare and unpack plain pairs.
-        xy = np.asarray(self.coords)  # ragged rows raise ValueError here
-        if xy.shape != (self.patches.rows, 2):
+    def __init__(self, patches: EmbeddingMatrix, coords=(), label: int = 0,
+                 patient_id: str = ""):
+        # Accepts any N x 2 integer array-like
+        xy = np.asarray(coords)  # ragged rows raise ValueError here
+        if xy.shape != (patches.rows, 2):
             raise DimensionMismatchError(
-                f"coords of shape {xy.shape} for {self.patches.rows} patches; "
-                f"need {self.patches.rows} x 2"
+                f"coords of shape {xy.shape} for {patches.rows} patches; "
+                f"need {patches.rows} x 2"
             )
         if xy.dtype.kind not in "iu":
             raise ValueError(
@@ -77,10 +81,21 @@ class WsiBag:
             raise ValueError("grid coordinates must be non-negative")
         if xy.max() > COORD_MAX:
             raise ValueError(f"grid coordinate {xy.max()} exceeds {COORD_MAX}")
-        object.__setattr__(self, "coords", tuple(zip(xy[:, 0].tolist(),
-                                                     xy[:, 1].tolist())))
-        if self.label < 0:
+        if label < 0:
             raise ValueError("label must be non-negative")
+        # a read-only uint32 array, such as a file reader's, is kept as is;
+        # anything else is copied into one
+        if (xy.dtype != np.uint32 or xy.flags.writeable
+                or not xy.flags.c_contiguous):
+            xy = xy.astype(np.uint32, order="C")
+            xy.flags.writeable = False
+        for name, value in (("patches", patches), ("grid", xy),
+                            ("label", label), ("patient_id", patient_id)):
+            object.__setattr__(self, name, value)
+
+    @cached_property
+    def coords(self) -> tuple:
+        return tuple(zip(self.grid[:, 0].tolist(), self.grid[:, 1].tolist()))
 
     @property
     def num_patches(self) -> int:

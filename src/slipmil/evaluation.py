@@ -88,7 +88,7 @@ def run_single(dataset, class_names, tissue_descriptions,
                             class_names)
     prompts, history = train_prompts(train_bags, tissue_descriptions,
                                      class_names, cfg, pipeline=pipeline)
-    metrics = evaluate(eval_bags, replace(pipeline, prompts=prompts))
+    metrics = evaluate(eval_bags, pipeline.with_prompts(prompts))
     return prompts, history, metrics, len(eval_bags)
 
 

@@ -60,8 +60,9 @@ def write_dataset(path, bags) -> None:
     check_setting(len(bags) <= MAX_BAGS,
                   f"{len(bags)} bags exceed the format's {MAX_BAGS}")
     num_classes = max(bag.label for bag in bags) + 1
-    parts = [MAGIC, struct.pack("<IIII", DATASET_VERSION, d_v, len(bags),
-                                num_classes)]
+    # every bag is checked and its header packed before the file is opened
+    heads = [MAGIC + struct.pack("<IIII", DATASET_VERSION, d_v, len(bags),
+                                 num_classes)]
     for bag in bags:
         if bag.patches.cols != d_v:
             raise ValueError("all bags must share one embedding dimension")
@@ -70,14 +71,14 @@ def write_dataset(path, bags) -> None:
         pid = bag.patient_id.encode("utf-8")
         if len(pid) > 0xFFFF:
             raise ValueError("patient id too long")
-        parts.append(BAG_HEADER.pack(bag.num_patches, bag.label, len(pid)))
-        parts.append(pid)
-        parts.append(np.asarray(bag.coords, dtype="<u4").tobytes())
-        parts.append(
-            np.asarray(bag.patches.data, dtype="<f4").tobytes()
-        )
+        heads.append(BAG_HEADER.pack(bag.num_patches, bag.label, len(pid))
+                     + pid)
     with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+        fh.write(heads[0])
+        for bag, head in zip(bags, heads[1:]):
+            fh.write(head)  # arrays go out through the buffer protocol
+            fh.write(bag.grid.astype("<u4", copy=False))
+            fh.write(np.ascontiguousarray(bag.patches.data, dtype="<f4"))
 
 
 # corrupted bytes may decode to signaling NaNs; the cast warning is moot
@@ -164,10 +165,11 @@ def export_heatmap(bag: WsiBag, correlation, class_index: int,
         )
     scores = corr[:, class_index]
 
+    xy = bag.grid
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("grid_x,grid_y,score\n")
-        fh.write("".join(f"{x},{y},{s!r}\n"
-                         for (x, y), s in zip(bag.coords, scores.tolist())))
+        fh.write("".join(f"{x},{y},{s!r}\n" for x, y, s in zip(
+            xy[:, 0].tolist(), xy[:, 1].tolist(), scores.tolist())))
 
     lo, hi = float(scores.min()), float(scores.max())
     if hi - lo < 1e-300:
@@ -175,7 +177,6 @@ def export_heatmap(bag: WsiBag, correlation, class_index: int,
     else:
         # rint, like round(), takes halves to even
         scaled = np.rint((scores - lo) / (hi - lo) * 255).astype(np.uint8)
-    xy = np.asarray(bag.coords)
     width, height = (int(m) + 1 for m in xy.max(axis=0))
     image = np.zeros((height, width), dtype=np.uint8)
     image[xy[:, 1], xy[:, 0]] = scaled

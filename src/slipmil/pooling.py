@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from math import inf
 from typing import TYPE_CHECKING
@@ -391,10 +392,6 @@ class Pipeline:
                       f"must be one of {', '.join(POOLINGS)}")
         names = tuple(self.class_names)
         frozen = ClassPromptSet.from_names(self.weights, names)
-        scoring = frozen
-        if self.prompts is not None:
-            scoring = ClassPromptSet.from_names(self.weights, names,
-                                                self.prompts.contexts[0])
         lw = None
         if self.pooling == "slip":
             check_setting(self.tissues is not None,
@@ -402,8 +399,22 @@ class Pipeline:
             lw = log_tissue_wsi_similarity(frozen, self.tissues, self.tau)
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "_frozen", frozen)
-        object.__setattr__(self, "_scoring", scoring)
+        object.__setattr__(self, "_scoring", frozen)
         object.__setattr__(self, "_lw", lw)
+        if self.prompts is not None:
+            self._score_with(self.prompts)
+
+    def _score_with(self, prompts: TrainedPrompts) -> None:
+        object.__setattr__(self, "prompts", prompts)
+        object.__setattr__(self, "_scoring", ClassPromptSet.from_names(
+            self.weights, self.class_names, prompts.contexts[0]))
+
+    def with_prompts(self, prompts: TrainedPrompts) -> Pipeline:
+        """A copy that scores with `prompts`; the pooling side, log S_wsi
+        included, is shared with this one, not computed again."""
+        new = copy(self)
+        new._score_with(prompts)
+        return new
 
     def scoring_classes(self) -> ClassPromptSet:
         """Class prompts used on the text side of classification."""

@@ -192,6 +192,10 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     except FloatingPointError as exc:
         raise ZeroVectorError(f"embedding norm inf: an SGD step overflowed "
                               f"({exc})") from exc
+    # a BLAS product can overflow unflagged; no later step's norms see the last
+    if not np.isfinite(s).all():
+        raise ZeroVectorError("embedding norm inf: the last SGD step "
+                              "overflowed")
 
     ctx = ctx + (s - s0) / max(cfg.context_length, 1)  # M = 0: s is s0
     return TrainedPrompts([PromptContext(ctx)]), history

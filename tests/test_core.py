@@ -199,3 +199,56 @@ class TestBagCoords:
     def test_non_integer_rejected(self, coords):
         with pytest.raises(ValueError, match="integers"):
             two_patch_bag(coords)
+
+
+class TestBagGrid:
+    """The coordinates live in one read-only N x 2 uint32 array; the tuple
+    of pairs is built on first read of `coords` and kept."""
+
+    FORMS = [((3, 4), (5, 6)), [[3, 4], [5, 6]],
+             np.array([[3, 4], [5, 6]], dtype=np.int64),
+             np.array([[3, 4], [5, 6]], dtype=np.uint32),
+             np.asfortranarray(np.array([[3, 4], [5, 6]], dtype=np.int16))]
+
+    @pytest.mark.parametrize("xy", FORMS)
+    def test_grid_is_read_only_uint32(self, xy):
+        bag = two_patch_bag(xy)
+        assert bag.grid.dtype == np.uint32
+        assert bag.grid.shape == (2, 2)
+        assert bag.grid.flags.c_contiguous
+        assert not bag.grid.flags.writeable
+        assert np.array_equal(bag.grid, [[3, 4], [5, 6]])
+        with pytest.raises(ValueError, match="read-only"):
+            bag.grid[0, 0] = 9
+
+    def test_coords_built_on_first_read_and_kept(self):
+        rng = np.random.default_rng(5)
+        xy = rng.integers(0, COORD_MAX, size=(50, 2), endpoint=True)
+        bag = WsiBag(patches=EmbeddingMatrix(unit_rows(rng, 50, 3)),
+                     coords=xy)
+        assert "coords" not in bag.__dict__
+        first = bag.coords
+        assert "coords" in bag.__dict__
+        assert bag.coords is first
+        assert first == tuple(zip(xy[:, 0].tolist(), xy[:, 1].tolist()))
+        assert all(type(v) is int for pair in first for v in pair)
+
+    def test_writable_input_is_copied(self):
+        xy = np.array([[3, 4], [5, 6]], dtype=np.uint32)
+        bag = two_patch_bag(xy)
+        xy[0, 0] = 7
+        assert xy.flags.writeable
+        assert bag.grid[0, 0] == 3 and bag.coords[0] == (3, 4)
+
+    def test_read_only_uint32_kept_as_is(self):
+        # a file reader's array is not copied again
+        xy = np.frombuffer(np.array([3, 4, 5, 6], dtype="<u4").tobytes(),
+                           dtype="<u4").reshape(2, 2)
+        assert two_patch_bag(xy).grid is xy
+
+    def test_bag_stays_frozen(self):
+        bag = two_patch_bag(((3, 4), (5, 6)))
+        with pytest.raises(AttributeError):
+            bag.grid = np.zeros((2, 2), dtype=np.uint32)
+        with pytest.raises(AttributeError):
+            bag.label = 1

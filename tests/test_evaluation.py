@@ -322,6 +322,26 @@ class TestRunSingleTextSide:
                    TrainConfig(shots=2, epochs=2, seed=1))
         assert calls == [tuple(ds.tissue_descriptions)]
 
+    def test_class_names_encoded_once_per_side(self, monkeypatch):
+        # once frozen for pooling, once behind the trained context for
+        # scoring; adding the prompts does not encode the raw names again
+        ds = generate(preset_spec("needle", seed=0))
+        contexts = []
+        real = ClassPromptSet.from_names.__func__
+
+        def counting(cls, weights, class_names, context=None):
+            contexts.append(context)
+            return real(cls, weights, class_names, context)
+
+        monkeypatch.setattr(ClassPromptSet, "from_names",
+                            classmethod(counting))
+        prompts, _, _, _ = run_single(
+            ds.bags, ds.class_names, ds.tissue_descriptions,
+            TrainConfig(shots=2, epochs=2, seed=1, pooling="slip"))
+        assert len(contexts) == 2
+        assert contexts[0] is None
+        assert contexts[1] is prompts.contexts[0]
+
     @pytest.mark.parametrize("pooling", ["slip", "topk", "avg"])
     def test_four_positional_call(self, pooling):
         # perfbench calls train_prompts(bags, tissues, names, cfg), and its

@@ -18,6 +18,7 @@ from slipmil.errors import (
     TruncatedFileError,
     VersionUnsupportedError,
 )
+from slipmil.evaluation import evaluate
 from slipmil.io_formats import (
     MAGIC,
     MAX_D_V,
@@ -29,6 +30,7 @@ from slipmil.io_formats import (
     write_report,
 )
 from slipmil.synth import generate, preset_spec
+from slipmil.trainer import TrainConfig
 
 from conftest import random_bag
 
@@ -112,6 +114,69 @@ class TestDatasetRoundTrip:
         with pytest.raises(InvalidSettingError, match=match):
             write_dataset(tmp_path / "x.bin", bags)
         assert not (tmp_path / "x.bin").exists()
+
+    @pytest.mark.parametrize("form", [tuple, list, np.int64, np.uint32])
+    def test_coords_form_does_not_change_the_bytes(self, tmp_path, form):
+        pairs = [(0, 0), (COORD_MAX, 1), (7, COORD_MAX), (123456, 65536)]
+        coords = (form(pairs) if form in (tuple, list)
+                  else np.array(pairs, dtype=form))
+        data = np.random.default_rng(75).normal(size=(4, 3))
+        want = tmp_path / "want.bin"
+        write_dataset(want, [WsiBag(patches=EmbeddingMatrix(data),
+                                    coords=tuple(pairs), patient_id="c")])
+        got = tmp_path / "got.bin"
+        write_dataset(got, [WsiBag(patches=EmbeddingMatrix(data),
+                                   coords=coords, patient_id="c")])
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_patches_written_as_float32_rows(self, tmp_path):
+        # a column-major bag is written row by row, as a C-order copy
+        data = np.asfortranarray(np.random.default_rng(76).normal(size=(5, 3)))
+        bag = WsiBag(patches=EmbeddingMatrix(data),
+                     coords=[(i, 0) for i in range(5)], patient_id="f")
+        write_dataset(tmp_path / "f.bin", [bag])
+        blob = (tmp_path / "f.bin").read_bytes()
+        assert blob.endswith(data.astype("<f4").tobytes(order="C"))
+
+    @pytest.mark.parametrize("bad", ["width", "patient id", "label"])
+    def test_failing_late_bag_leaves_no_file(self, tmp_path, bad):
+        # every bag is checked before the file is opened, so a bad last
+        # bag leaves no partial file
+        rng = np.random.default_rng(77)
+        bags = [random_bag(rng, 3, 4, patient_id=f"p{i}") for i in range(3)]
+        last, error = {
+            "width": (random_bag(rng, 3, 8), ValueError),
+            "patient id": (random_bag(rng, 3, 4, patient_id="x" * 70000),
+                           ValueError),
+            "label": (random_bag(rng, 3, 4, label=2 ** 32), struct.error),
+        }[bad]
+        with pytest.raises(error):
+            write_dataset(tmp_path / "x.bin", bags + [last])
+        assert not (tmp_path / "x.bin").exists()
+
+
+class TestCoordsStayUnbuilt:
+    """Synthesis, the container and scoring read each bag's grid array;
+    none of them builds the tuple of coordinate pairs."""
+
+    @staticmethod
+    def unbuilt(bags):
+        return not any("coords" in bag.__dict__ for bag in bags)
+
+    def test_generate_write_read_evaluate(self, tmp_path):
+        ds = generate(preset_spec("needle", seed=0))
+        assert self.unbuilt(ds.bags)
+        write_dataset(tmp_path / "ds.bin", ds.bags)
+        assert self.unbuilt(ds.bags)
+        loaded, _ = read_dataset(tmp_path / "ds.bin")
+        assert self.unbuilt(loaded)
+        assert all(bag.grid.dtype == np.uint32
+                   and not bag.grid.flags.writeable for bag in loaded)
+        pipeline = TrainConfig(pooling="slip").pipeline(
+            loaded[0].patches.cols, ds.tissue_descriptions, ds.class_names)
+        evaluate(loaded, pipeline)
+        assert self.unbuilt(loaded)
+        assert all(a.coords == b.coords for a, b in zip(ds.bags, loaded))
 
 
 class TestDatasetCorruption:
@@ -326,6 +391,7 @@ class TestHeatmapMatchesPerPatchWriter:
                      coords=coords, label=0, patient_id="hm")
         corr = np.stack([scores, scores[::-1]], axis=1)
         export_heatmap(bag, corr, 0, tmp_path / "a.csv", tmp_path / "a.pgm")
+        assert "coords" not in bag.__dict__  # the writer reads bag.grid
         reference_heatmap(bag, scores, tmp_path / "b.csv", tmp_path / "b.pgm")
         for suffix in ("csv", "pgm"):
             assert ((tmp_path / f"a.{suffix}").read_bytes()
@@ -343,6 +409,12 @@ class TestHeatmapMatchesPerPatchWriter:
         scores = np.array([0.0, 0.5, 1.5, 2.5, 3.5, 126.5, 254.5, 255.0])
         coords = [(i, 0) for i in range(len(scores))]
         self.check(tmp_path, coords, scores)
+
+    @pytest.mark.parametrize("dtype", [np.uint32, np.int64])
+    def test_array_coords(self, tmp_path, dtype):
+        rng = np.random.default_rng(78)
+        coords = rng.integers(0, 40, size=(300, 2)).astype(dtype)
+        self.check(tmp_path, coords, rng.normal(size=300))
 
     def test_repeated_coords_last_write_wins(self, tmp_path):
         coords = [(1, 1), (0, 0), (1, 1), (2, 0), (1, 1)]

@@ -447,3 +447,29 @@ class TestClosedFormEquivalence:
               pytest.raises(ZeroVectorError, match="norm inf")):
             train_prompts(bags, TISSUES, NAMES3, cfg,
                           pipeline=cfg.pipeline(weights.d_v, TISSUES, NAMES3))
+
+    def test_unflagged_overflow_on_last_step_raises(self, weights,
+                                                    monkeypatch):
+        # A BLAS product can overflow to inf without a numpy flag; on the
+        # last step no later norm check sees it, so the context would be
+        # non-finite. Only the last step's context update s += coef @ stack
+        # (the one np.dot called with a list) is made inf here.
+        bags = small_dataset(np.random.default_rng(48), num_classes=3)
+        cfg = TrainConfig(epochs=2, seed=0)
+        steps = cfg.epochs * len(bags)
+        real, updates = np.dot, []
+
+        def dot(a, b, out=None):
+            if out is not None:
+                return real(a, b, out=out)
+            product = real(a, b)
+            updates.append(a)
+            return (np.full_like(product, np.inf) if len(updates) == steps
+                    else product)
+
+        pipeline = cfg.pipeline(weights.d_v, TISSUES, NAMES3)
+        monkeypatch.setattr(np, "dot", dot)
+        with pytest.raises(ZeroVectorError, match="embedding norm inf"):
+            train_prompts(bags, TISSUES, NAMES3, cfg, pipeline=pipeline)
+        assert len(updates) == steps
+        assert all(isinstance(a, list) for a in updates)
