@@ -253,12 +253,12 @@ def cmd_train(args) -> None:
     tissue_descriptions = read_prompt_lines(args.tissues)
     class_names = read_prompt_lines(args.classes)
     _check_dataset(bags, num_classes, class_names, "--classes")
-    prompts, history, metrics, pool_size = run_single(
+    prompts, history, metrics = run_single(
         bags, class_names, tissue_descriptions, cfg
     )
     config = {key: getattr(cfg, field)
               for key, (field, _) in REPORT_SETTINGS.items()}
-    config.update(d_v=bags[0].patches.cols, eval_pool_size=pool_size,
+    config.update(d_v=bags[0].patches.cols, eval_pool_size=metrics["num_bags"],
                   data=os.path.basename(args.data))
     context = {"shared": prompts.shared,
                "vectors": [c.vectors.tolist() for c in prompts.contexts]}

@@ -15,6 +15,7 @@ from .errors import DimensionMismatchError
 
 NORM_EPS = 1e-12
 COORD_MAX = 0xFFFFFFFF  # grid coordinates are stored as uint32 on disk
+LABEL_MAX = COORD_MAX - 1  # so is the class count, largest label + 1
 # Sanity bounds, so that a setting or a corrupted count fails fast instead
 # of allocating wildly
 MAX_D_V = 4096  # widest embedding the dataset container reads or writes
@@ -22,6 +23,7 @@ MAX_D_T = MAX_D_V  # widest text embedding the encoder draws
 MAX_CONTEXT_LENGTH = 1024  # most learnable context vectors
 MAX_BAGS = 1_000_000  # most bags in one dataset
 MAX_PATCHES = 1_000_000  # most patches in one bag
+MAX_HEATMAP_CELLS = 1 << 28  # most grid cells in one heatmap image
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -35,7 +37,7 @@ def _as_matrix(data) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
     """Row-major matrix of feature vectors."""
 
@@ -53,7 +55,7 @@ class EmbeddingMatrix:
         return self.data.shape[1]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class WsiBag:
     """One slide: patch embeddings, grid coordinates, label, patient id.
 
@@ -83,6 +85,8 @@ class WsiBag:
             raise ValueError(f"grid coordinate {xy.max()} exceeds {COORD_MAX}")
         if label < 0:
             raise ValueError("label must be non-negative")
+        if label > LABEL_MAX:
+            raise ValueError(f"label {label} exceeds {LABEL_MAX}")
         # a read-only uint32 array, such as a file reader's, is kept as is;
         # anything else is copied into one
         if (xy.dtype != np.uint32 or xy.flags.writeable

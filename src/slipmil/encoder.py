@@ -49,7 +49,7 @@ class Vocabulary:
         return [self.token_id(t) for t in _TOKEN_RE.findall(text.lower())]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrozenEncoderWeights:
     """Seeded token table and projection; never modified after construction."""
 
@@ -87,7 +87,7 @@ class FrozenEncoderWeights:
         return self.projection.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PromptContext:
     """Learnable context vectors; the only trainable parameters anywhere."""
 

@@ -35,14 +35,6 @@ class LabelOutOfRangeError(SlipError):
     """Class label outside [0, C)."""
 
 
-class ClassOutOfRangeError(SlipError):
-    """Requested class index outside [0, C)."""
-
-
-class KOutOfRangeError(SlipError):
-    """Top-k parameter outside [1, N]."""
-
-
 class EmptyDatasetError(SlipError):
     """Training requires at least one bag."""
 

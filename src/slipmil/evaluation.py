@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InsufficientBagsError
+from .errors import EmptyDatasetError, InsufficientBagsError, check_setting
 from .pooling import Pipeline
 from .trainer import TrainConfig, train_prompts
 
@@ -18,8 +18,7 @@ def select_few_shot(dataset, shots: int | str):
     if shots == "all":
         return dataset, dataset
     shots = int(shots)
-    if shots < 1:
-        raise InsufficientBagsError(f"shots={shots} must be >= 1")
+    check_setting(shots >= 1, f"shots={shots} must be >= 1")
     by_class: dict[int, list[int]] = {}
     for i, bag in enumerate(dataset):
         by_class.setdefault(bag.label, []).append(i)
@@ -78,7 +77,8 @@ def run_single(dataset, class_names, tissue_descriptions,
     """Train on the few-shot split and evaluate on the held-out pool; both
     use one Pipeline's text side, so tissue descriptions are encoded once.
 
-    Returns (prompts, history, metrics, eval_pool_size).
+    Returns (prompts, history, metrics); metrics["num_bags"] is the
+    held-out pool's size.
     """
     dataset = list(dataset)
     if not dataset:
@@ -89,7 +89,7 @@ def run_single(dataset, class_names, tissue_descriptions,
     prompts, history = train_prompts(train_bags, tissue_descriptions,
                                      class_names, cfg, pipeline=pipeline)
     metrics = evaluate(eval_bags, pipeline.with_prompts(prompts))
-    return prompts, history, metrics, len(eval_bags)
+    return prompts, history, metrics
 
 
 def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
@@ -129,7 +129,7 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
                         metrics = zero_metrics
                         row["final_loss"] = 0.0
                     else:
-                        _, history, metrics, _ = run_single(
+                        _, history, metrics = run_single(
                             dataset, class_names, descriptions, cfg
                         )
                         row["final_loss"] = float(history.records[-1][2])

@@ -13,12 +13,13 @@ import struct
 
 import numpy as np
 
-from .core import (MAX_BAGS, MAX_D_V, MAX_PATCHES, EmbeddingMatrix,
-                   WsiBag)
+from .core import (MAX_BAGS, MAX_D_V, MAX_HEATMAP_CELLS, MAX_PATCHES,
+                   EmbeddingMatrix, WsiBag)
 from .errors import (
     BadMagicError,
-    ClassOutOfRangeError,
     CorruptHeaderError,
+    DimensionMismatchError,
+    EmptyDatasetError,
     EmptyPromptSetError,
     FormatError,
     SchemaError,
@@ -54,7 +55,7 @@ def write_dataset(path, bags) -> None:
     the largest label present."""
     bags = list(bags)
     if not bags:
-        raise ValueError("cannot write an empty dataset")
+        raise EmptyDatasetError("cannot write an empty dataset")
     d_v = bags[0].patches.cols
     check_setting(d_v <= MAX_D_V, f"d_v={d_v} exceeds the format's {MAX_D_V}")
     check_setting(len(bags) <= MAX_BAGS,
@@ -65,12 +66,13 @@ def write_dataset(path, bags) -> None:
                                  num_classes)]
     for bag in bags:
         if bag.patches.cols != d_v:
-            raise ValueError("all bags must share one embedding dimension")
+            raise DimensionMismatchError(
+                "all bags must share one embedding dimension")
         check_setting(bag.num_patches <= MAX_PATCHES, f"{bag.num_patches} "
                       f"patches in a bag exceed the format's {MAX_PATCHES}")
         pid = bag.patient_id.encode("utf-8")
-        if len(pid) > 0xFFFF:
-            raise ValueError("patient id too long")
+        check_setting(len(pid) <= 0xFFFF, f"patient id of {len(pid)} bytes "
+                      f"exceeds the format's {0xFFFF}")
         heads.append(BAG_HEADER.pack(bag.num_patches, bag.label, len(pid))
                      + pid)
     with open(path, "wb") as fh:
@@ -159,13 +161,14 @@ def export_heatmap(bag: WsiBag, correlation, class_index: int,
     corr = np.asarray(correlation, dtype=np.float64)
     if corr.ndim != 2 or corr.shape[0] != bag.num_patches:
         raise ValueError("correlation matrix must be N x C")
-    if not 0 <= class_index < corr.shape[1]:
-        raise ClassOutOfRangeError(
-            f"class {class_index} outside [0, {corr.shape[1]})"
-        )
+    check_setting(0 <= class_index < corr.shape[1],
+                  f"class {class_index} outside [0, {corr.shape[1]})")
     scores = corr[:, class_index]
-
     xy = bag.grid
+    width, height = (int(m) + 1 for m in xy.max(axis=0))
+    check_setting(width * height <= MAX_HEATMAP_CELLS, f"heatmap grid "
+                  f"{width} x {height} exceeds {MAX_HEATMAP_CELLS} cells")
+
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write("grid_x,grid_y,score\n")
         fh.write("".join(f"{x},{y},{s!r}\n" for x, y, s in zip(
@@ -177,7 +180,6 @@ def export_heatmap(bag: WsiBag, correlation, class_index: int,
     else:
         # rint, like round(), takes halves to even
         scaled = np.rint((scores - lo) / (hi - lo) * 255).astype(np.uint8)
-    width, height = (int(m) + 1 for m in xy.max(axis=0))
     image = np.zeros((height, width), dtype=np.uint8)
     image[xy[:, 1], xy[:, 0]] = scaled
     with open(pgm_path, "wb") as fh:

@@ -33,8 +33,7 @@ from .core import (
     NORM_EPS,
 )
 from .encoder import FrozenEncoderWeights, PromptContext, encode_text
-from .errors import (DimensionMismatchError, KOutOfRangeError,
-                     ZeroVectorError, check_setting)
+from .errors import DimensionMismatchError, ZeroVectorError, check_setting
 
 if TYPE_CHECKING:
     from .trainer import TrainedPrompts
@@ -58,56 +57,43 @@ def check_tau(tau: float) -> None:
                   f"tau={tau} must be in (0, inf) with a finite {span!r}/tau")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TissuePromptSet:
-    """Tissue descriptions with their unit-norm text embeddings."""
+    """Unit-norm text embeddings of tissue descriptions, one row each."""
 
-    descriptions: tuple
     embeddings: EmbeddingMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "descriptions", tuple(self.descriptions))
-        if len(self.descriptions) != self.embeddings.rows:
-            raise DimensionMismatchError("descriptions vs embedding rows mismatch")
 
     @classmethod
     def from_descriptions(cls, weights: FrozenEncoderWeights,
                           descriptions) -> "TissuePromptSet":
-        emb = np.stack([encode_text(weights, d) for d in descriptions])
-        return cls(tuple(descriptions), EmbeddingMatrix(emb))
+        return cls(EmbeddingMatrix(
+            np.stack([encode_text(weights, d) for d in descriptions])))
 
     @property
     def size(self) -> int:
         return self.embeddings.rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClassPromptSet:
-    """Class-name embeddings, optionally produced with a learnable context
-    shared by all classes."""
+    """Unit-norm text embeddings of class names, one row each, optionally
+    produced with a learnable context shared by all classes."""
 
-    class_names: tuple
     embeddings: EmbeddingMatrix
-
-    def __post_init__(self):
-        object.__setattr__(self, "class_names", tuple(self.class_names))
-        if len(self.class_names) != self.embeddings.rows:
-            raise DimensionMismatchError("class names vs embedding rows mismatch")
 
     @classmethod
     def from_names(cls, weights: FrozenEncoderWeights, class_names,
                    context: PromptContext | None = None) -> "ClassPromptSet":
         """Encode class names, each behind the one shared context if any."""
-        names = tuple(class_names)
-        emb = np.stack([encode_text(weights, n, context) for n in names])
-        return cls(names, EmbeddingMatrix(emb))
+        return cls(EmbeddingMatrix(
+            np.stack([encode_text(weights, n, context) for n in class_names])))
 
     @property
     def size(self) -> int:
         return self.embeddings.rows
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlideFeature:
     """Class-specific slide feature: d_v x C with unit-norm columns."""
 
@@ -241,8 +227,10 @@ def _streamed_slip(patches: np.ndarray, tissues: TissuePromptSet,
     in turn until none is left. The block sums are added in block order,
     so the result does not depend on the core count.
 
-    Worker threads call only numpy: the call tracer in perfbench keeps
-    one span stack and would misplace spans recorded from a thread."""
+    Worker threads call slip_correlation, and through it check_tau and
+    _patch_logits. The call tracer in perfbench keeps one span stack and
+    would misplace spans recorded from a thread, so it must not trace
+    those names until it keeps one stack per thread."""
     n = len(patches)
     count = -(-n // GROUP_PATCHES)
     blocks = [patches[i * n // count:(i + 1) * n // count]
@@ -314,8 +302,7 @@ def topk_features(bags, classes: ClassPromptSet, k: int) -> np.ndarray:
     """Per bag and class, the unit-normalized mean of the min(k, n_b)
     patches most similar to that class prompt: B x C x d_v. Ties go to the
     lower patch index, and the chosen patches are summed in index order."""
-    if k < 1:
-        raise KOutOfRangeError(f"k={k} must be >= 1")
+    check_setting(k >= 1, f"k={k} must be >= 1")
     width = classes.embeddings.cols
     out = np.empty((len(bags), classes.size, width))
     for group, patches, starts, sizes in _groups(bags, width):
@@ -370,7 +357,7 @@ def classify(features: np.ndarray, classes: ClassPromptSet) -> np.ndarray:
     return np.argmax(scores, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pipeline:
     """Everything needed to score a bag: encoder, prompt sets, pooling.
 

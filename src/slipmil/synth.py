@@ -100,7 +100,7 @@ def preset_spec(name: str, seed: int | None = None, **overrides) -> SynthSpec:
     return SynthSpec(**params)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SynthDataset:
     bags: tuple
     tissue_descriptions: tuple

@@ -104,7 +104,7 @@ class TrainConfig:
                         prompts=prompts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrainedPrompts:
     """The trained context, one context shared by every class.
 

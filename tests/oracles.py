@@ -26,7 +26,6 @@ from slipmil.errors import (
     DimensionMismatchError,
     EmptySequenceError,
     InvalidSettingError,
-    KOutOfRangeError,
     LabelOutOfRangeError,
     ZeroVectorError,
 )
@@ -297,9 +296,10 @@ def infonce_loss(f_wsi, classes, label: int, tau: float) -> float:
     return _infonce_step(_pair_logits(f_wsi, classes), label, tau)[0]
 
 
-def infonce_grad(f_wsi, classes, label: int, tau: float, prompts,
-                 weights: FrozenEncoderWeights) -> np.ndarray:
-    """Gradient of infonce_loss w.r.t. the shared context (M x d_t).
+def infonce_grad(f_wsi, classes, class_names, label: int, tau: float,
+                 prompts, weights: FrozenEncoderWeights) -> np.ndarray:
+    """Gradient of infonce_loss w.r.t. the shared context (M x d_t), with
+    `classes` the `class_names` encoded behind that context.
 
     The slide feature is treated as constant; the chain runs through each
     class-prompt embedding into the context, summed over classes.
@@ -308,7 +308,7 @@ def infonce_grad(f_wsi, classes, label: int, tau: float, prompts,
     g_text = f_wsi.columns @ dz  # d_v x C: upstream per class embedding
     context = prompts.contexts[0]
     return np.sum([
-        encode_text_grad(weights, classes.class_names[j], g_text[:, j],
+        encode_text_grad(weights, class_names[j], g_text[:, j],
                          context)
         for j in range(classes.size)
     ], axis=0)
@@ -353,7 +353,7 @@ def pool_topk(bag, classes, k: int) -> SlideFeature:
     Ties are broken by lower patch index."""
     n = bag.num_patches
     if not 1 <= k <= n:
-        raise KOutOfRangeError(f"k={k} outside [1, {n}]")
+        raise InvalidSettingError(f"k={k} outside [1, {n}]")
     scores = bag.patches.data @ classes.embeddings.data.T  # N x C
     cols = []
     for c in range(classes.size):

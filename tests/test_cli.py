@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from slipmil.cli import REPORT_SETTINGS, main
+from slipmil.core import COORD_MAX, MAX_HEATMAP_CELLS, EmbeddingMatrix, WsiBag
 from slipmil.errors import InvalidSettingError
-from slipmil.io_formats import read_dataset, read_report
+from slipmil.io_formats import read_dataset, read_report, write_dataset
 from slipmil.pooling import check_tau
 from slipmil.synth import SynthSpec, generate
 from slipmil.trainer import TrainConfig
@@ -637,6 +638,25 @@ class TestHeatmapCommand:
                            "--out-prefix",
                            str(synth_paths["dir"] / "x"))
         assert code == 2
+
+    def test_grid_too_large_to_draw(self, synth_paths, capsys):
+        # two patches at opposite corners of the uint32 grid: the image
+        # would be 2^32 x 2^32 pixels, so nothing is written
+        data = synth_paths["dir"] / "far.bin"
+        write_dataset(data, [WsiBag(
+            EmbeddingMatrix(np.eye(2, 32)),
+            coords=((0, 0), (COORD_MAX, COORD_MAX)), patient_id="p")])
+        prefix = synth_paths["dir"] / "far"
+        code, stdout, err = run(capsys, "heatmap", "--data", str(data),
+                                "--bag", "0", "--class-index", "0",
+                                "--tissues", synth_paths["tissues"],
+                                "--classes", synth_paths["classes"],
+                                "--out-prefix", str(prefix))
+        assert code == 2 and stdout == ""
+        assert err == (f"error: heatmap grid {2 ** 32} x {2 ** 32} exceeds "
+                       f"{MAX_HEATMAP_CELLS} cells\n")
+        assert not any((synth_paths["dir"] / f"far.{ext}").exists()
+                       for ext in ("csv", "pgm"))
 
 
 class TestParserSurface:

@@ -2,12 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slipmil.core import COORD_MAX, EmbeddingMatrix, WsiBag, cosine_matrix
+from slipmil.core import (COORD_MAX, LABEL_MAX, EmbeddingMatrix, WsiBag,
+                          cosine_matrix)
+from slipmil.encoder import FrozenEncoderWeights, PromptContext
 from slipmil.errors import (
     DimensionMismatchError,
     InvalidSettingError,
     ZeroVectorError,
 )
+from slipmil.pooling import (ClassPromptSet, Pipeline, SlideFeature,
+                             TissuePromptSet)
+from slipmil.synth import SynthDataset
+from slipmil.trainer import TrainedPrompts
 
 from conftest import unit_rows
 from oracles import l2_normalize_rows, softmax_rows
@@ -147,6 +153,54 @@ class TestContainers:
         with pytest.raises(ValueError):
             WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]),
                    coords=((-1, 0),), label=0, patient_id="p")
+
+    def test_largest_label_accepted(self):
+        # the dataset header stores largest label + 1 as a uint32
+        bag = WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
+                     label=2 ** 32 - 2)
+        assert bag.label == LABEL_MAX
+
+    @pytest.mark.parametrize("label", [2 ** 32 - 1, 2 ** 32])
+    def test_label_above_bound_rejected(self, label):
+        with pytest.raises(ValueError, match=f"label {label} exceeds "
+                                             f"{LABEL_MAX}"):
+            WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
+                   label=label)
+
+
+ROWS = np.eye(2)
+GRID = np.zeros((2, 2), dtype=np.uint32)
+WEIGHTS = FrozenEncoderWeights.create(0, d_t=2, d_v=2)
+
+
+def _bag():
+    return WsiBag(EmbeddingMatrix(ROWS), GRID)
+
+
+# each container that holds arrays, built from the same arrays
+ARRAY_CONTAINERS = {
+    "EmbeddingMatrix": lambda: EmbeddingMatrix(ROWS),
+    "WsiBag": _bag,
+    "FrozenEncoderWeights": lambda: FrozenEncoderWeights(
+        WEIGHTS.token_table, WEIGHTS.projection, WEIGHTS.vocab),
+    "PromptContext": lambda: PromptContext(ROWS),
+    "TissuePromptSet": lambda: TissuePromptSet(EmbeddingMatrix(ROWS)),
+    "ClassPromptSet": lambda: ClassPromptSet(EmbeddingMatrix(ROWS)),
+    "SlideFeature": lambda: SlideFeature(ROWS),
+    "Pipeline": lambda: Pipeline(WEIGHTS, None, ("a", "b"), pooling="avg"),
+    "TrainedPrompts": lambda: TrainedPrompts([PromptContext(ROWS)]),
+    "SynthDataset": lambda: SynthDataset((_bag(),), ("t",), ("a",), ROWS,
+                                         (0,)),
+}
+
+
+@pytest.mark.parametrize("name", ARRAY_CONTAINERS)
+def test_array_containers_compare_by_identity(name):
+    # an element-wise array comparison has no single truth value
+    a, b = ARRAY_CONTAINERS[name](), ARRAY_CONTAINERS[name]()
+    assert a == a and not a != a
+    assert a != b and not a == b
+    assert len({a, b, a}) == 2
 
 
 def two_patch_bag(coords):

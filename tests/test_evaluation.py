@@ -24,10 +24,7 @@ from oracles import oracle_classify
 
 
 def class_set(rows):
-    return ClassPromptSet(
-        tuple(f"class {i}" for i in range(len(rows))),
-        EmbeddingMatrix(rows),
-    )
+    return ClassPromptSet(EmbeddingMatrix(rows))
 
 
 def classify_one(f, classes):
@@ -64,9 +61,7 @@ class TestClassify:
         f = SlideFeature(unit_rows(rng, 3, 8).T)
         base = classify_one(f, class_set(rows))
         # positive scaling of every class prompt scales all diagonal scores
-        scaled = ClassPromptSet(
-            ("a", "b", "c"),
-            EmbeddingMatrix(rows))
+        scaled = class_set(2.5 * rows)
         assert classify_one(f, scaled) == base
 
     def test_list_matches_each_feature(self):
@@ -114,6 +109,14 @@ class TestSelectFewShot:
         bags = [bag_with_patches(4, 0, "a"), bag_with_patches(3, 1, "b")]
         with pytest.raises(InsufficientBagsError):
             select_few_shot(bags, 2)
+
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_shots_below_one(self, shots):
+        # a setting out of range, as in TrainConfig, not a short class
+        bags = [bag_with_patches(4, 0, "a"), bag_with_patches(3, 1, "b")]
+        with pytest.raises(InvalidSettingError,
+                           match=f"shots={shots} must be >= 1"):
+            select_few_shot(bags, shots)
 
     def test_nested_selections(self):
         ds = generate(preset_spec("separable-easy", seed=3))
@@ -335,7 +338,7 @@ class TestRunSingleTextSide:
 
         monkeypatch.setattr(ClassPromptSet, "from_names",
                             classmethod(counting))
-        prompts, _, _, _ = run_single(
+        prompts, _, _ = run_single(
             ds.bags, ds.class_names, ds.tissue_descriptions,
             TrainConfig(shots=2, epochs=2, seed=1, pooling="slip"))
         assert len(contexts) == 2
@@ -351,7 +354,7 @@ class TestRunSingleTextSide:
         train, _ = select_few_shot(ds.bags, cfg.shots)
         prompts, history = train_prompts(train, ds.tissue_descriptions,
                                          ds.class_names, cfg)
-        run_prompts, run_history, _, _ = run_single(
+        run_prompts, run_history, _ = run_single(
             ds.bags, ds.class_names, ds.tissue_descriptions, cfg)
         assert np.array_equal(prompts.contexts[0].vectors,
                               run_prompts.contexts[0].vectors)

@@ -6,11 +6,12 @@ import pytest
 
 from slipmil import io_formats
 from slipmil.cli import main
-from slipmil.core import COORD_MAX, EmbeddingMatrix, WsiBag
+from slipmil.core import COORD_MAX, LABEL_MAX, EmbeddingMatrix, WsiBag
 from slipmil.errors import (
     BadMagicError,
-    ClassOutOfRangeError,
     CorruptHeaderError,
+    DimensionMismatchError,
+    EmptyDatasetError,
     EmptyPromptSetError,
     FormatError,
     InvalidSettingError,
@@ -83,14 +84,14 @@ class TestDatasetRoundTrip:
         assert raw == b"".join(struct.pack("<II", x, y) for x, y in pairs)
 
     def test_empty_dataset_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyDatasetError):
             write_dataset(tmp_path / "x.bin", [])
 
     def test_mixed_dims_rejected(self, tmp_path):
         rng = np.random.default_rng(70)
         bags = [random_bag(rng, 2, 8, label=0, patient_id="a"),
                 random_bag(rng, 2, 16, label=1, patient_id="b")]
-        with pytest.raises(ValueError):
+        with pytest.raises(DimensionMismatchError):
             write_dataset(tmp_path / "x.bin", bags)
 
     def test_d_v_above_format_bound_rejected(self, tmp_path):
@@ -141,18 +142,29 @@ class TestDatasetRoundTrip:
     @pytest.mark.parametrize("bad", ["width", "patient id", "label"])
     def test_failing_late_bag_leaves_no_file(self, tmp_path, bad):
         # every bag is checked before the file is opened, so a bad last
-        # bag leaves no partial file
+        # bag leaves no partial file; a label the header cannot hold fails
+        # earlier, when the bag is made
         rng = np.random.default_rng(77)
         bags = [random_bag(rng, 3, 4, patient_id=f"p{i}") for i in range(3)]
         last, error = {
-            "width": (random_bag(rng, 3, 8), ValueError),
-            "patient id": (random_bag(rng, 3, 4, patient_id="x" * 70000),
-                           ValueError),
-            "label": (random_bag(rng, 3, 4, label=2 ** 32), struct.error),
+            "width": (lambda: random_bag(rng, 3, 8), DimensionMismatchError),
+            "patient id": (lambda: random_bag(rng, 3, 4,
+                                              patient_id="x" * 70000),
+                           InvalidSettingError),
+            "label": (lambda: random_bag(rng, 3, 4, label=2 ** 32 - 1),
+                      ValueError),
         }[bad]
         with pytest.raises(error):
-            write_dataset(tmp_path / "x.bin", bags + [last])
+            write_dataset(tmp_path / "x.bin", bags + [last()])
         assert not (tmp_path / "x.bin").exists()
+
+    def test_largest_label_round_trips(self, tmp_path):
+        # the header stores largest label + 1 as the uint32 class count
+        rng = np.random.default_rng(78)
+        write_dataset(tmp_path / "x.bin",
+                      [random_bag(rng, 2, 4, label=LABEL_MAX)])
+        bags, num_classes = read_dataset(tmp_path / "x.bin")
+        assert bags[0].label == LABEL_MAX and num_classes == 2 ** 32 - 1
 
 
 class TestCoordsStayUnbuilt:
@@ -347,7 +359,7 @@ class TestHeatmap:
 
     def test_class_out_of_range(self, tmp_path):
         bag = grid_bag(2)
-        with pytest.raises(ClassOutOfRangeError):
+        with pytest.raises(InvalidSettingError, match=r"class 1 outside"):
             export_heatmap(bag, np.zeros((2, 1)), 1,
                            tmp_path / "x.csv", tmp_path / "x.pgm")
 

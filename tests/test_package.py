@@ -189,6 +189,17 @@ class TestTestOnlyDependencies:
                              ).stdout
         assert out.strip() == "False"
 
+    def test_import_stays_light(self):
+        # every benchmark workload times a fresh `import slipmil`
+        heavy = ("concurrent.futures", "logging", "argparse", "json")
+        code = (f"import sys, slipmil; "
+                f"print([m for m in {heavy!r} if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": str(SRC)}
+                             ).stdout
+        assert out.strip() == "[]"
+
     def test_no_runtime_module_imports_mpmath(self):
         offenders = [path.name for path in MODULES
                      if "mpmath" in _imported_modules(path)]

@@ -70,8 +70,7 @@ class TestInfonceLoss:
     def test_single_class_zero(self):
         rng = np.random.default_rng(30)
         f = feature(rng, 8, 1)
-        classes = ClassPromptSet(("only",),
-                                 EmbeddingMatrix(unit_rows(rng, 1, 8)))
+        classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, 1, 8)))
         assert infonce_loss(f, classes, 0, 0.01) == 0.0
 
     def test_uniform_logits_log4(self):
@@ -80,16 +79,14 @@ class TestInfonceLoss:
         v = np.zeros(6)
         v[0] = 1.0
         f = SlideFeature(np.stack([v, v], axis=1))
-        classes = ClassPromptSet(
-            ("a", "b"), EmbeddingMatrix(np.stack([v, v])))
+        classes = ClassPromptSet(EmbeddingMatrix(np.stack([v, v])))
         loss = infonce_loss(f, classes, 0, 0.5)
         assert loss == pytest.approx(1.3862943611198906, abs=1e-12)
 
     def test_matches_oracle_sharp_tau(self):
         rng = np.random.default_rng(31)
         f = feature(rng, 8, 3)
-        classes = ClassPromptSet(
-            NAMES3, EmbeddingMatrix(unit_rows(rng, 3, 8)))
+        classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, 3, 8)))
         z = f.columns.T @ classes.embeddings.data.T
         for label in range(3):
             got = infonce_loss(f, classes, label, 0.01)
@@ -99,8 +96,7 @@ class TestInfonceLoss:
     def test_label_out_of_range(self):
         rng = np.random.default_rng(32)
         f = feature(rng, 8, 2)
-        classes = ClassPromptSet(
-            ("a", "b"), EmbeddingMatrix(unit_rows(rng, 2, 8)))
+        classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, 2, 8)))
         for label in (-1, 2):
             with pytest.raises(LabelOutOfRangeError):
                 infonce_loss(f, classes, label, 0.01)
@@ -110,9 +106,7 @@ class TestInfonceLoss:
         for _ in range(20):
             c = int(rng.integers(2, 5))
             f = feature(rng, 8, c)
-            classes = ClassPromptSet(
-                tuple(f"c{i}" for i in range(c)),
-                EmbeddingMatrix(unit_rows(rng, c, 8)))
+            classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, c, 8)))
             z = f.columns.T @ classes.embeddings.data.T
             tau = 0.1
             loss = infonce_loss(f, classes, 0, tau)
@@ -143,7 +137,7 @@ class TestInfonceGrad:
         prompts = TrainedPrompts(
             [PromptContext(rng.uniform(-0.01, 0.01, (2, 16)))], shared=True)
         classes = class_set_with(weights, ("only",), prompts)
-        g = infonce_grad(f, classes, 0, 0.01, prompts, weights)
+        g = infonce_grad(f, classes, ("only",), 0, 0.01, prompts, weights)
         assert np.max(np.abs(g)) < 1e-15
 
     def test_matches_finite_differences(self, weights):
@@ -152,7 +146,7 @@ class TestInfonceGrad:
         vectors = rng.uniform(-0.1, 0.1, (2, 16))
         prompts = TrainedPrompts([PromptContext(vectors)], shared=True)
         classes = class_set_with(weights, NAMES3, prompts)
-        g = infonce_grad(f, classes, 1, 0.1, prompts, weights)
+        g = infonce_grad(f, classes, NAMES3, 1, 0.1, prompts, weights)
         fd = fd_context_grad(weights, NAMES3, f, 1, 0.1, vectors)
         assert rel_err(g, fd) < 1e-5
 
@@ -163,7 +157,7 @@ class TestInfonceGrad:
         prompts = TrainedPrompts([PromptContext(vectors)], shared=True)
         classes = class_set_with(weights, NAMES3, prompts)
         for tau in (0.1, 0.2):
-            g = infonce_grad(f, classes, 2, tau, prompts, weights)
+            g = infonce_grad(f, classes, NAMES3, 2, tau, prompts, weights)
             fd = fd_context_grad(weights, NAMES3, f, 2, tau, vectors)
             assert rel_err(g, fd) < 1e-5
 
@@ -181,7 +175,7 @@ class TestInfonceGrad:
             classes = class_set_with(w, names, prompts)
             label = int(rng.integers(c))
             tau = float(rng.choice([0.05, 0.1, 0.5]))
-            g = infonce_grad(f, classes, label, tau, prompts, w)
+            g = infonce_grad(f, classes, names, label, tau, prompts, w)
             fd = fd_context_grad(w, names, f, label, tau, vectors)
             worst = max(worst, rel_err(g, fd))
         assert worst < 1e-5
@@ -298,7 +292,8 @@ class TestTrainPrompts:
             classes = class_set_with(weights, NAMES3, prompts)
             label = int(rng.integers(3))
             before = infonce_loss(f, classes, label, 0.1)
-            g = infonce_grad(f, classes, label, 0.1, prompts, weights)
+            g = infonce_grad(f, classes, NAMES3, label, 0.1, prompts,
+                             weights)
             stepped = TrainedPrompts(
                 [PromptContext(vectors - 1e-8 * g)], shared=True)
             after = infonce_loss(
@@ -341,8 +336,8 @@ def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
             classes = class_set_with(weights, class_names, prompts)
             label = bags[idx].label
             loss = infonce_loss(features[idx], classes, label, cfg.tau)
-            grad = infonce_grad(features[idx], classes, label, cfg.tau,
-                                prompts, weights)
+            grad = infonce_grad(features[idx], classes, class_names, label,
+                                cfg.tau, prompts, weights)
             context = PromptContext(context.vectors - cfg.learning_rate * grad)
             records.append((epoch, idx, loss))
     return [context], records
