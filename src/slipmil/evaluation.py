@@ -5,20 +5,20 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InsufficientBagsError, check_setting
+from .errors import EmptyDatasetError, InsufficientBagsError
 from .pooling import Pipeline
-from .trainer import TrainConfig, train_prompts
+from .trainer import TrainConfig, check_shots, train_prompts
 
 
 def select_few_shot(dataset, shots: int | str):
     """Per class, pick the `shots` bags with the most patches (ties by
     dataset order). Returns (training subset, evaluation pool); with shots
     "all", both are the whole dataset."""
+    check_shots(shots)
     dataset = list(dataset)
     if shots == "all":
         return dataset, dataset
     shots = int(shots)
-    check_setting(shots >= 1, f"shots={shots} must be >= 1")
     by_class: dict[int, list[int]] = {}
     for i, bag in enumerate(dataset):
         by_class.setdefault(bag.label, []).append(i)

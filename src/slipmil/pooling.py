@@ -12,12 +12,13 @@ Slip pooling streams a bag of more than GROUP_PATCHES patches through row
 blocks of at most GROUP_PATCHES, views of the bag, so no temporary grows
 with the bag. Each block gives its class totals and weighted patch sums,
 spread over the cores the process may run on when there are enough
-blocks, and added in block order: the result is bitwise the same for any
-core count.
+blocks, by helper threads kept for the life of the process, and added in
+block order: the result is bitwise the same for any core count.
 """
 from __future__ import annotations
 
 import os
+import threading
 from collections import deque
 from copy import copy
 from dataclasses import dataclass
@@ -44,6 +45,11 @@ POOLING_VARIANTS = ("slip", "topk", "avg")  # the poolings that train
 POOLINGS = POOLING_VARIANTS + ("zero",)
 
 GROUP_PATCHES = 4096  # most patches pooled in one array pass
+# Fewest row blocks of a streamed bag worth spreading over threads: the
+# threads contend for the interpreter lock between numpy calls, and on 2
+# cores the smallest bags of two blocks pooled slower over two threads
+# than in one.
+SPREAD_BLOCKS = 3
 
 
 def check_tau(tau: float) -> None:
@@ -218,16 +224,73 @@ def _pool_blocks(blocks: list, todo: deque, sums: list,
         sums[i] = corr.sum(axis=1), corr @ blocks[i]
 
 
+def _serve(jobs) -> None:
+    """A helper thread's loop: pool the blocks of each job taken from
+    `jobs`, then answer on the job's own queue with None or the error."""
+    while True:
+        args, done = jobs.get()
+        try:
+            _pool_blocks(*args)
+        except Exception as error:  # raised again in the caller
+            done.put(error)
+        else:
+            done.put(None)
+
+
+class _Helpers:
+    """The helper threads of this process, which pool the blocks of every
+    streamed bag beside the caller. They start the first time a bag needs
+    them, never more than the cores less one, and are daemons, so no exit
+    waits on them. All take jobs from one queue, so a job waits on no
+    particular thread, and one that raised takes the next job."""
+
+    def __init__(self):
+        self.lock = threading.Lock()  # one caller at a time starts threads
+        self.jobs = None
+        self.started = 0
+
+    def pool(self, helpers: int, args: tuple) -> None:
+        """_pool_blocks(*args) in the caller and up to `helpers` helper
+        threads; returns once each of them is done with the bag, raising
+        the first error any of them raised."""
+        import queue  # here: `import slipmil` need not load it
+        with self.lock:
+            if self.jobs is None:
+                self.jobs = queue.SimpleQueue()
+            for _ in range(self.started, helpers):
+                threading.Thread(target=_serve, args=(self.jobs,),
+                                 name="slipmil-blocks", daemon=True).start()
+                self.started += 1
+            jobs = self.jobs
+        done = queue.SimpleQueue()
+        for _ in range(helpers):
+            jobs.put((args, done))
+        try:
+            _pool_blocks(*args)
+        finally:  # the blocks and sums stay in use until every job ends
+            errors = [done.get() for _ in range(helpers)]
+        for error in errors:
+            if error is not None:
+                raise error
+
+
+_helpers = _Helpers()
+if hasattr(os, "register_at_fork"):  # not on every platform
+    # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_helpers.__init__)
+
+
 def _streamed_slip(patches: np.ndarray, tissues: TissuePromptSet,
                    lw: np.ndarray, tau: float, tiny: float) -> np.ndarray:
     """The C x d_v weighted patch mean of one bag of more than
     GROUP_PATCHES patches, pooled over equal row blocks of at most
-    GROUP_PATCHES, each a view of the bag. When every worker gets three or
-    more blocks, the caller and one thread per further core take blocks
-    in turn until none is left. The block sums are added in block order,
-    so the result does not depend on the core count.
+    GROUP_PATCHES, each a view of the bag. A bag of SPREAD_BLOCKS or more
+    blocks is spread: the caller and one helper thread per further core,
+    up to one per block, take blocks in turn until none is left. The block
+    sums are added in block order, so the result does not depend on the
+    core count.
 
-    Worker threads call slip_correlation, and through it check_tau and
+    Helper threads call slip_correlation, and through it check_tau and
     _patch_logits. The call tracer in perfbench keeps one span stack and
     would misplace spans recorded from a thread, so it must not trace
     those names until it keeps one stack per thread."""
@@ -237,20 +300,9 @@ def _streamed_slip(patches: np.ndarray, tissues: TissuePromptSet,
               for i in range(count)]
     todo, sums = deque(range(count)), [None] * count
     args = (blocks, todo, sums, tissues, lw, tau)
-    # starting a thread costs about a block's work, and two threads
-    # contend for the interpreter lock between numpy calls: on 2 cores,
-    # bags of 4 and 5 blocks pooled slower over two threads than in one
-    workers = min(_cores(), count // 3)
+    workers = min(_cores(), count) if count >= SPREAD_BLOCKS else 1
     if workers > 1:
-        # imported here: concurrent.futures loads logging, which would
-        # add about 7 ms to every `import slipmil`
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(workers - 1) as pool:
-            helpers = [pool.submit(_pool_blocks, *args)
-                       for _ in range(workers - 1)]
-            _pool_blocks(*args)
-            for helper in helpers:
-                helper.result()
+        _helpers.pool(workers - 1, args)
     else:
         _pool_blocks(*args)
     totals, raw = sums[0]

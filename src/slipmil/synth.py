@@ -8,7 +8,7 @@ prompt land exactly on the archetype.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,14 +89,16 @@ PRESETS = {
 
 
 def preset_spec(name: str, seed: int | None = None, **overrides) -> SynthSpec:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r}; options: {sorted(PRESETS)}")
+    check_setting(name in PRESETS,
+                  f"unknown preset {name!r}; options: {sorted(PRESETS)}")
     params = dict(PRESETS[name])
     params.update(overrides)
     if seed is not None:
         params["seed"] = seed
-    if "seed" not in params:
-        raise ValueError(f"preset {name!r} requires an explicit seed")
+    check_setting("seed" in params,
+                  f"preset {name!r} requires an explicit seed")
+    unknown = sorted(set(params) - {f.name for f in fields(SynthSpec)})
+    check_setting(not unknown, f"unknown synth setting(s) {unknown}")
     return SynthSpec(**params)
 
 

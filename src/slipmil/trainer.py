@@ -56,6 +56,12 @@ from .pooling import (DEFAULT_TOPK, POOLINGS, Pipeline, TissuePromptSet,
                       check_tau)
 
 
+def check_shots(shots: int | str) -> None:
+    """Reject a few-shot count below one; "all" trains on every bag."""
+    check_setting(shots == "all" or int(shots) >= 1,
+                  f"shots must be >= 1 or 'all', got {shots}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters for prompt training. The visual dimension d_v is not
@@ -85,8 +91,7 @@ class TrainConfig:
                       f"context_length={self.context_length} must be in "
                       f"[0, {MAX_CONTEXT_LENGTH}]")
         check_setting(self.topk_k >= 1, f"topk_k={self.topk_k} must be >= 1")
-        check_setting(self.shots == "all" or int(self.shots) >= 1,
-                      "shots must be >= 1 or 'all'")
+        check_shots(self.shots)
 
     def pipeline(self, d_v: int, tissue_descriptions, class_names,
                  prompts: TrainedPrompts | None = None) -> Pipeline:

@@ -115,8 +115,18 @@ class TestSelectFewShot:
         # a setting out of range, as in TrainConfig, not a short class
         bags = [bag_with_patches(4, 0, "a"), bag_with_patches(3, 1, "b")]
         with pytest.raises(InvalidSettingError,
-                           match=f"shots={shots} must be >= 1"):
+                           match=f"shots must be >= 1 or 'all', got {shots}"):
             select_few_shot(bags, shots)
+
+    def test_shots_below_one_says_the_same_on_both_paths(self):
+        bags = [bag_with_patches(4, 0, "a"), bag_with_patches(3, 1, "b")]
+        messages = []
+        for call in (lambda: TrainConfig(shots=0),
+                     lambda: select_few_shot(bags, 0)):
+            with pytest.raises(InvalidSettingError) as error:
+                call()
+            messages.append(str(error.value))
+        assert messages == ["shots must be >= 1 or 'all', got 0"] * 2
 
     def test_nested_selections(self):
         ds = generate(preset_spec("separable-easy", seed=3))

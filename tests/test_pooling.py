@@ -1,5 +1,8 @@
 import math
 import os
+import signal
+import subprocess
+import sys
 import threading
 import warnings
 from collections import deque
@@ -530,12 +533,12 @@ def test_list_rejects_mismatched_patch_width():
 
 def spy_blocks(monkeypatch, worker_tau=lambda tau: tau):
     """Record each block slip_correlation pools, with the thread that
-    pooled it; worker threads pool at worker_tau(tau). Each thread starts
-    its first block only once every running worker thread and the caller
-    have taken one, so each of them pools at least one block."""
+    pooled it; helper threads pool at worker_tau(tau). Each thread starts
+    its first block only once pooling._cores() distinct threads, the
+    caller among them, have taken one, so each of them pools at least one
+    block: the bag must have _cores() and SPREAD_BLOCKS blocks or more."""
     seen = []
     changed = threading.Condition()
-    threads = threading.active_count()
     caller = threading.main_thread().ident
     correlation = pooling.slip_correlation
 
@@ -545,13 +548,21 @@ def spy_blocks(monkeypatch, worker_tau=lambda tau: tau):
             seen.append((p, ident))
             changed.notify_all()
             assert changed.wait_for(
-                lambda: len({i for _, i in seen})
-                > threading.active_count() - threads, timeout=10)
+                lambda: len({i for _, i in seen}) >= pooling._cores(),
+                timeout=10)
         return correlation(p, tissues, lw,
                            tau if ident == caller else worker_tau(tau))
 
     monkeypatch.setattr(pooling, "slip_correlation", spy)
     return seen
+
+
+def assert_threads_settle(counts, start, cores):
+    """Thread counts after consecutive calls on at most `cores` cores: at
+    most one helper per further core was ever started, and none after the
+    first call."""
+    assert max(counts) <= start + cores - 1
+    assert len(set(counts[1:])) == 1
 
 
 class LastFirst(deque):
@@ -587,17 +598,20 @@ def test_streamed_bag_is_bitwise_independent_of_cores(monkeypatch):
     bag = random_bag(rng, 100, 8)
     tissues, lw, _ = make_similarities(rng, bag, 5, 3, tau=0.01)
     seen = spy_blocks(monkeypatch)
-    threads = threading.active_count()
+    start = threading.active_count()
     results = []
     for order in (deque, LastFirst):
         monkeypatch.setattr(pooling, "deque", order)
         for cores in (1, 2, 3):
             monkeypatch.setattr(pooling, "_cores", lambda: cores)
-            seen.clear()
-            results.append(slip_features([bag], tissues, lw, 0.01))
-            assert len(seen) == 13
-            assert len({ident for _, ident in seen}) == cores
-            assert threading.active_count() == threads
+            counts = []
+            for _ in range(10):
+                seen.clear()
+                results.append(slip_features([bag], tissues, lw, 0.01))
+                assert len(seen) == 13
+                assert len({ident for _, ident in seen}) == cores
+                counts.append(threading.active_count())
+            assert_threads_settle(counts, start, 3)
     assert all(np.array_equal(results[0], r) for r in results[1:])
 
 
@@ -669,16 +683,136 @@ def test_worker_error_reaches_the_caller(monkeypatch):
     rng = np.random.default_rng(43)
     bag = random_bag(rng, 60, 8)
     tissues, lw, _ = make_similarities(rng, bag, 3, 2)
-    threads = threading.active_count()
-    with pytest.raises(InvalidSettingError):
-        slip_features([bag], tissues, lw, 0.0)
-    assert threading.active_count() == threads
-    # the same error raised in the worker thread alone
+    start = threading.active_count()
+    counts = []
+    for _ in range(10):
+        with pytest.raises(InvalidSettingError):
+            slip_features([bag], tissues, lw, 0.0)
+        counts.append(threading.active_count())
+    assert_threads_settle(counts, start, 2)
+    # the same error raised in the helper thread alone
     seen = spy_blocks(monkeypatch, worker_tau=lambda tau: -tau)
     with pytest.raises(InvalidSettingError):
         slip_features([bag], tissues, lw, 0.1)
     assert len({ident for _, ident in seen}) == 2
+    assert threading.active_count() == counts[-1]
+
+
+def test_helper_that_raised_serves_the_next_call(monkeypatch):
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 8)
+    monkeypatch.setattr(pooling, "_cores", lambda: 2)
+    rng = np.random.default_rng(47)
+    bag = random_bag(rng, 60, 8)
+    tissues, lw, _ = make_similarities(rng, bag, 3, 2)
+    want = slip_features([bag], tissues, lw, 0.1)
+    correlation = pooling.slip_correlation
+    raised = spy_blocks(monkeypatch, worker_tau=lambda tau: -tau)
+    with pytest.raises(InvalidSettingError):
+        slip_features([bag], tissues, lw, 0.1)
+    threads = threading.active_count()
+    # one worker per helper started so far, so every helper takes a block
+    workers = pooling._helpers.started + 1
+    monkeypatch.setattr(pooling, "_cores", lambda: workers)
+    monkeypatch.setattr(pooling, "slip_correlation", correlation)
+    seen = spy_blocks(monkeypatch)
+    assert np.array_equal(slip_features([bag], tissues, lw, 0.1), want)
+    caller = threading.main_thread().ident
+    helper = {ident for _, ident in raised} - {caller}
+    assert len(helper) == 1 and helper < {ident for _, ident in seen}
+    assert len({ident for _, ident in seen}) == workers
     assert threading.active_count() == threads
+
+
+def test_concurrent_callers_share_the_helpers(monkeypatch):
+    # four callers at once on four claimed cores, switching threads every
+    # microsecond: each gets the one-thread result every time, and the
+    # helpers they share never number more than three
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 8)
+    rng = np.random.default_rng(48)
+    bags = [random_bag(rng, int(n), 8) for n in rng.integers(40, 120, 4)]
+    tissues, lw, _ = make_similarities(rng, bags[0], 3, 2)
+    monkeypatch.setattr(pooling, "_cores", lambda: 1)
+    want = [slip_features([bag], tissues, lw, 0.1) for bag in bags]
+    monkeypatch.setattr(pooling, "_cores", lambda: 4)
+    got = [[] for _ in bags]
+
+    def call(i):
+        for _ in range(20):
+            got[i].append(slip_features([bags[i]], tissues, lw, 0.1))
+
+    callers = [threading.Thread(target=call, args=(i,))
+               for i in range(len(bags))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert [len(results) for results in got] == [20] * len(bags)
+    assert all(np.array_equal(result, w)
+               for results, w in zip(got, want) for result in results)
+    helpers = [t for t in threading.enumerate() if t.name == "slipmil-blocks"]
+    assert len(helpers) <= 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_pools_without_the_parents_helpers(monkeypatch):
+    # the child has no copy of the helper the parent started: a child that
+    # waited on it would hang until the alarm ends it
+    monkeypatch.setattr(pooling, "GROUP_PATCHES", 8)
+    monkeypatch.setattr(pooling, "_cores", lambda: 2)
+    rng = np.random.default_rng(45)
+    bag = random_bag(rng, 60, 8)
+    tissues, lw, _ = make_similarities(rng, bag, 3, 2)
+    want = slip_features([bag], tissues, lw, 0.1)
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            signal.alarm(5)
+            os.write(write, slip_features([bag], tissues, lw, 0.1).tobytes())
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    with os.fdopen(read, "rb") as pipe:
+        got = pipe.read()
+    _, status = os.waitpid(pid, 0)
+    assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0
+    assert got == want.tobytes()
+
+
+def test_interpreter_exits_with_helpers_alive():
+    # the helpers are daemons and idle between bags, so exit waits on none
+    code = (
+        "import threading\n"
+        "import numpy as np\n"
+        "from slipmil import pooling\n"
+        "from slipmil.core import EmbeddingMatrix, WsiBag\n"
+        "pooling.GROUP_PATCHES = 8\n"
+        "pooling._cores = lambda: 2\n"
+        "def unit(n):\n"
+        "    m = np.random.default_rng(n).standard_normal((n, 8))\n"
+        "    return EmbeddingMatrix(m / np.linalg.norm(m, axis=1)[:, None])\n"
+        "bag = WsiBag(patches=unit(60), coords=tuple((i, 0) for i in "
+        "range(60)), label=0, patient_id='p')\n"
+        "tissues = pooling.TissuePromptSet(unit(3))\n"
+        "lw = pooling.log_tissue_wsi_similarity(pooling.ClassPromptSet(unit(2)),"
+        " tissues, 0.1)\n"
+        "pooling.slip_features([bag], tissues, lw, 0.1)\n"
+        "print(threading.active_count())\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=30,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "2\n"  # the caller and one helper
 
 
 def test_cores_the_process_may_run_on(monkeypatch):

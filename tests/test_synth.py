@@ -158,12 +158,19 @@ class TestPresets:
         assert set(PRESETS) == {"separable-easy", "needle"}
 
     def test_unknown_preset(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSettingError, match="unknown preset 'nope'"):
             preset_spec("nope", seed=0)
 
     def test_needle_requires_seed(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidSettingError,
+                           match="preset 'needle' requires an explicit seed"):
             preset_spec("needle")
+
+    def test_unknown_override(self):
+        # a TypeError from SynthSpec.__init__ before
+        with pytest.raises(InvalidSettingError,
+                           match=r"unknown synth setting\(s\) \['bogus'\]"):
+            preset_spec("needle", seed=1, bogus=2)
 
 
 class TestSpecRange:
