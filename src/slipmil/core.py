@@ -6,6 +6,7 @@ is a plain dot product.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,7 +40,9 @@ def _as_matrix(data) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class EmbeddingMatrix:
-    """Row-major matrix of feature vectors."""
+    """Matrix of feature vectors, one per row, kept in the memory layout
+    it is given (read_dataset gives the transpose of a C-contiguous
+    array)."""
 
     data: np.ndarray
 
@@ -83,10 +86,22 @@ class WsiBag:
             raise ValueError("grid coordinates must be non-negative")
         if xy.max() > COORD_MAX:
             raise ValueError(f"grid coordinate {xy.max()} exceeds {COORD_MAX}")
+        try:
+            label = operator.index(label)
+        except TypeError:
+            raise ValueError(
+                f"label must be an integer, got {label!r}") from None
         if label < 0:
             raise ValueError("label must be non-negative")
         if label > LABEL_MAX:
             raise ValueError(f"label {label} exceeds {LABEL_MAX}")
+        if not isinstance(patient_id, str):
+            raise ValueError(f"patient id must be a str, got {patient_id!r}")
+        try:  # the container stores it as UTF-8
+            patient_id.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise ValueError(f"patient id {patient_id!r} is not "
+                             f"UTF-8-encodable: {exc.reason}") from None
         # a read-only uint32 array, such as a file reader's, is kept as is;
         # anything else is copied into one
         if (xy.dtype != np.uint32 or xy.flags.writeable

@@ -1,9 +1,12 @@
 """On-disk formats: dataset container, prompt files, heatmaps, reports.
 
 The dataset container is a little-endian binary layout with an 8-byte
-magic and a versioned header; embeddings are stored as float32 and widened
-to float64 on load. Every reader raises a typed FormatError on malformed
-input, never a bare exception.
+magic and a versioned header; embeddings are stored as float32 rows and
+widened to float64 on load, feature-major: each bag's patches are the
+N x d_v transpose of a C-contiguous d_v x N array, so the pooling products
+(tissues or classes @ patches.T, correlation @ patches) get contiguous
+operands. Every reader raises a typed FormatError on malformed input,
+never a bare exception.
 """
 from __future__ import annotations
 
@@ -32,6 +35,10 @@ MAGIC = b"SLIPEMB1"
 DATASET_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 BAG_HEADER = struct.Struct("<IIH")  # patch count, label, patient id bytes
+# rows of a bag widened and transposed per copy on read: a block stays in
+# cache, where one strided copy of a whole large bag does not
+ROW_BLOCK = 256
+F32_MAX = float(np.finfo(np.float32).max)  # widest patch value written
 
 
 class _Reader:
@@ -64,10 +71,13 @@ def write_dataset(path, bags) -> None:
     # every bag is checked and its header packed before the file is opened
     heads = [MAGIC + struct.pack("<IIII", DATASET_VERSION, d_v, len(bags),
                                  num_classes)]
-    for bag in bags:
+    for b, bag in enumerate(bags):
         if bag.patches.cols != d_v:
             raise DimensionMismatchError(
                 "all bags must share one embedding dimension")
+        data = bag.patches.data
+        check_setting(max(data.max(), -data.min()) <= F32_MAX, f"bag {b}: "
+                      f"patch values beyond float32's +-{F32_MAX!r}")
         check_setting(bag.num_patches <= MAX_PATCHES, f"{bag.num_patches} "
                       f"patches in a bag exceed the format's {MAX_PATCHES}")
         pid = bag.patient_id.encode("utf-8")
@@ -87,7 +97,8 @@ def write_dataset(path, bags) -> None:
 # because EmbeddingMatrix rejects non-finite values
 @np.errstate(invalid="ignore")
 def read_dataset(path):
-    """Parse the container; returns (bags, num_classes)."""
+    """Parse the container; returns (bags, num_classes), each bag's
+    patches the transpose of a C-contiguous d_v x N float64 array."""
     with open(path, "rb") as fh:
         blob = fh.read()
     r = _Reader(blob)
@@ -121,11 +132,14 @@ def read_dataset(path):
         except UnicodeDecodeError as exc:
             raise CorruptHeaderError(f"bag {b}: patient id not UTF-8") from exc
         coords = np.frombuffer(r.take(8 * n), dtype="<u4").reshape(n, 2)
-        emb = np.frombuffer(r.take(4 * n * d_v), dtype="<f4")
-        emb = emb.astype(np.float64).reshape(n, d_v)
+        rows = np.frombuffer(r.take(4 * n * d_v),
+                             dtype="<f4").reshape(n, d_v)
+        emb = np.empty((d_v, n))  # feature-major
+        for a in range(0, n, ROW_BLOCK):
+            emb[:, a:a + ROW_BLOCK] = rows[a:a + ROW_BLOCK].T
         try:
             bags.append(WsiBag(
-                patches=EmbeddingMatrix(emb),
+                patches=EmbeddingMatrix(emb.T),
                 coords=coords, label=label, patient_id=pid,
             ))
         except (ValueError, FormatError) as exc:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import exp, inf, log, log1p, sqrt
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -57,9 +57,16 @@ from .pooling import (DEFAULT_TOPK, POOLINGS, Pipeline, TissuePromptSet,
 
 
 def check_shots(shots: int | str) -> None:
-    """Reject a few-shot count below one; "all" trains on every bag."""
-    check_setting(shots == "all" or int(shots) >= 1,
-                  f"shots must be >= 1 or 'all', got {shots}")
+    """Reject a few-shot count that is not an integer >= 1; "all" trains on
+    every bag."""
+    if isinstance(shots, str):
+        ok = shots == "all"
+    else:
+        try:
+            ok = index(shots) >= 1
+        except TypeError:
+            ok = False
+    check_setting(ok, f"shots must be >= 1 or 'all', got {shots!r}")
 
 
 @dataclass(frozen=True)

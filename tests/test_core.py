@@ -167,6 +167,25 @@ class TestContainers:
             WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
                    label=label)
 
+    @pytest.mark.parametrize("field, value, match", [
+        ("label", 1.5, "label must be an integer, got 1.5"),
+        ("label", "1", "label must be an integer, got '1'"),
+        ("patient_id", 5, "patient id must be a str, got 5"),
+        ("patient_id", b"p", "patient id must be a str, got b'p'"),
+        ("patient_id", "p\ud800", "patient id 'p\\\\ud800' is not "
+                                   "UTF-8-encodable: surrogates not allowed"),
+    ])
+    def test_bag_rejects_what_the_writer_cannot_store(self, field, value,
+                                                      match):
+        with pytest.raises(ValueError, match=match):
+            WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
+                   **{field: value})
+
+    def test_integer_like_label_stored_as_int(self):
+        bag = WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
+                     label=np.uint32(2))
+        assert bag.label == 2 and type(bag.label) is int
+
 
 ROWS = np.eye(2)
 GRID = np.zeros((2, 2), dtype=np.uint32)

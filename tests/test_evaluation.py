@@ -118,6 +118,17 @@ class TestSelectFewShot:
                            match=f"shots must be >= 1 or 'all', got {shots}"):
             select_few_shot(bags, shots)
 
+    @pytest.mark.parametrize("shots", [2.5, 2.0, "2", "x", None])
+    def test_shots_not_an_integer(self, shots):
+        # never truncated to a whole count, never a bare ValueError
+        bags = [bag_with_patches(4, 0, "a"), bag_with_patches(3, 1, "b")]
+        message = f"shots must be >= 1 or 'all', got {shots!r}"
+        for call in (lambda: TrainConfig(shots=shots),
+                     lambda: select_few_shot(bags, shots)):
+            with pytest.raises(InvalidSettingError) as error:
+                call()
+            assert str(error.value) == message
+
     def test_shots_below_one_says_the_same_on_both_paths(self):
         bags = [bag_with_patches(4, 0, "a"), bag_with_patches(3, 1, "b")]
         messages = []

@@ -59,11 +59,32 @@ class TestDatasetRoundTrip:
             assert a.patient_id == b.patient_id
 
     def test_rewrite_is_identical(self, dataset_file, tmp_path):
+        # feature-major bags, as read, are written row by row again
         path, _ = dataset_file
         loaded, _ = read_dataset(path)
         path2 = tmp_path / "ds2.bin"
         write_dataset(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+        again, _ = read_dataset(path2)
+        for a, b in zip(loaded, again):
+            assert np.array_equal(a.patches.data, b.patches.data)
+            assert b.patches.data.T.flags.c_contiguous
+
+    @pytest.mark.parametrize("n", [1, io_formats.ROW_BLOCK,
+                                   io_formats.ROW_BLOCK + 1, 1000])
+    def test_read_is_feature_major(self, tmp_path, n):
+        # each bag's patches are the transpose of a C-contiguous d_v x N
+        # array, copied in row blocks that may end mid-bag, holding the
+        # file's float32 values exactly
+        rng = np.random.default_rng(79)
+        bags = [random_bag(rng, n, 5, label=1), random_bag(rng, 2, 5)]
+        write_dataset(tmp_path / "x.bin", bags)
+        loaded, _ = read_dataset(tmp_path / "x.bin")
+        for want, got in zip(bags, loaded):
+            data = got.patches.data
+            assert data.T.flags.c_contiguous and data.dtype == np.float64
+            stored = want.patches.data.astype("<f4")
+            assert np.array_equal(data, stored.astype(np.float64))
 
     @pytest.mark.parametrize("as_array", [True, False])
     def test_coords_round_trip(self, tmp_path, as_array):
@@ -139,11 +160,13 @@ class TestDatasetRoundTrip:
         blob = (tmp_path / "f.bin").read_bytes()
         assert blob.endswith(data.astype("<f4").tobytes(order="C"))
 
-    @pytest.mark.parametrize("bad", ["width", "patient id", "label"])
+    @pytest.mark.parametrize("bad", ["width", "patient id", "label",
+                                     "range"])
     def test_failing_late_bag_leaves_no_file(self, tmp_path, bad):
         # every bag is checked before the file is opened, so a bad last
         # bag leaves no partial file; a label the header cannot hold fails
-        # earlier, when the bag is made
+        # earlier, when the bag is made; a finite value beyond float32
+        # would be written as inf, which no reader accepts
         rng = np.random.default_rng(77)
         bags = [random_bag(rng, 3, 4, patient_id=f"p{i}") for i in range(3)]
         last, error = {
@@ -153,10 +176,25 @@ class TestDatasetRoundTrip:
                            InvalidSettingError),
             "label": (lambda: random_bag(rng, 3, 4, label=2 ** 32 - 1),
                       ValueError),
+            "range": (lambda: WsiBag(EmbeddingMatrix(np.full((1, 4), 1e300)),
+                                     coords=[(0, 0)]), InvalidSettingError),
         }[bad]
-        with pytest.raises(error):
+        with pytest.raises(error, match="bag 3: " if bad == "range" else None):
             write_dataset(tmp_path / "x.bin", bags + [last()])
         assert not (tmp_path / "x.bin").exists()
+
+    def test_float32_range_edges(self, tmp_path):
+        # float32's largest value round-trips; a negative value beyond it
+        # is caught as well
+        edge = float(np.finfo(np.float32).max)
+        bag = WsiBag(EmbeddingMatrix([[1.0, -edge, edge]]), coords=[(0, 0)])
+        write_dataset(tmp_path / "x.bin", [bag])
+        got, _ = read_dataset(tmp_path / "x.bin")
+        assert np.array_equal(got[0].patches.data, bag.patches.data)
+        beyond = WsiBag(EmbeddingMatrix([[1.0, -1e39]]), coords=[(0, 0)])
+        with pytest.raises(InvalidSettingError, match="bag 0: "):
+            write_dataset(tmp_path / "y.bin", [beyond])
+        assert not (tmp_path / "y.bin").exists()
 
     def test_largest_label_round_trips(self, tmp_path):
         # the header stores largest label + 1 as the uint32 class count

@@ -415,6 +415,17 @@ def test_oracle_equivalence_random_sweep():
 RAGGED_SIZES = (1, 5, 1, 12, 3, 1, 30, 7)  # 60 patches
 
 
+def layouts(bag):
+    """The bag as made, row-major, and a feature-major copy, as
+    read_dataset returns bags: patches that are the transpose of a
+    C-contiguous d_v x N array."""
+    copy = WsiBag(EmbeddingMatrix(np.ascontiguousarray(bag.patches.data.T).T),
+                  bag.grid, bag.label, bag.patient_id)
+    assert bag.patches.data.flags.c_contiguous
+    assert copy.patches.data.T.flags.c_contiguous
+    return bag, copy
+
+
 def pool_list(pooling, bags, tissues, classes, lw, tau, k):
     if pooling == "zero":
         return zero_shot_probabilities(bags, classes, tau)
@@ -447,26 +458,28 @@ def test_list_matches_each_bag_alone(variant, tau, group, monkeypatch):
     # 30-patch bags are pooled alone
     monkeypatch.setattr(pooling, "GROUP_PATCHES", group)
     rng = np.random.default_rng(int(-np.log10(tau)) + 10 * group)
-    bags = [random_bag(rng, n, 8, patient_id=f"p{i}")
+    made = [layouts(random_bag(rng, n, 8, patient_id=f"p{i}"))
             for i, n in enumerate(RAGGED_SIZES)]
     tissues = tissue_set(unit_rows(rng, 4, 8))
     classes = class_set(unit_rows(rng, 3, 8))
     scoring = class_set(unit_rows(rng, 3, 8))
     lw = log_tissue_wsi_similarity(classes, tissues, tau)
     args = (tissues, classes, lw, tau, 4)
-    groups = len(list(pooling._groups(bags, 8)))
-    assert groups == (1 if group > 60 else 5)
+    for bags in zip(*made):  # row-major, then feature-major
+        groups = len(list(pooling._groups(bags, 8)))
+        assert groups == (1 if group > 60 else 5)
 
-    got = pool_list(variant, bags, *args)
-    alone = np.stack([pool_list(variant, [bag], *args)[0] for bag in bags])
-    reference = np.stack([pool_reference(variant, bag, *args)
+        got = pool_list(variant, bags, *args)
+        alone = np.stack([pool_list(variant, [bag], *args)[0]
                           for bag in bags])
-    assert got.shape == alone.shape == reference.shape
-    assert np.max(np.abs(got - alone)) <= 1e-12
-    assert np.max(np.abs(got - reference)) <= 1e-12
-    assert (labels_of(variant, got, scoring)
-            == labels_of(variant, alone, scoring)
-            == labels_of(variant, reference, scoring))
+        reference = np.stack([pool_reference(variant, bag, *args)
+                              for bag in bags])
+        assert got.shape == alone.shape == reference.shape
+        assert np.max(np.abs(got - alone)) <= 1e-12
+        assert np.max(np.abs(got - reference)) <= 1e-12
+        assert (labels_of(variant, got, scoring)
+                == labels_of(variant, alone, scoring)
+                == labels_of(variant, reference, scoring))
 
 
 def test_log_space_fallback_recomputes_only_its_bag(monkeypatch):
@@ -582,12 +595,13 @@ def test_streamed_bag_matches_oracle(tau, monkeypatch):
         bag = random_bag(rng, int(rng.integers(97, 113)), 8)
         tissues, lw, _ = make_similarities(rng, bag, 4, 3, tau=tau)
         want = slip_pool(bag, tissues, lw, tau).columns.T
-        for cores in (1, 2):
-            monkeypatch.setattr(pooling, "_cores", lambda: cores)
-            seen.clear()
-            got = slip_features([bag], tissues, lw, tau)[0]
-            assert len(seen) == 7
-            assert np.max(np.abs(got - want)) <= 1e-12
+        for each in layouts(bag):
+            for cores in (1, 2):
+                monkeypatch.setattr(pooling, "_cores", lambda: cores)
+                seen.clear()
+                got = slip_features([each], tissues, lw, tau)[0]
+                assert len(seen) == 7
+                assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_streamed_bag_is_bitwise_independent_of_cores(monkeypatch):
@@ -599,20 +613,25 @@ def test_streamed_bag_is_bitwise_independent_of_cores(monkeypatch):
     tissues, lw, _ = make_similarities(rng, bag, 5, 3, tau=0.01)
     seen = spy_blocks(monkeypatch)
     start = threading.active_count()
-    results = []
-    for order in (deque, LastFirst):
-        monkeypatch.setattr(pooling, "deque", order)
-        for cores in (1, 2, 3):
-            monkeypatch.setattr(pooling, "_cores", lambda: cores)
-            counts = []
-            for _ in range(10):
-                seen.clear()
-                results.append(slip_features([bag], tissues, lw, 0.01))
-                assert len(seen) == 13
-                assert len({ident for _, ident in seen}) == cores
-                counts.append(threading.active_count())
-            assert_threads_settle(counts, start, 3)
-    assert all(np.array_equal(results[0], r) for r in results[1:])
+    by_layout = []
+    for each in layouts(bag):
+        results = []
+        for order in (deque, LastFirst):
+            monkeypatch.setattr(pooling, "deque", order)
+            for cores in (1, 2, 3):
+                monkeypatch.setattr(pooling, "_cores", lambda: cores)
+                counts = []
+                for _ in range(10):
+                    seen.clear()
+                    results.append(slip_features([each], tissues, lw, 0.01))
+                    assert len(seen) == 13
+                    assert len({ident for _, ident in seen}) == cores
+                    counts.append(threading.active_count())
+                assert_threads_settle(counts, start, 3)
+        assert all(np.array_equal(results[0], r) for r in results[1:])
+        by_layout.append(results[0])
+    # the layouts round differently, never by more than the oracle bound
+    assert np.max(np.abs(by_layout[0] - by_layout[1])) <= 1e-12
 
 
 def test_streamed_blocks_are_views_of_the_bag(monkeypatch):
