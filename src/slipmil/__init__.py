@@ -1,12 +1,13 @@
 """Dual-similarity pooling and few-shot prompt training for bag-of-patches
 classification, with synthetic data and bit-exact file formats."""
 
-from .core import EmbeddingMatrix, WsiBag, cosine_matrix
+from .core import EmbeddingMatrix, WsiBag
 from .encoder import (
     FrozenEncoderWeights,
     PromptContext,
     Vocabulary,
     encode_text,
+    encode_texts,
 )
 from .evaluation import evaluate, run_ablation, run_single, select_few_shot
 from .pooling import (

@@ -14,13 +14,14 @@ import sys
 import numpy as np
 
 from .encoder import PromptContext
-from .errors import InvalidSettingError, SchemaError, SlipError
+from .errors import InvalidSettingError, SchemaError, SlipError, check_setting
 from .evaluation import evaluate, run_ablation, run_single, select_few_shot
 from .io_formats import (
     export_heatmap,
     read_dataset,
     read_prompt_lines,
     read_report,
+    read_text,
     write_dataset,
     write_report,
 )
@@ -29,32 +30,24 @@ from .synth import PRESETS, SynthSpec, generate, preset_spec
 from .trainer import TrainConfig, TrainedPrompts
 
 
-class CliInputError(SlipError):
-    """Bad flag combination or missing required value."""
-
-
 def _load_config_file(path) -> dict:
     """Flat key = value lines mirroring the command-line flags."""
     values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise CliInputError(f"{path}:{lineno}: expected key = value")
-            key, _, value = line.partition("=")
-            values[key.strip().replace("-", "_")] = value.strip()
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        check_setting("=" in line, f"{path}:{lineno}: expected key = value")
+        key, _, value = line.partition("=")
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
 def _reject_unknown_keys(path, keys, allowed) -> None:
     unknown = sorted(set(keys) - set(allowed))
-    if unknown:
-        raise CliInputError(
-            f"{path}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"expected one of {', '.join(sorted(allowed))}"
-        )
+    check_setting(not unknown, f"{path}: unknown key(s) "
+                  f"{', '.join(map(repr, unknown))}; expected one of "
+                  f"{', '.join(sorted(allowed))}")
 
 
 def _config_flags(sub, path) -> list:
@@ -75,8 +68,8 @@ def _config_flags(sub, path) -> list:
         switch = action.nargs == 0
         choices = ("true", "false") if switch else action.choices
         if choices is not None and raw not in choices:
-            raise CliInputError(f"{path}: {key} = {raw!r} must be one of "
-                                f"{', '.join(choices)}")
+            raise InvalidSettingError(f"{path}: {key} = {raw!r} must be one "
+                                      f"of {', '.join(choices)}")
         if not switch:
             flags.append(f"{flag}={raw}")
         elif raw == "true":
@@ -85,8 +78,8 @@ def _config_flags(sub, path) -> list:
 
 
 def _require_seed(args) -> int:
-    if "seed" not in vars(args):
-        raise CliInputError("--seed is required (seeds are never implicit)")
+    check_setting("seed" in vars(args),
+                  "--seed is required (seeds are never implicit)")
     return args.seed
 
 
@@ -94,16 +87,11 @@ def _check_dataset(bags, num_classes, class_names, source,
                    d_v=None) -> None:
     """Reject a dataset whose class count, or d_v when given, differs from
     `source`'s."""
-    if len(class_names) != num_classes:
-        raise CliInputError(
-            f"{source}: {len(class_names)} class names, but the dataset "
-            f"declares {num_classes} classes"
-        )
-    if d_v is not None and bags[0].patches.cols != d_v:
-        raise CliInputError(
-            f"{source}: d_v={d_v}, but the dataset has "
-            f"d_v={bags[0].patches.cols}"
-        )
+    check_setting(len(class_names) == num_classes,
+                  f"{source}: {len(class_names)} class names, but the "
+                  f"dataset declares {num_classes} classes")
+    check_setting(d_v in (None, bags[0].patches.cols), f"{source}: d_v={d_v}, "
+                  f"but the dataset has d_v={bags[0].patches.cols}")
 
 
 def int_or_all(raw: str):
@@ -185,7 +173,7 @@ def _add_settings(sub, spec, *keys) -> None:
             help=f"{SETTING_HELP[key]} (default {default})")
 
 
-def _setting(source, key, raw: str, cast, error=CliInputError):
+def _setting(source, key, raw: str, cast, error=InvalidSettingError):
     """One setting parsed from its text; a value that does not parse is an
     `error` naming the source and key."""
     try:
@@ -196,14 +184,14 @@ def _setting(source, key, raw: str, cast, error=CliInputError):
         ) from exc
 
 
-def _train_config(source, values, settings, error=CliInputError):
+def _train_config(source, values, settings, error=InvalidSettingError):
     """A TrainConfig from the `settings` (key -> (field, type)) in `values`,
     each parsed from its text as a flag is, so an int of 2.5 fails; a key left
-    out takes its default. A bad value is an `error` naming `source`."""
+    out takes its default. A bad value is an `error` naming `source`, once."""
+    fields = {field: _setting(source, key, str(values[key]), cast, error)
+              for key, (field, cast) in settings.items() if key in values}
     try:
-        return TrainConfig(**{
-            field: _setting(source, key, str(values[key]), cast, error)
-            for key, (field, cast) in settings.items() if key in values})
+        return TrainConfig(**fields)
     except InvalidSettingError as exc:
         raise error(f"{source}: {exc}") from exc
 
@@ -219,9 +207,8 @@ def cmd_synth(args) -> None:
     given = _given(args, SPEC_FLAGS)
     encoder = _given(args, ("encoder_seed",))
     if args.preset:
-        if given:
-            raise CliInputError(f"--preset {args.preset} fixes the dataset "
-                                f"spec; drop {', '.join(map(_flag, given))}")
+        check_setting(not given, f"--preset {args.preset} fixes the dataset "
+                      f"spec; drop {', '.join(map(_flag, given))}")
         spec = preset_spec(args.preset, seed=seed, **encoder)
     else:
         lo, hi = SynthSpec.n_range
@@ -311,16 +298,14 @@ def _read_run(path, bags, num_classes):
 
 
 def cmd_eval(args) -> None:
-    if args.zero_shot == bool(args.report):
-        raise CliInputError("provide exactly one of --report and --zero-shot")
+    check_setting(args.zero_shot != bool(args.report),
+                  "provide exactly one of --report and --zero-shot")
     given = _given(args, ZERO_SHOT_FLAGS)
-    if args.report and given:
-        raise CliInputError(f"--report takes its settings from the report; "
-                            f"drop {', '.join(map(_flag, given))}")
+    check_setting(not (args.report and given), f"--report takes its settings "
+                  f"from the report; drop {', '.join(map(_flag, given))}")
     bags, num_classes = read_dataset(args.data)
     if args.zero_shot:
-        if "classes" not in given:
-            raise CliInputError("--zero-shot requires --classes")
+        check_setting("classes" in given, "--zero-shot requires --classes")
         cfg, tissue_descriptions, prompts = (
             _flag_config(args, pooling="zero"), (), None)
         class_names = read_prompt_lines(args.classes)
@@ -363,8 +348,7 @@ def _grid_list(path, grid, key, cast=str) -> list:
 def cmd_ablate(args) -> None:
     grid = _load_config_file(args.grid)
     for key in GRID_REQUIRED:
-        if key not in grid:
-            raise CliInputError(f"grid file missing required key {key!r}")
+        check_setting(key in grid, f"grid file missing required key {key!r}")
     _reject_unknown_keys(args.grid, grid, GRID_REQUIRED + tuple(GRID_SETTINGS))
     poolings = _grid_list(args.grid, grid, "poolings")
     shots_list = _grid_list(args.grid, grid, "shots", int)
@@ -389,8 +373,8 @@ def cmd_ablate(args) -> None:
 
 def cmd_heatmap(args) -> None:
     bags, num_classes = read_dataset(args.data)
-    if not 0 <= args.bag < len(bags):
-        raise CliInputError(f"--bag {args.bag} outside [0, {len(bags)})")
+    check_setting(0 <= args.bag < len(bags),
+                  f"--bag {args.bag} outside [0, {len(bags)})")
     bag = bags[args.bag]
     cfg = _flag_config(args)
     corr = cfg.pipeline(bag.patches.cols, read_prompt_lines(args.tissues),

@@ -1,4 +1,4 @@
-"""Dense embedding containers and the shared numeric primitives.
+"""Dense embedding containers and the shared numeric bounds.
 
 All arithmetic is float64 in memory; float32 only appears at the file
 boundary. Normalization happens once at ingestion, after which similarity
@@ -120,13 +120,3 @@ class WsiBag:
     def num_patches(self) -> int:
         return self.patches.rows
 
-
-def cosine_matrix(a: EmbeddingMatrix, b: EmbeddingMatrix) -> np.ndarray:
-    """Pairwise dot products between rows of a and rows of b.
-
-    Both inputs are expected to be row-normalized, making this cosine
-    similarity.
-    """
-    if a.cols != b.cols:
-        raise DimensionMismatchError(f"feature dims differ: {a.cols} vs {b.cols}")
-    return a.data @ b.data.T

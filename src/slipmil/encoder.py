@@ -136,6 +136,13 @@ def encode_text(weights: FrozenEncoderWeights, text: str,
     return e / n
 
 
+def encode_texts(weights: FrozenEncoderWeights, texts,
+                 context: PromptContext | None = None) -> np.ndarray:
+    """`encode_text` of each text, behind the one context if any: T x d_v
+    unit rows."""
+    return np.stack([encode_text(weights, t, context) for t in texts])
+
+
 def token_sums(weights: FrozenEncoderWeights, texts,
                context_length: int) -> tuple[np.ndarray, np.ndarray]:
     """`_token_sum` of many texts: token sums (T x d_t) and lengths (T,)."""

@@ -75,5 +75,9 @@ class EmptyPromptSetError(FormatError):
     """Prompt file contained no usable lines."""
 
 
+class NotUtf8Error(FormatError):
+    """A text file holds bytes that are not UTF-8."""
+
+
 class SchemaError(FormatError):
     """JSON report is missing required fields or has a bad schema version."""

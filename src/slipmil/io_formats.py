@@ -25,6 +25,7 @@ from .errors import (
     EmptyDatasetError,
     EmptyPromptSetError,
     FormatError,
+    NotUtf8Error,
     SchemaError,
     TruncatedFileError,
     VersionUnsupportedError,
@@ -155,10 +156,18 @@ def read_dataset(path):
     return bags, num_classes
 
 
+def read_text(path) -> str:
+    """The text of a UTF-8 file, less any byte order mark before it."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise NotUtf8Error(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def read_prompt_lines(path):
     """One prompt per line; blank lines and '#' comments are skipped."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
+    lines = [ln.strip() for ln in read_text(path).split("\n")]
     prompts = [ln for ln in lines if ln and not ln.startswith("#")]
     if not prompts:
         raise EmptyPromptSetError(f"{path}: no usable prompt lines")
@@ -235,8 +244,7 @@ def write_report(path, config: dict, history_records, metrics: dict,
 
 def read_report(path) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):

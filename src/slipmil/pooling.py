@@ -27,13 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (
-    EmbeddingMatrix,
-    WsiBag,
-    cosine_matrix,
-    NORM_EPS,
-)
-from .encoder import FrozenEncoderWeights, PromptContext, encode_text
+from .core import EmbeddingMatrix, WsiBag, NORM_EPS
+from .encoder import FrozenEncoderWeights, encode_texts
 from .errors import DimensionMismatchError, ZeroVectorError, check_setting
 
 if TYPE_CHECKING:
@@ -63,6 +58,10 @@ def check_tau(tau: float) -> None:
                   f"tau={tau} must be in (0, inf) with a finite {span!r}/tau")
 
 
+# The pooling functions take the text side as plain K x d_v tissue and
+# C x d_v class arrays of unit rows. The two types below remain for the
+# benchmark's workloads, which build a Pipeline from a TissuePromptSet and
+# read .embeddings from pooling_classes() and scoring_classes().
 @dataclass(frozen=True, eq=False)
 class TissuePromptSet:
     """Unit-norm text embeddings of tissue descriptions, one row each."""
@@ -72,31 +71,14 @@ class TissuePromptSet:
     @classmethod
     def from_descriptions(cls, weights: FrozenEncoderWeights,
                           descriptions) -> "TissuePromptSet":
-        return cls(EmbeddingMatrix(
-            np.stack([encode_text(weights, d) for d in descriptions])))
-
-    @property
-    def size(self) -> int:
-        return self.embeddings.rows
+        return cls(EmbeddingMatrix(encode_texts(weights, descriptions)))
 
 
 @dataclass(frozen=True, eq=False)
 class ClassPromptSet:
-    """Unit-norm text embeddings of class names, one row each, optionally
-    produced with a learnable context shared by all classes."""
+    """Unit-norm text embeddings of class names, one row each."""
 
     embeddings: EmbeddingMatrix
-
-    @classmethod
-    def from_names(cls, weights: FrozenEncoderWeights, class_names,
-                   context: PromptContext | None = None) -> "ClassPromptSet":
-        """Encode class names, each behind the one shared context if any."""
-        return cls(EmbeddingMatrix(
-            np.stack([encode_text(weights, n, context) for n in class_names])))
-
-    @property
-    def size(self) -> int:
-        return self.embeddings.rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,14 +97,16 @@ class SlideFeature:
         object.__setattr__(self, "columns", arr)
 
 
-def log_tissue_wsi_similarity(classes: ClassPromptSet,
-                              tissues: TissuePromptSet,
+def log_tissue_wsi_similarity(classes: np.ndarray, tissues: np.ndarray,
                               temperature: float) -> np.ndarray:
-    """log S_wsi: row log-softmax of class-vs-tissue cosine similarities
-    over the temperature (C x K), finite at any temperature that check_tau
-    accepts."""
+    """log S_wsi: row log-softmax of the cosine similarities of C x d_v
+    classes and K x d_v tissues, unit rows, over the temperature (C x K),
+    finite at any temperature that check_tau accepts."""
     check_tau(temperature)
-    z = cosine_matrix(classes.embeddings, tissues.embeddings) / temperature
+    d, width = classes.shape[1], tissues.shape[1]
+    if d != width:
+        raise DimensionMismatchError(f"feature dims differ: {d} vs {width}")
+    z = classes @ tissues.T / temperature
     z -= z.max(axis=1, keepdims=True)
     return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
 
@@ -158,18 +142,18 @@ def _unit_columns(raw: np.ndarray) -> np.ndarray:
     return raw
 
 
-def _patch_logits(patches: np.ndarray, tissues: TissuePromptSet,
+def _patch_logits(patches: np.ndarray, tissues: np.ndarray,
                   m: np.ndarray, tau: float) -> np.ndarray:
     """cos(tissue, patch) / tau + m, K x N, shifted so that every patch's
     largest logit is 0."""
-    u = tissues.embeddings.data @ patches.T
+    u = tissues @ patches.T
     u *= 1.0 / tau
     u += m[:, None]
     u -= u.max(axis=0)
     return u
 
 
-def slip_correlation(patches: np.ndarray, tissues: TissuePromptSet,
+def slip_correlation(patches: np.ndarray, tissues: np.ndarray,
                      lw: np.ndarray, tau: float) -> np.ndarray:
     """Patch-to-class correlation of N x d_v patches, C x N: column n
     splits patch n's unit weight over the classes in proportion to
@@ -188,7 +172,7 @@ def slip_correlation(patches: np.ndarray, tissues: TissuePromptSet,
     return corr
 
 
-def _log_space_weights(patches: np.ndarray, tissues: TissuePromptSet,
+def _log_space_weights(patches: np.ndarray, tissues: np.ndarray,
                        lw: np.ndarray, tau: float, rows) -> np.ndarray:
     """Patch weights of one bag for the given classes, each a softmax over
     patches of log corr[c, n]: rows x N."""
@@ -211,7 +195,7 @@ def _cores() -> int:
 
 
 def _pool_blocks(blocks: list, todo: deque, sums: list,
-                 tissues: TissuePromptSet, lw: np.ndarray, tau: float) -> None:
+                 tissues: np.ndarray, lw: np.ndarray, tau: float) -> None:
     """Pool row blocks of a bag until `todo`, the indices of the blocks
     that no thread has taken, is empty: sums[i] gets block i's C class
     totals and C x d_v correlation-weighted patch sum."""
@@ -280,7 +264,7 @@ if hasattr(os, "register_at_fork"):  # not on every platform
     os.register_at_fork(after_in_child=_helpers.__init__)
 
 
-def _streamed_slip(patches: np.ndarray, tissues: TissuePromptSet,
+def _streamed_slip(patches: np.ndarray, tissues: np.ndarray,
                    lw: np.ndarray, tau: float, tiny: float) -> np.ndarray:
     """The C x d_v weighted patch mean of one bag of more than
     GROUP_PATCHES patches, pooled over equal row blocks of at most
@@ -318,15 +302,15 @@ def _streamed_slip(patches: np.ndarray, tissues: TissuePromptSet,
     return raw
 
 
-def slip_features(bags, tissues: TissuePromptSet, lw: np.ndarray,
+def slip_features(bags, tissues: np.ndarray, lw: np.ndarray,
                   tau: float) -> np.ndarray:
     """Per bag and class, the mean of the bag's patches weighted by the
     correlation, unit-normalized: B x C x d_v. A (bag, class) whose weights
     sum below n_b * K smallest normal floats may have lost them to
     underflow; only its weights are recomputed in log space."""
-    width = tissues.embeddings.cols
+    width = tissues.shape[1]
     out = np.empty((len(bags), lw.shape[0], width))
-    tiny = tissues.size * np.finfo(float).tiny
+    tiny = len(tissues) * np.finfo(float).tiny
     for group, patches, starts, sizes in _groups(bags, width):
         if len(patches) > GROUP_PATCHES:  # one bag, pooled in blocks
             out[group.start] = _streamed_slip(patches, tissues, lw, tau, tiny)
@@ -350,47 +334,46 @@ def slip_features(bags, tissues: TissuePromptSet, lw: np.ndarray,
     return _unit_columns(out)
 
 
-def topk_features(bags, classes: ClassPromptSet, k: int) -> np.ndarray:
+def topk_features(bags, classes: np.ndarray, k: int) -> np.ndarray:
     """Per bag and class, the unit-normalized mean of the min(k, n_b)
     patches most similar to that class prompt: B x C x d_v. Ties go to the
     lower patch index, and the chosen patches are summed in index order."""
     check_setting(k >= 1, f"k={k} must be >= 1")
-    width = classes.embeddings.cols
-    out = np.empty((len(bags), classes.size, width))
+    width = classes.shape[1]
+    out = np.empty((len(bags), len(classes), width))
     for group, patches, starts, sizes in _groups(bags, width):
         kept = np.minimum(sizes, min(k, sizes.max()))  # k may pass int64
         bag = np.repeat(np.arange(sizes.size), sizes)
         # sorted by (bag, -score), position p holds rank p - starts[bag[p]]
         chosen = np.arange(bag.size) - starts[bag] < kept[bag]
-        scores = patches @ classes.embeddings.data.T  # N x C
-        for c in range(classes.size):
+        scores = patches @ classes.T  # N x C
+        for c in range(len(classes)):
             top = np.sort(np.lexsort((-scores[:, c], bag))[chosen])
             out[group, c] = np.add.reduceat(
                 patches[top], np.cumsum(kept) - kept, axis=0) / kept[:, None]
     return _unit_columns(out)
 
 
-def average_features(bags, classes: ClassPromptSet) -> np.ndarray:
+def average_features(bags, classes: np.ndarray) -> np.ndarray:
     """Each bag's unit-normalized patch mean, repeated as every class
     column: B x C x d_v."""
-    width = classes.embeddings.cols
+    width = classes.shape[1]
     out = np.empty((len(bags), 1, width))
     for group, patches, starts, sizes in _groups(bags, width):
         out[group, 0] = (np.add.reduceat(patches, starts, axis=0)
                          / sizes[:, None])
-    return np.repeat(_unit_columns(out), classes.size, axis=1)
+    return np.repeat(_unit_columns(out), len(classes), axis=1)
 
 
-def zero_shot_probabilities(bags, classes: ClassPromptSet,
+def zero_shot_probabilities(bags, classes: np.ndarray,
                             temperature: float) -> np.ndarray:
     """Per bag, the per-patch class softmax averaged over patches: B x C,
     rows summing to one. Per group: one shifted exp over class-major C x N
     logits, a rescale of every patch column and a mean per bag and class."""
     check_tau(temperature)
-    out = np.empty((len(bags), classes.size))
-    for group, patches, starts, sizes in _groups(bags,
-                                                 classes.embeddings.cols):
-        z = classes.embeddings.data @ patches.T
+    out = np.empty((len(bags), len(classes)))
+    for group, patches, starts, sizes in _groups(bags, classes.shape[1]):
+        z = classes @ patches.T
         z /= temperature
         z -= z.max(axis=0)
         np.exp(z, out=z)
@@ -399,21 +382,21 @@ def zero_shot_probabilities(bags, classes: ClassPromptSet,
     return out
 
 
-def classify(features: np.ndarray, classes: ClassPromptSet) -> np.ndarray:
+def classify(features: np.ndarray, classes: np.ndarray) -> np.ndarray:
     """Per bag of B x C x d_v features, the argmax over diagonal (column j,
     class prompt j) alignments; ties go to the lowest class index."""
-    if features.shape[1] != classes.size:
+    if features.shape[1] != len(classes):
         raise DimensionMismatchError(f"{features.shape[1]} feature columns "
-                                     f"vs {classes.size} classes")
-    scores = np.einsum("bjd,jd->bj", features, classes.embeddings.data)
+                                     f"vs {len(classes)} classes")
+    scores = np.einsum("bjd,jd->bj", features, classes)
     return np.argmax(scores, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
 class Pipeline:
-    """Everything needed to score a bag: encoder, prompt sets, pooling.
+    """Everything needed to score a bag: encoder, text embeddings, pooling.
 
-    Pooling uses the context-free class prompts, scoring the prompted ones;
+    Pooling uses the context-free class rows, scoring the prompted ones;
     both, and log S_wsi for slip pooling, are computed at construction. Only
     slip pooling reads tissues; the other variants take tissues=None."""
 
@@ -430,22 +413,24 @@ class Pipeline:
         check_setting(self.pooling in POOLINGS, f"pooling {self.pooling!r} "
                       f"must be one of {', '.join(POOLINGS)}")
         names = tuple(self.class_names)
-        frozen = ClassPromptSet.from_names(self.weights, names)
-        lw = None
+        frozen = encode_texts(self.weights, names)
+        tissues = lw = None
         if self.pooling == "slip":
             check_setting(self.tissues is not None,
                           "slip pooling needs a tissue prompt set")
-            lw = log_tissue_wsi_similarity(frozen, self.tissues, self.tau)
+            tissues = self.tissues.embeddings.data
+            lw = log_tissue_wsi_similarity(frozen, tissues, self.tau)
         object.__setattr__(self, "class_names", names)
         object.__setattr__(self, "_frozen", frozen)
         object.__setattr__(self, "_scoring", frozen)
+        object.__setattr__(self, "_tissues", tissues)
         object.__setattr__(self, "_lw", lw)
         if self.prompts is not None:
             self._score_with(self.prompts)
 
     def _score_with(self, prompts: TrainedPrompts) -> None:
         object.__setattr__(self, "prompts", prompts)
-        object.__setattr__(self, "_scoring", ClassPromptSet.from_names(
+        object.__setattr__(self, "_scoring", encode_texts(
             self.weights, self.class_names, prompts.contexts[0]))
 
     def with_prompts(self, prompts: TrainedPrompts) -> Pipeline:
@@ -457,20 +442,20 @@ class Pipeline:
 
     def scoring_classes(self) -> ClassPromptSet:
         """Class prompts used on the text side of classification."""
-        return self._scoring
+        return ClassPromptSet(EmbeddingMatrix(self._scoring))
 
     def pooling_classes(self) -> ClassPromptSet:
-        return self._frozen
+        return ClassPromptSet(EmbeddingMatrix(self._frozen))
 
     def correlation(self, bag: WsiBag) -> np.ndarray:
         """Patch-to-class correlation of one bag under slip pooling, C x N."""
-        return slip_correlation(bag.patches.data, self.tissues, self._lw,
+        return slip_correlation(bag.patches.data, self._tissues, self._lw,
                                 self.tau)
 
     def features(self, bags) -> np.ndarray:
         """Pooled features of a list of bags, B x C x d_v (not zero-shot)."""
         if self.pooling == "slip":
-            return slip_features(bags, self.tissues, self._lw, self.tau)
+            return slip_features(bags, self._tissues, self._lw, self.tau)
         if self.pooling == "topk":
             return topk_features(bags, self._frozen, self.topk_k)
         check_setting(self.pooling == "avg",
@@ -486,4 +471,4 @@ class Pipeline:
         if self.pooling == "zero":
             return np.argmax(
                 zero_shot_probabilities(bags, self._frozen, self.tau), axis=1)
-        return classify(self.features(bags), self.scoring_classes())
+        return classify(self.features(bags), self._scoring)

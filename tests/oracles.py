@@ -7,10 +7,12 @@ are explicit Python loops over floats.
 The numpy per-container references below them are the straightforward
 forms the package's fast paths are checked against: row softmax into a
 validated `SimilarityMatrix`, per-text encoder gradients, the InfoNCE
-loss and context gradient built from a prompted `ClassPromptSet` on every
-call, and pooling one bag at a time into a `SlideFeature`. The training
-loop in `slipmil.trainer` and the list poolings in `slipmil.pooling` match
-them to rounding, and the finite-difference tests check them.
+loss and context gradient built from prompted class rows on every call,
+and pooling one bag at a time into a `SlideFeature`. Like the package's
+pooling functions, they take tissues and classes as arrays of unit rows.
+The training loop in `slipmil.trainer` and the list poolings in
+`slipmil.pooling` match them to rounding, and the finite-difference tests
+check them.
 """
 from __future__ import annotations
 
@@ -268,11 +270,11 @@ def context_sum_grad(weights: FrozenEncoderWeights, embeddings: np.ndarray,
 
 
 def _pair_logits(f_wsi, classes) -> np.ndarray:
-    if f_wsi.columns.shape[1] != classes.size:
+    if f_wsi.columns.shape[1] != len(classes):
         raise DimensionMismatchError(
-            f"{f_wsi.columns.shape[1]} feature columns vs {classes.size} "
+            f"{f_wsi.columns.shape[1]} feature columns vs {len(classes)} "
             f"classes")
-    return f_wsi.columns.T @ classes.embeddings.data.T  # z[i, j]
+    return f_wsi.columns.T @ classes.T  # z[i, j]
 
 
 def _infonce_step(z: np.ndarray, label: int, tau: float):
@@ -310,7 +312,7 @@ def infonce_grad(f_wsi, classes, class_names, label: int, tau: float,
     return np.sum([
         encode_text_grad(weights, class_names[j], g_text[:, j],
                          context)
-        for j in range(classes.size)
+        for j in range(len(classes))
     ], axis=0)
 
 
@@ -330,7 +332,7 @@ def slip_pool(bag, tissues, lw: np.ndarray, tau: float) -> SlideFeature:
     patches = bag.patches.data
     corr = slip_correlation(patches, tissues, lw, tau)
     total = corr.sum(axis=1, keepdims=True)
-    tiny = bag.num_patches * tissues.size * np.finfo(float).tiny
+    tiny = bag.num_patches * len(tissues) * np.finfo(float).tiny
     low = np.flatnonzero(total < tiny)
     if low.size:
         corr[low] = _log_space_weights(patches, tissues, lw, tau, low)
@@ -354,9 +356,9 @@ def pool_topk(bag, classes, k: int) -> SlideFeature:
     n = bag.num_patches
     if not 1 <= k <= n:
         raise InvalidSettingError(f"k={k} outside [1, {n}]")
-    scores = bag.patches.data @ classes.embeddings.data.T  # N x C
+    scores = bag.patches.data @ classes.T  # N x C
     cols = []
-    for c in range(classes.size):
+    for c in range(len(classes)):
         order = np.argsort(-scores[:, c], kind="stable")
         top = np.sort(order[:k])  # fixed summation order
         cols.append(normalize_vector(bag.patches.data[top].mean(axis=0)))
@@ -372,7 +374,7 @@ def pooled_feature(bag, tissues, frozen_classes, pooling: str, tau: float,
         return pool_topk(bag, frozen_classes, min(topk_k, bag.num_patches))
     if pooling == "avg":
         v = pool_average(bag)
-        return SlideFeature(np.tile(v[:, None], (1, frozen_classes.size)))
+        return SlideFeature(np.tile(v[:, None], (1, len(frozen_classes))))
     raise ValueError(f"pooling must be one of {POOLING_VARIANTS}")
 
 
@@ -380,7 +382,7 @@ def zero_shot_scores(bag, classes, temperature: float) -> np.ndarray:
     """Per-patch class softmax of one bag averaged over patches."""
     if temperature <= 0:
         raise InvalidSettingError(f"temperature {temperature} <= 0")
-    z = classes.embeddings.data @ bag.patches.data.T
+    z = classes @ bag.patches.data.T
     z /= temperature
     z -= z.max(axis=0)
     np.exp(z, out=z)

@@ -11,7 +11,8 @@ import numpy as np
 
 from slipmil.cli import main as cli_main
 from slipmil.core import EmbeddingMatrix, WsiBag
-from slipmil.encoder import FrozenEncoderWeights, PromptContext, encode_text
+from slipmil.encoder import (FrozenEncoderWeights, PromptContext,
+                             encode_text, encode_texts)
 from slipmil.errors import FormatError
 from slipmil.evaluation import (
     Pipeline,
@@ -21,7 +22,6 @@ from slipmil.evaluation import (
 )
 from slipmil.io_formats import read_dataset, read_report, write_dataset
 from slipmil.pooling import (
-    ClassPromptSet,
     SlideFeature,
     TissuePromptSet,
     average_features,
@@ -54,8 +54,8 @@ def report_line(capsys, number: int, ok: bool, description: str) -> None:
 
 def make_sets(rng, n, k, c, d=8):
     bag = random_bag(rng, n, d, label=int(rng.integers(c)), patient_id="p")
-    tissues = TissuePromptSet(EmbeddingMatrix(unit_rows(rng, k, d)))
-    classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, c, d)))
+    tissues = unit_rows(rng, k, d)
+    classes = unit_rows(rng, c, d)
     return bag, tissues, classes
 
 
@@ -72,14 +72,14 @@ class TestAcceptance:
             bag, tissues, classes = make_sets(rng, n, k, c)
 
             lw = log_tissue_wsi_similarity(classes, tissues, tau)
-            s_wsi = oracle_similarity(classes.embeddings.data.tolist(),
-                                      tissues.embeddings.data.tolist(), tau)
+            s_wsi = oracle_similarity(classes.tolist(), tissues.tolist(),
+                                      tau)
             worst_sim = max(worst_sim,
                             np.abs(np.exp(lw) - np.array(s_wsi)).max())
 
             corr = slip_correlation(bag.patches.data, tissues, lw, tau)
             s_patch = oracle_similarity(bag.patches.data.tolist(),
-                                        tissues.embeddings.data.tolist(), tau)
+                                        tissues.tolist(), tau)
             want = oracle_correlation(s_patch, s_wsi)
             worst_sim = max(worst_sim, np.abs(corr.T - np.array(want)).max())
 
@@ -91,7 +91,7 @@ class TestAcceptance:
                 np.abs(f.columns - np.array(want_cols).T).max())
 
             label = int(rng.integers(c))
-            z = f.columns.T @ classes.embeddings.data.T
+            z = f.columns.T @ classes.T
             got = infonce_loss(f, classes, label, tau)
             want_loss = oracle_infonce(z.tolist(), label, tau)
             worst_loss = max(worst_loss, abs(got - want_loss))
@@ -121,8 +121,7 @@ class TestAcceptance:
             f = SlideFeature(cols)
             vectors = rng.uniform(-0.1, 0.1, (2, 16))
             prompts = TrainedPrompts([PromptContext(vectors)], shared=True)
-            classes = ClassPromptSet.from_names(weights, names,
-                                                prompts.contexts[0])
+            classes = encode_texts(weights, names, prompts.contexts[0])
             label = int(rng.integers(c))
             tau = float(rng.choice([0.05, 0.1, 0.5]))
             g = infonce_grad(f, classes, names, label, tau, prompts,
@@ -133,8 +132,7 @@ class TestAcceptance:
                     v = vectors.copy()
                     v[idx] += sign * step
                     pr = TrainedPrompts([PromptContext(v)], shared=True)
-                    cs = ClassPromptSet.from_names(weights, names,
-                                                   pr.contexts[0])
+                    cs = encode_texts(weights, names, pr.contexts[0])
                     val = infonce_loss(f, cs, label, tau)
                     if store == "p":
                         fp = val
@@ -215,8 +213,7 @@ class TestAcceptance:
             v = np.zeros(8)
             v[0] = 1.0
             uniform_f = SlideFeature(np.tile(v[:, None], (1, c)))
-            uniform_classes = ClassPromptSet(
-                EmbeddingMatrix(np.tile(v, (c, 1))))
+            uniform_classes = np.tile(v, (c, 1))
             loss = infonce_loss(uniform_f, uniform_classes, 0, 0.5)
             if abs(loss - np.log(c * c)) > 1e-12:
                 failures.append(f"uniform C={c} loss off log(C^2)")

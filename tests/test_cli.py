@@ -13,7 +13,8 @@ import pytest
 from slipmil.cli import REPORT_SETTINGS, main
 from slipmil.core import COORD_MAX, MAX_HEATMAP_CELLS, EmbeddingMatrix, WsiBag
 from slipmil.errors import InvalidSettingError
-from slipmil.io_formats import read_dataset, read_report, write_dataset
+from slipmil.io_formats import (read_dataset, read_prompt_lines, read_report,
+                                write_dataset)
 from slipmil.pooling import check_tau
 from slipmil.synth import SynthSpec, generate
 from slipmil.trainer import TrainConfig
@@ -657,6 +658,77 @@ class TestHeatmapCommand:
                        f"{MAX_HEATMAP_CELLS} cells\n")
         assert not any((synth_paths["dir"] / f"far.{ext}").exists()
                        for ext in ("csv", "pgm"))
+
+
+BOM = b"\xef\xbb\xbf"
+
+
+class TestTextInputs:
+    """Prompt, key = value and report files are UTF-8 after an optional
+    byte order mark; any other bytes are a user error naming the file."""
+
+    def argv(self, paths, command, flag, bad):
+        """`command` with `flag` given the file `bad`; writes under out.*"""
+        out = str(paths["dir"] / "out")
+        files = {"--data": paths["data"], "--tissues": paths["tissues"],
+                 "--classes": paths["classes"]}
+        if command == "ablate":
+            return ["ablate", "--grid", bad, "--out", out + ".json"]
+        if command == "eval":
+            mode = ["--zero-shot"] if flag == "--classes" else []
+            return ["eval", "--data", paths["data"], *mode, flag, bad]
+        flags = {**files, flag: bad}
+        tail = (["--seed", "1", "--epochs", "1", "--out", out + ".json"]
+                if command == "train" else
+                ["--bag", "0", "--class-index", "0", "--out-prefix", out])
+        return [command, *(a for pair in flags.items() for a in pair), *tail]
+
+    @pytest.mark.parametrize("command,flag", [
+        ("train", "--tissues"), ("train", "--classes"), ("train", "--config"),
+        ("eval", "--report"), ("eval", "--classes"), ("ablate", "--grid"),
+        ("heatmap", "--tissues")])
+    def test_non_utf8_byte_exits_2(self, synth_paths, capsys, command,
+                                   flag):
+        source = {"--report": train_report(synth_paths, capsys),
+                  "--tissues": Path(synth_paths["tissues"]),
+                  "--classes": Path(synth_paths["classes"])}.get(flag)
+        raw = source.read_bytes() if source else b"seed = 1\nepochs = 1\n"
+        bad = synth_paths["dir"] / "bad.in"
+        bad.write_bytes(raw[:9] + b"\xff" + raw[9:])
+        code, stdout, err = run(capsys,
+                                *self.argv(synth_paths, command, flag,
+                                           str(bad)))
+        assert code == 2 and stdout == ""
+        assert err.startswith(f"error: {bad}: not UTF-8 text (")
+        assert list(synth_paths["dir"].glob("out*")) == []
+
+    def test_byte_order_mark_is_not_a_prompt(self, needle_paths, tmp_path,
+                                             capsys):
+        copies = {}
+        for key in ("tissues", "classes"):
+            copies[key] = tmp_path / f"bom.{key}.txt"
+            copies[key].write_bytes(BOM + Path(needle_paths[key]).read_bytes())
+            assert (read_prompt_lines(copies[key])
+                    == read_prompt_lines(needle_paths[key]))
+        outputs = []
+        for classes in (needle_paths["classes"], copies["classes"]):
+            outputs.append(run(capsys, "eval", "--data", needle_paths["data"],
+                               "--zero-shot", "--classes", str(classes)))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
+
+    def test_byte_order_mark_before_key_value_lines(self, synth_paths,
+                                                    capsys):
+        grid = synth_paths["dir"] / "grid.cfg"
+        outputs = []
+        for prefix in (b"", BOM):
+            grid.write_bytes(prefix + (
+                f"data = {synth_paths['data']}\n"
+                f"classes = {synth_paths['classes']}\n"
+                f"tissues = {synth_paths['tissues']}\n"
+                "poolings = slip\nshots = 1\nseeds = 0\nepochs = 1\n"
+            ).encode())
+            outputs.append(run(capsys, "ablate", "--grid", str(grid)))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
 
 class TestParserSurface:

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slipmil.core import (COORD_MAX, LABEL_MAX, EmbeddingMatrix, WsiBag,
-                          cosine_matrix)
+from slipmil.core import COORD_MAX, LABEL_MAX, EmbeddingMatrix, WsiBag
 from slipmil.encoder import FrozenEncoderWeights, PromptContext
 from slipmil.errors import (
     DimensionMismatchError,
@@ -49,41 +48,6 @@ class TestL2NormalizeRows:
         rng = np.random.default_rng(1)
         m = l2_normalize_rows(EmbeddingMatrix(rng.standard_normal((8, 4))))
         assert np.max(np.abs(np.linalg.norm(m.data, axis=1) - 1)) < 1e-9
-
-
-class TestCosineMatrix:
-    def test_orthonormal(self):
-        a = EmbeddingMatrix(np.eye(2))
-        b = EmbeddingMatrix([[1.0, 0.0]])
-        assert np.array_equal(cosine_matrix(a, b), [[1.0], [0.0]])
-
-    def test_self_similarity(self):
-        v = EmbeddingMatrix([[0.6, 0.8]])
-        assert cosine_matrix(v, v)[0, 0] == pytest.approx(1.0, abs=1e-15)
-
-    def test_dot_product(self):
-        a = EmbeddingMatrix([[0.6, 0.8]])
-        b = EmbeddingMatrix([[0.8, 0.6]])
-        assert cosine_matrix(a, b)[0, 0] == pytest.approx(0.96, abs=1e-15)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionMismatchError):
-            cosine_matrix(EmbeddingMatrix([[1.0, 0.0]]),
-                          EmbeddingMatrix([[1.0, 0.0, 0.0]]))
-
-    def test_transpose_symmetry(self):
-        rng = np.random.default_rng(2)
-        a = EmbeddingMatrix(unit_rows(rng, 4, 6))
-        b = EmbeddingMatrix(unit_rows(rng, 3, 6))
-        assert np.max(np.abs(cosine_matrix(a, b) -
-                             cosine_matrix(b, a).T)) < 1e-12
-
-    def test_bounded(self):
-        rng = np.random.default_rng(3)
-        a = EmbeddingMatrix(unit_rows(rng, 5, 4))
-        b = EmbeddingMatrix(unit_rows(rng, 5, 4))
-        c = cosine_matrix(a, b)
-        assert np.all(c >= -1 - 1e-9) and np.all(c <= 1 + 1e-9)
 
 
 class TestSoftmaxRows:

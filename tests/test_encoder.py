@@ -12,6 +12,7 @@ from slipmil.encoder import (
     PromptContext,
     Vocabulary,
     encode_text,
+    encode_texts,
     token_sums,
 )
 from slipmil.errors import EmptySequenceError, ZeroVectorError
@@ -126,6 +127,14 @@ class TestEncodeText:
         a = TissuePromptSet.from_descriptions(weights, ["stroma", "glands"])
         b = TissuePromptSet.from_descriptions(weights, ["stroma", "glands"])
         assert np.array_equal(a.embeddings.data, b.embeddings.data)
+
+    def test_encode_texts_stacks_encode_text(self, weights):
+        ctx = PromptContext(np.random.default_rng(5).uniform(-0.1, 0.1,
+                                                             (2, 16)))
+        texts = ["stroma", "solid tumor sheet", "papillary lesion"]
+        for context in (None, ctx):
+            rows = np.stack([encode_text(weights, t, context) for t in texts])
+            assert np.array_equal(encode_texts(weights, texts, context), rows)
 
 
 class TestEncodeTextGrad:

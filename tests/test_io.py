@@ -353,6 +353,11 @@ class TestPromptFiles:
         with pytest.raises(EmptyPromptSetError):
             read_prompt_lines(p)
 
+    def test_crlf_and_byte_order_mark(self, tmp_path):
+        p = tmp_path / "tissues.txt"
+        p.write_bytes(b"\xef\xbb\xbf# header\r\ndense stroma\r\r\nnests\r\n")
+        assert read_prompt_lines(p) == ["dense stroma", "nests"]
+
 
 def grid_bag(scores_shape_n, d=4):
     rng = np.random.default_rng(72)
@@ -517,3 +522,9 @@ class TestReport:
         path.write_text("[1, 2]")
         with pytest.raises(SchemaError):
             read_report(path)
+
+    def test_byte_order_mark_dropped(self, tmp_path):
+        path = tmp_path / "r.json"
+        doc = write_report(path, **self.payload())
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_report(path) == doc

@@ -179,6 +179,25 @@ class TestBenchmarkSurface:
         assert sorted(f"{m}.{a}" for m, a in read
                       if not hasattr(modules[m], a)) == []
 
+    def test_large_bag_scoring_runs_in_process(self, tmp_path, monkeypatch):
+        # one tiny pass of the workload's own code, its checks included:
+        # they walk accessor chains such as pooling_classes().embeddings
+        # .data and slide_feature(bag).columns that the names above miss
+        monkeypatch.syspath_prepend(str(PERFBENCH))
+        import workloads
+        wl = workloads.LargeBagScoring(tmp_path, 0, True)
+        wl.prepare()
+        wl.setup()
+        wl.begin_pass(0)
+        records = []
+        for op in wl.pass_ops(0):
+            rec = workloads.Record(op, 0)
+            wl.check(op, wl.run(op), rec)
+            records.append(rec)
+        wl.final_check(records)
+        assert [r.error for r in records] == [None] * len(records)
+        assert wl.problems == [] and wl.checks_run > 0
+
 
 class TestTestOnlyDependencies:
     def test_import_leaves_out_mpmath(self):
@@ -232,7 +251,7 @@ class TestTrainSettingsReachCli:
         assert sorted(fields - stored) == []
 
 
-TEXT_SIDE = ("from_descriptions", "from_names", "log_tissue_wsi_similarity")
+TEXT_SIDE = ("from_descriptions", "encode_texts", "log_tissue_wsi_similarity")
 MODEL_SIDE = ("Pipeline", "FrozenEncoderWeights.create")
 
 
@@ -272,9 +291,9 @@ class TestOneTextSide:
                   "        return T.from_descriptions(w, d)\n"
                   "def f():\n    return log_tissue_wsi_similarity(c, t, 1)\n"
                   "class B:\n    def ok(self):\n"
-                  "        return C.from_names(w, n)\n")
+                  "        return encode_texts(w, n)\n")
         assert calls_outside(source, TEXT_SIDE, {"A.ok"}) == [
-            "from_names (line 8)", "log_tissue_wsi_similarity (line 5)"]
+            "encode_texts (line 8)", "log_tissue_wsi_similarity (line 5)"]
 
     @pytest.mark.parametrize("path", [p for p in MODULES
                                       if p.name != "pooling.py"],

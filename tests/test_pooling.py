@@ -18,8 +18,6 @@ from slipmil.errors import (
     ZeroVectorError,
 )
 from slipmil.pooling import (
-    ClassPromptSet,
-    TissuePromptSet,
     average_features,
     classify,
     log_tissue_wsi_similarity,
@@ -45,11 +43,13 @@ from oracles import (
 
 
 def class_set(rows):
-    return ClassPromptSet(EmbeddingMatrix(rows))
+    """C x d_v class rows as the pooling functions take them."""
+    return EmbeddingMatrix(rows).data
 
 
 def tissue_set(rows):
-    return TissuePromptSet(EmbeddingMatrix(rows))
+    """K x d_v tissue rows as the pooling functions take them."""
+    return EmbeddingMatrix(rows).data
 
 
 def slip_one(bag, tissues, lw, tau):
@@ -97,8 +97,7 @@ class TestTissueWsiSimilarity:
         classes = class_set(unit_rows(rng, 2, 8))
         tissues = tissue_set(unit_rows(rng, 3, 8))
         got = np.exp(log_tissue_wsi_similarity(classes, tissues, 0.1))
-        want = oracle_similarity(classes.embeddings.data.tolist(),
-                                 tissues.embeddings.data.tolist(), 0.1)
+        want = oracle_similarity(classes.tolist(), tissues.tolist(), 0.1)
         assert np.max(np.abs(got - np.array(want))) < 1e-12
 
     def test_finite_at_tiny_tau(self):
@@ -115,6 +114,11 @@ class TestTissueWsiSimilarity:
         for tau in (0.0, -0.5, 1e-309):
             with pytest.raises(InvalidSettingError):
                 log_tissue_wsi_similarity(classes, tissues, tau)
+
+    def test_width_mismatch(self):
+        with pytest.raises(DimensionMismatchError):
+            log_tissue_wsi_similarity(class_set([[1.0, 0.0]]),
+                                      tissue_set([[1.0, 0.0, 0.0]]), 0.1)
 
 
 class TestPatchTissueSimilarity:
@@ -148,7 +152,7 @@ class TestPatchTissueSimilarity:
         got = slip_correlation(bag.patches.data, tissues, one_hot_lw(4),
                                0.1).T
         want = oracle_similarity(bag.patches.data.tolist(),
-                                 tissues.embeddings.data.tolist(), 0.1)
+                                 tissues.tolist(), 0.1)
         assert np.max(np.abs(got - np.array(want))) < 1e-12
 
 
@@ -161,10 +165,9 @@ def make_similarities(rng, bag, num_tissues, num_classes, tau=0.1):
 def oracle_inputs(bag, tissues, classes, tau):
     """Patches with their 50-digit S_patch and S_wsi, as float lists."""
     patches = bag.patches.data.tolist()
-    tissue_rows = tissues.embeddings.data.tolist()
+    tissue_rows = tissues.tolist()
     return (patches, oracle_similarity(patches, tissue_rows, tau),
-            oracle_similarity(classes.embeddings.data.tolist(), tissue_rows,
-                              tau))
+            oracle_similarity(classes.tolist(), tissue_rows, tau))
 
 
 class TestSlipPool:
@@ -253,8 +256,7 @@ def test_two_softmax_equivalence(n, k, c):
         tissues, lw, classes = make_similarities(rng, bag, k, c, tau=0.01)
         f = slip_one(bag, tissues, lw, 0.01)
         want = two_softmax_columns(bag.patches.data,
-                                   tissues.embeddings.data,
-                                   classes.embeddings.data, 0.01)
+                                   tissues, classes, 0.01)
         assert np.max(np.abs(f - want)) <= 1e-12
 
 
@@ -274,8 +276,7 @@ def test_full_precision_oracle(tau, monkeypatch):
         tissues, lw, classes = make_similarities(rng, bag, k, c, tau=tau)
         f = slip_one(bag, tissues, lw, tau)
         want = oracle_slip_columns(bag.patches.data.tolist(),
-                                   tissues.embeddings.data.tolist(),
-                                   classes.embeddings.data.tolist(), tau)
+                                   tissues.tolist(), classes.tolist(), tau)
         worst = max(worst, np.max(np.abs(f - np.array(want).T)))
     assert worst <= 1e-12
     # the sharp temperatures reach the log-space weights, the mild one not
@@ -297,8 +298,7 @@ def test_underflowed_class_gets_log_space_weights():
     assert not np.any(slip_correlation(bag.patches.data, tissues, lw, 1e-4)[1])
     f = slip_one(bag, tissues, lw, 1e-4)
     want = oracle_slip_columns(patches.tolist(),
-                               tissues.embeddings.data.tolist(),
-                               classes.embeddings.data.tolist(), 1e-4)
+                               tissues.tolist(), classes.tolist(), 1e-4)
     assert np.max(np.abs(f - np.array(want).T)) <= 1e-12
 
 
@@ -350,7 +350,7 @@ class TestPoolTopk:
         classes = class_set(unit_rows(rng, 3, 6))
         f = topk_one(bag, classes, 3)
         want = oracle_pool_topk(bag.patches.data.tolist(),
-                                classes.embeddings.data.tolist(), 3)
+                                classes.tolist(), 3)
         assert np.max(np.abs(f - np.array(want).T)) < 1e-12
 
     def test_k_out_of_range(self):
@@ -371,7 +371,7 @@ class TestZeroShotScores:
         bag = random_bag(rng, 1, 8)
         classes = class_set(unit_rows(rng, 3, 8))
         scores = zero_shot_one(bag, classes, 0.1)
-        sm = softmax_rows(bag.patches.data @ classes.embeddings.data.T, 0.1)
+        sm = softmax_rows(bag.patches.data @ classes.T, 0.1)
         assert np.array_equal(scores, sm.data[0])
 
     def test_equidistant_uniform(self):
@@ -387,7 +387,7 @@ class TestZeroShotScores:
         classes = class_set(unit_rows(rng, 3, 8))
         scores = zero_shot_one(bag, classes, 0.1)
         want = oracle_zero_shot(bag.patches.data.tolist(),
-                                classes.embeddings.data.tolist(), 0.1)
+                                classes.tolist(), 0.1)
         assert np.max(np.abs(scores - np.array(want))) < 1e-12
         assert abs(scores.sum() - 1) < 1e-9
 
@@ -510,8 +510,7 @@ def test_log_space_fallback_recomputes_only_its_bag(monkeypatch):
         want = slip_pool(bag, tissues, lw, 1e-4).columns.T
         assert np.max(np.abs(columns - want)) <= 1e-12
     want = oracle_slip_columns(bags[1].patches.data.tolist(),
-                               tissues.embeddings.data.tolist(),
-                               classes.embeddings.data.tolist(), 1e-4)
+                               tissues.tolist(), classes.tolist(), 1e-4)
     assert np.max(np.abs(got[1] - np.array(want))) <= 1e-12
 
 
@@ -673,8 +672,7 @@ def test_streamed_underflow_recomputes_only_that_class(monkeypatch):
     assert len(calls) == 1
     assert calls[0][0] is bag.patches.data and calls[0][1] == [1]
     want = oracle_slip_columns(patches.tolist(),
-                               tissues.embeddings.data.tolist(),
-                               classes.embeddings.data.tolist(), 1e-4)
+                               tissues.tolist(), classes.tolist(), 1e-4)
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
@@ -820,9 +818,8 @@ def test_interpreter_exits_with_helpers_alive():
         "    return EmbeddingMatrix(m / np.linalg.norm(m, axis=1)[:, None])\n"
         "bag = WsiBag(patches=unit(60), coords=tuple((i, 0) for i in "
         "range(60)), label=0, patient_id='p')\n"
-        "tissues = pooling.TissuePromptSet(unit(3))\n"
-        "lw = pooling.log_tissue_wsi_similarity(pooling.ClassPromptSet(unit(2)),"
-        " tissues, 0.1)\n"
+        "tissues = unit(3).data\n"
+        "lw = pooling.log_tissue_wsi_similarity(unit(2).data, tissues, 0.1)\n"
         "pooling.slip_features([bag], tissues, lw, 0.1)\n"
         "print(threading.active_count())\n")
     src = os.path.join(os.path.dirname(os.path.dirname(

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from slipmil.core import EmbeddingMatrix
-from slipmil.encoder import FrozenEncoderWeights, PromptContext, token_sums
+from slipmil.encoder import (FrozenEncoderWeights, PromptContext,
+                             encode_texts, token_sums)
 from slipmil.errors import (
     EmptyDatasetError,
     InvalidSettingError,
@@ -10,12 +10,7 @@ from slipmil.errors import (
     MissingClassError,
     ZeroVectorError,
 )
-from slipmil.pooling import (
-    ClassPromptSet,
-    SlideFeature,
-    TissuePromptSet,
-    log_tissue_wsi_similarity,
-)
+from slipmil.pooling import SlideFeature, log_tissue_wsi_similarity
 from slipmil import trainer
 from slipmil.trainer import TrainConfig, TrainedPrompts, train_prompts
 from slipmil.synth import generate, preset_spec
@@ -36,7 +31,7 @@ def feature(rng, d, c):
 
 
 def class_set_with(weights, names, prompts):
-    return ClassPromptSet.from_names(weights, names, prompts.contexts[0])
+    return encode_texts(weights, names, prompts.contexts[0])
 
 
 def loss_of_context(weights, names, f, label, tau, vectors):
@@ -70,7 +65,7 @@ class TestInfonceLoss:
     def test_single_class_zero(self):
         rng = np.random.default_rng(30)
         f = feature(rng, 8, 1)
-        classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, 1, 8)))
+        classes = unit_rows(rng, 1, 8)
         assert infonce_loss(f, classes, 0, 0.01) == 0.0
 
     def test_uniform_logits_log4(self):
@@ -79,15 +74,15 @@ class TestInfonceLoss:
         v = np.zeros(6)
         v[0] = 1.0
         f = SlideFeature(np.stack([v, v], axis=1))
-        classes = ClassPromptSet(EmbeddingMatrix(np.stack([v, v])))
+        classes = np.stack([v, v])
         loss = infonce_loss(f, classes, 0, 0.5)
         assert loss == pytest.approx(1.3862943611198906, abs=1e-12)
 
     def test_matches_oracle_sharp_tau(self):
         rng = np.random.default_rng(31)
         f = feature(rng, 8, 3)
-        classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, 3, 8)))
-        z = f.columns.T @ classes.embeddings.data.T
+        classes = unit_rows(rng, 3, 8)
+        z = f.columns.T @ classes.T
         for label in range(3):
             got = infonce_loss(f, classes, label, 0.01)
             want = oracle_infonce(z.tolist(), label, 0.01)
@@ -96,7 +91,7 @@ class TestInfonceLoss:
     def test_label_out_of_range(self):
         rng = np.random.default_rng(32)
         f = feature(rng, 8, 2)
-        classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, 2, 8)))
+        classes = unit_rows(rng, 2, 8)
         for label in (-1, 2):
             with pytest.raises(LabelOutOfRangeError):
                 infonce_loss(f, classes, label, 0.01)
@@ -106,8 +101,8 @@ class TestInfonceLoss:
         for _ in range(20):
             c = int(rng.integers(2, 5))
             f = feature(rng, 8, c)
-            classes = ClassPromptSet(EmbeddingMatrix(unit_rows(rng, c, 8)))
-            z = f.columns.T @ classes.embeddings.data.T
+            classes = unit_rows(rng, c, 8)
+            z = f.columns.T @ classes.T
             tau = 0.1
             loss = infonce_loss(f, classes, 0, tau)
             spread = float(z.max() - z.min())
@@ -323,8 +318,8 @@ def reference_train(bags, tissue_descriptions, class_names, cfg, weights):
     take infonce_loss / infonce_grad from the public reference functions."""
     rng = np.random.default_rng(cfg.seed)
     context = PromptContext.init(rng, cfg.context_length, weights.d_t)
-    tissues = TissuePromptSet.from_descriptions(weights, tissue_descriptions)
-    frozen = ClassPromptSet.from_names(weights, class_names)
+    tissues = encode_texts(weights, tissue_descriptions)
+    frozen = encode_texts(weights, class_names)
     lw = log_tissue_wsi_similarity(frozen, tissues, cfg.tau)
     features = [pooled_feature(bag, tissues, frozen, cfg.pooling, cfg.tau,
                                cfg.topk_k, lw=lw) for bag in bags]
