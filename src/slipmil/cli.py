@@ -83,15 +83,16 @@ def _require_seed(args) -> int:
     return args.seed
 
 
-def _check_dataset(bags, num_classes, class_names, source,
-                   d_v=None) -> None:
-    """Reject a dataset whose class count, or d_v when given, differs from
-    `source`'s."""
+def _read_dataset(path, class_names, source, d_v=None) -> list:
+    """The bags of the dataset at `path`, refused unless it has one class
+    per name in `source`'s `class_names` and, when given, `source`'s d_v."""
+    bags, num_classes = read_dataset(path)
     check_setting(len(class_names) == num_classes,
                   f"{source}: {len(class_names)} class names, but the "
                   f"dataset declares {num_classes} classes")
     check_setting(d_v in (None, bags[0].patches.cols), f"{source}: d_v={d_v}, "
                   f"but the dataset has d_v={bags[0].patches.cols}")
+    return bags
 
 
 def int_or_all(raw: str):
@@ -236,10 +237,9 @@ def cmd_synth(args) -> None:
 def cmd_train(args) -> None:
     _require_seed(args)
     cfg = _flag_config(args)
-    bags, num_classes = read_dataset(args.data)
-    tissue_descriptions = read_prompt_lines(args.tissues)
     class_names = read_prompt_lines(args.classes)
-    _check_dataset(bags, num_classes, class_names, "--classes")
+    bags = _read_dataset(args.data, class_names, "--classes")
+    tissue_descriptions = read_prompt_lines(args.tissues)
     prompts, history, metrics = run_single(
         bags, class_names, tissue_descriptions, cfg
     )
@@ -255,9 +255,9 @@ def cmd_train(args) -> None:
                      indent=2, sort_keys=True))
 
 
-def _read_run(path, bags, num_classes):
-    """The run a train report stores, checked against the dataset `bags` of
-    `num_classes` classes: (TrainConfig, class names, tissue descriptions,
+def _read_run(path, data):
+    """The run a train report stores, and the dataset at `data`, checked
+    against it: (bags, TrainConfig, class names, tissue descriptions,
     TrainedPrompts). Every malformed field is a SchemaError."""
     doc, source = read_report(path), f"report {path}"
     block = doc["config"]
@@ -276,7 +276,7 @@ def _read_run(path, bags, num_classes):
             raise SchemaError(f"{source}: {key} must be a non-empty list of "
                               f"non-empty strings")
     d_v = _setting(source, "d_v", str(block["d_v"]), int, SchemaError)
-    _check_dataset(bags, num_classes, doc["class_names"], source, d_v=d_v)
+    bags = _read_dataset(data, doc["class_names"], source, d_v=d_v)
     context = doc.get("context")
     if not (isinstance(context, dict) and context.get("shared") is True
             and isinstance(context.get("vectors"), list)
@@ -293,7 +293,7 @@ def _read_run(path, bags, num_classes):
             or not np.isfinite(vectors).all()):
         raise SchemaError(f"{source}: context must be a finite context_length "
                           f"x d_t = {cfg.context_length} x {cfg.d_t} matrix")
-    return (cfg, doc["class_names"], doc["tissue_descriptions"],
+    return (bags, cfg, doc["class_names"], doc["tissue_descriptions"],
             TrainedPrompts([PromptContext(vectors)]))
 
 
@@ -303,16 +303,15 @@ def cmd_eval(args) -> None:
     given = _given(args, ZERO_SHOT_FLAGS)
     check_setting(not (args.report and given), f"--report takes its settings "
                   f"from the report; drop {', '.join(map(_flag, given))}")
-    bags, num_classes = read_dataset(args.data)
     if args.zero_shot:
         check_setting("classes" in given, "--zero-shot requires --classes")
         cfg, tissue_descriptions, prompts = (
             _flag_config(args, pooling="zero"), (), None)
         class_names = read_prompt_lines(args.classes)
-        _check_dataset(bags, num_classes, class_names, "--classes")
+        bags = _read_dataset(args.data, class_names, "--classes")
     else:
-        cfg, class_names, tissue_descriptions, prompts = _read_run(
-            args.report, bags, num_classes)
+        bags, cfg, class_names, tissue_descriptions, prompts = _read_run(
+            args.report, args.data)
     pipeline = cfg.pipeline(bags[0].patches.cols, tissue_descriptions,
                             class_names, prompts)
     _, eval_bags = select_few_shot(bags, cfg.shots)
@@ -322,8 +321,6 @@ def cmd_eval(args) -> None:
 
 
 def _format_table(rows) -> str:
-    if not rows:
-        return "(no rows)\n"
     headers = ["pooling", "shots", "tissue_set", "num_tissue_types", "seed",
                "class_averaged_accuracy", "bag_accuracy", "final_loss"]
     cells = [[f"{row[h]:.4f}" if isinstance(row[h], float) else str(row[h])
@@ -341,8 +338,10 @@ GRID_REQUIRED = ("data", "classes", "poolings", "shots", "tissues", "seeds")
 
 
 def _grid_list(path, grid, key, cast=str) -> list:
-    return [_setting(path, key, v.strip(), cast)
-            for v in grid[key].split(",") if v.strip()]
+    values = [_setting(path, key, v.strip(), cast)
+              for v in grid[key].split(",") if v.strip()]
+    check_setting(values, f"{path}: {key} lists no value")
+    return values
 
 
 def cmd_ablate(args) -> None:
@@ -354,9 +353,8 @@ def cmd_ablate(args) -> None:
     shots_list = _grid_list(args.grid, grid, "shots", int)
     seeds = _grid_list(args.grid, grid, "seeds", int)
     base_cfg = _train_config(args.grid, grid, GRID_SETTINGS)
-    bags, num_classes = read_dataset(grid["data"])
     class_names = read_prompt_lines(grid["classes"])
-    _check_dataset(bags, num_classes, class_names, f"grid {args.grid}")
+    bags = _read_dataset(grid["data"], class_names, f"grid {args.grid}")
     tissue_sets = [(os.path.basename(path), read_prompt_lines(path))
                    for path in _grid_list(args.grid, grid, "tissues")]
     rows = run_ablation(bags, class_names, poolings, shots_list,
@@ -372,13 +370,14 @@ def cmd_ablate(args) -> None:
 
 
 def cmd_heatmap(args) -> None:
-    bags, num_classes = read_dataset(args.data)
+    class_names = read_prompt_lines(args.classes)
+    bags = _read_dataset(args.data, class_names, "--classes")
     check_setting(0 <= args.bag < len(bags),
                   f"--bag {args.bag} outside [0, {len(bags)})")
     bag = bags[args.bag]
     cfg = _flag_config(args)
     corr = cfg.pipeline(bag.patches.cols, read_prompt_lines(args.tissues),
-                        read_prompt_lines(args.classes)).correlation(bag)
+                        class_names).correlation(bag)
     csv_path = args.out_prefix + ".csv"
     pgm_path = args.out_prefix + ".pgm"
     top, bottom = export_heatmap(bag, corr.T, args.class_index,

@@ -25,6 +25,7 @@ MAX_CONTEXT_LENGTH = 1024  # most learnable context vectors
 MAX_BAGS = 1_000_000  # most bags in one dataset
 MAX_PATCHES = 1_000_000  # most patches in one bag
 MAX_HEATMAP_CELLS = 1 << 28  # most grid cells in one heatmap image
+ROW_BLOCK = 256  # rows per copy into the pooling layout
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -36,6 +37,19 @@ def _as_matrix(data) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
     return arr
+
+
+def feature_major(rows: np.ndarray) -> np.ndarray:
+    """N x d_v rows as the transpose of a C-contiguous d_v x N float64
+    array, the layout pooling reads: `rows` if they are one, else a copy
+    made ROW_BLOCK rows at a time, so that each block stays in cache."""
+    if rows.dtype == np.float64 and rows.T.flags.c_contiguous:
+        return rows
+    n, d = rows.shape
+    out = np.empty((d, n))
+    for a in range(0, n, ROW_BLOCK):
+        out[:, a:a + ROW_BLOCK] = rows[a:a + ROW_BLOCK].T
+    return out.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InsufficientBagsError
 from .pooling import Pipeline
-from .trainer import TrainConfig, check_shots, train_prompts
+from .trainer import TrainConfig, check_label, check_shots, train_prompts
 
 
 def select_few_shot(dataset, shots: int | str):
@@ -44,8 +44,8 @@ def evaluate(bags, pipeline: Pipeline) -> dict:
     """
     bags = list(bags)
     c = len(pipeline.class_names)
+    labels = np.array([check_label(b.label, c) for b in bags], dtype=np.int64)
     preds = np.asarray(pipeline.predict_bags(bags), dtype=np.int64)
-    labels = np.array([bag.label for bag in bags], dtype=np.int64)
     confusion = np.bincount(labels * c + preds, minlength=c * c)
 
     ids: dict[str, int] = {}

@@ -3,10 +3,9 @@
 The dataset container is a little-endian binary layout with an 8-byte
 magic and a versioned header; embeddings are stored as float32 rows and
 widened to float64 on load, feature-major: each bag's patches are the
-N x d_v transpose of a C-contiguous d_v x N array, so the pooling products
-(tissues or classes @ patches.T, correlation @ patches) get contiguous
-operands. Every reader raises a typed FormatError on malformed input,
-never a bare exception.
+N x d_v transpose of a C-contiguous d_v x N array, the layout pooling
+reads (core.feature_major), so pooling uses them in place. Every reader
+raises a typed FormatError on malformed input, never a bare exception.
 """
 from __future__ import annotations
 
@@ -17,7 +16,7 @@ import struct
 import numpy as np
 
 from .core import (MAX_BAGS, MAX_D_V, MAX_HEATMAP_CELLS, MAX_PATCHES,
-                   EmbeddingMatrix, WsiBag)
+                   EmbeddingMatrix, WsiBag, feature_major)
 from .errors import (
     BadMagicError,
     CorruptHeaderError,
@@ -36,9 +35,6 @@ MAGIC = b"SLIPEMB1"
 DATASET_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 BAG_HEADER = struct.Struct("<IIH")  # patch count, label, patient id bytes
-# rows of a bag widened and transposed per copy on read: a block stays in
-# cache, where one strided copy of a whole large bag does not
-ROW_BLOCK = 256
 F32_MAX = float(np.finfo(np.float32).max)  # widest patch value written
 
 
@@ -135,12 +131,9 @@ def read_dataset(path):
         coords = np.frombuffer(r.take(8 * n), dtype="<u4").reshape(n, 2)
         rows = np.frombuffer(r.take(4 * n * d_v),
                              dtype="<f4").reshape(n, d_v)
-        emb = np.empty((d_v, n))  # feature-major
-        for a in range(0, n, ROW_BLOCK):
-            emb[:, a:a + ROW_BLOCK] = rows[a:a + ROW_BLOCK].T
         try:
             bags.append(WsiBag(
-                patches=EmbeddingMatrix(emb.T),
+                patches=EmbeddingMatrix(feature_major(rows)),
                 coords=coords, label=label, patient_id=pid,
             ))
         except (ValueError, FormatError) as exc:

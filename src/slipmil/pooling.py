@@ -6,7 +6,8 @@ tissue description, composed with how relevant each tissue is to each
 slide class. Ablations: plain averaging, per-class top-k selection, and
 patch-averaged zero-shot scoring. Each takes a list of bags (one bag is a
 list of one) and pools consecutive bags, up to GROUP_PATCHES patches, in
-one array pass; a bag pooled alone is used in place, never copied.
+one array pass over patches in one layout (core.feature_major), so a bag
+pools to the same bits whatever layout it was made in.
 
 Slip pooling streams a bag of more than GROUP_PATCHES patches through row
 blocks of at most GROUP_PATCHES, views of the bag, so no temporary grows
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import EmbeddingMatrix, WsiBag, NORM_EPS
+from .core import EmbeddingMatrix, WsiBag, NORM_EPS, feature_major
 from .encoder import FrozenEncoderWeights, encode_texts
 from .errors import DimensionMismatchError, ZeroVectorError, check_setting
 
@@ -113,7 +114,8 @@ def log_tissue_wsi_similarity(classes: np.ndarray, tissues: np.ndarray,
 
 def _groups(bags, width: int):
     """Groups of consecutive bags, at most GROUP_PATCHES patches or one bag:
-    (slice of the bags, N x d_v patches, each bag's first row, sizes)."""
+    (slice of the bags, N x d_v feature-major patches, each bag's first
+    row, sizes); joining bags already in that layout keeps it."""
     if any(bag.patches.cols != width for bag in bags):
         raise DimensionMismatchError(f"patch width differs from {width}")
     first = 0
@@ -125,8 +127,9 @@ def _groups(bags, width: int):
             end += 1
         group = [bag.patches.data for bag in bags[first:end]]
         sizes = np.array([len(p) for p in group])
-        yield (slice(first, end), np.concatenate(group) if len(group) > 1
-               else group[0], sizes.cumsum() - sizes, sizes)
+        patches = np.concatenate(group) if len(group) > 1 else group[0]
+        yield (slice(first, end), feature_major(patches),
+               sizes.cumsum() - sizes, sizes)
         first = end
 
 
@@ -449,8 +452,8 @@ class Pipeline:
 
     def correlation(self, bag: WsiBag) -> np.ndarray:
         """Patch-to-class correlation of one bag under slip pooling, C x N."""
-        return slip_correlation(bag.patches.data, self._tissues, self._lw,
-                                self.tau)
+        return slip_correlation(feature_major(bag.patches.data),
+                                self._tissues, self._lw, self.tau)
 
     def features(self, bags) -> np.ndarray:
         """Pooled features of a list of bags, B x C x d_v (not zero-shot)."""

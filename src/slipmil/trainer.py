@@ -161,7 +161,7 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     missing = sorted(set(range(num_classes)) - present)
     if missing:
         raise MissingClassError(f"no training bag for classes {missing}")
-    labels = [_check_label(bag.label, num_classes) for bag in dataset]
+    labels = [check_label(bag.label, num_classes) for bag in dataset]
 
     if pipeline is None:
         pipeline = cfg.pipeline(dataset[0].patches.cols, tissue_descriptions,
@@ -256,7 +256,8 @@ def _rows(values, width: int):
     return zip(*[iter(values)] * width)
 
 
-def _check_label(label: int, num_classes: int) -> int:
+def check_label(label: int, num_classes: int) -> int:
+    """The label as an int, refused unless it names one of the classes."""
     label = int(label)
     if not 0 <= label < num_classes:
         raise LabelOutOfRangeError(f"label {label} outside [0, {num_classes})")

@@ -640,6 +640,24 @@ class TestHeatmapCommand:
                            str(synth_paths["dir"] / "x"))
         assert code == 2
 
+    def test_classes_must_match_the_dataset(self, synth_paths, capsys):
+        # a fourth class name for three classes, and a class index that
+        # only the names file has
+        classes = synth_paths["dir"] / "four.txt"
+        names = Path(synth_paths["classes"]).read_text()
+        classes.write_text(names + "extra\n")
+        prefix = synth_paths["dir"] / "four"
+        code, stdout, err = run(capsys, "heatmap",
+                                "--data", synth_paths["data"], "--bag", "0",
+                                "--class-index", "3",
+                                "--tissues", synth_paths["tissues"],
+                                "--classes", str(classes),
+                                "--out-prefix", str(prefix))
+        assert code == 2 and stdout == ""
+        assert err == ("error: --classes: 4 class names, but the dataset "
+                       "declares 3 classes\n")
+        assert list(synth_paths["dir"].glob("four.*")) == [classes]
+
     def test_grid_too_large_to_draw(self, synth_paths, capsys):
         # two patches at opposite corners of the uint32 grid: the image
         # would be 2^32 x 2^32 pixels, so nothing is written
@@ -647,11 +665,13 @@ class TestHeatmapCommand:
         write_dataset(data, [WsiBag(
             EmbeddingMatrix(np.eye(2, 32)),
             coords=((0, 0), (COORD_MAX, COORD_MAX)), patient_id="p")])
+        classes = synth_paths["dir"] / "far.classes.txt"  # its one class
+        classes.write_text("far tissue\n")
         prefix = synth_paths["dir"] / "far"
         code, stdout, err = run(capsys, "heatmap", "--data", str(data),
                                 "--bag", "0", "--class-index", "0",
                                 "--tissues", synth_paths["tissues"],
-                                "--classes", synth_paths["classes"],
+                                "--classes", str(classes),
                                 "--out-prefix", str(prefix))
         assert code == 2 and stdout == ""
         assert err == (f"error: heatmap grid {2 ** 32} x {2 ** 32} exceeds "
@@ -1108,6 +1128,11 @@ class TestOutOfRangeSettings:
         ("poolings = slip,bogus", "bogus"),
         ("seeds = 0,x", "seeds = 'x'"),
         ("shots = 0", "shots must be >= 1"),
+        ("poolings = ", "grid.cfg: poolings lists no value"),
+        ("poolings = ,", "grid.cfg: poolings lists no value"),
+        ("shots = ", "grid.cfg: shots lists no value"),
+        ("seeds = ", "grid.cfg: seeds lists no value"),
+        ("tissues = ", "grid.cfg: tissues lists no value"),
     ])
     def test_grid(self, synth_paths, capsys, line, message):
         values = {

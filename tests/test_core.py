@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from slipmil.core import COORD_MAX, LABEL_MAX, EmbeddingMatrix, WsiBag
+from slipmil.core import (COORD_MAX, LABEL_MAX, ROW_BLOCK, EmbeddingMatrix,
+                          WsiBag, feature_major)
 from slipmil.encoder import FrozenEncoderWeights, PromptContext
 from slipmil.errors import (
     DimensionMismatchError,
@@ -118,6 +119,11 @@ class TestContainers:
             WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]),
                    coords=((-1, 0),), label=0, patient_id="p")
 
+    def test_negative_label_rejected(self):
+        with pytest.raises(ValueError, match="label must be non-negative"):
+            WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
+                   label=-1)
+
     def test_largest_label_accepted(self):
         # the dataset header stores largest label + 1 as a uint32
         bag = WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
@@ -149,6 +155,31 @@ class TestContainers:
         bag = WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
                      label=np.uint32(2))
         assert bag.label == 2 and type(bag.label) is int
+
+
+class TestFeatureMajor:
+    """Rows in the layout pooling reads, the transpose of a C-contiguous
+    d_v x N float64 array, are used as they are; any others are copied."""
+
+    @pytest.mark.parametrize("shape, transposed", [
+        ((3, 4), True), ((1, 5), False), ((7, 1), False)])
+    def test_layout_is_kept(self, shape, transposed):
+        # a 1-wide array is both C- and F-contiguous
+        rows = np.arange(np.prod(shape), dtype=np.float64).reshape(shape)
+        if transposed:
+            rows = np.ascontiguousarray(rows.T).T
+        assert feature_major(rows) is rows
+
+    @pytest.mark.parametrize("shape, dtype", [
+        ((3, 4), np.float64), ((ROW_BLOCK + 3, 2), np.float64),
+        ((3, 4), np.float32), ((1, 5), np.float32), ((7, 1), np.float32)])
+    def test_others_are_copied(self, shape, dtype):
+        # float32 rows are widened, 1-wide ones too
+        rows = np.arange(np.prod(shape), dtype=dtype).reshape(shape)
+        got = feature_major(rows)
+        assert got.dtype == np.float64 and got.T.flags.c_contiguous
+        assert not np.shares_memory(got, rows)
+        assert np.array_equal(got, rows)
 
 
 ROWS = np.eye(2)

@@ -6,7 +6,9 @@ import pytest
 from slipmil import core
 from slipmil import pooling as pooling_module
 from slipmil.core import EmbeddingMatrix, WsiBag
-from slipmil.errors import InsufficientBagsError, InvalidSettingError
+from slipmil.errors import (DimensionMismatchError, EmptyDatasetError,
+                            InsufficientBagsError, InvalidSettingError,
+                            LabelOutOfRangeError)
 from slipmil.evaluation import (evaluate, run_ablation, run_single,
                                 select_few_shot)
 from slipmil.pooling import Pipeline, SlideFeature, TissuePromptSet, classify
@@ -58,6 +60,13 @@ class TestClassify:
         # positive scaling of every class prompt scales all diagonal scores
         scaled = class_set(2.5 * rows)
         assert classify_one(f, scaled) == base
+
+    def test_feature_columns_must_match_the_classes(self):
+        rng = np.random.default_rng(55)
+        features = unit_rows(rng, 2, 8)[None]  # one bag, two columns
+        with pytest.raises(DimensionMismatchError,
+                           match="^2 feature columns vs 3 classes$"):
+            classify(features, class_set(unit_rows(rng, 3, 8)))
 
     def test_list_matches_each_feature(self):
         rng = np.random.default_rng(53)
@@ -227,6 +236,15 @@ class TestEvaluate:
         assert metrics["bag_accuracy"] == float(
             np.trace(confusion) / len(bags))
 
+    def test_label_outside_the_classes(self, weights):
+        # a bag labelled 5 for three classes is refused before it is pooled
+        bag = random_bag(np.random.default_rng(56), 3, 32, label=5)
+        pipeline = Pipeline(weights=weights, tissues=None,
+                            class_names=("a", "b", "c"), pooling="avg")
+        with pytest.raises(LabelOutOfRangeError,
+                           match=r"^label 5 outside \[0, 3\)$"):
+            evaluate([bag], pipeline)
+
     def test_empty_list(self):
         metrics = evaluate([], constant_pipeline({}))
         assert metrics["num_bags"] == metrics["num_patients"] == 0
@@ -320,6 +338,11 @@ def test_slip_predict_builds_nothing_per_bag(weights, monkeypatch):
     core.EmbeddingMatrix(ds.bags[0].patches.data)  # the counters do count
     assert counts == {"EmbeddingMatrix": 1, "_as_matrix": 1,
                       "slip_correlation": 1}
+
+
+def test_run_single_refuses_an_empty_dataset():
+    with pytest.raises(EmptyDatasetError, match="^dataset is empty$"):
+        run_single([], ("a", "b"), ("t",), TrainConfig(seed=0))
 
 
 class TestRunSingleTextSide:

@@ -6,7 +6,8 @@ import pytest
 
 from slipmil import io_formats
 from slipmil.cli import main
-from slipmil.core import COORD_MAX, LABEL_MAX, EmbeddingMatrix, WsiBag
+from slipmil.core import (COORD_MAX, LABEL_MAX, MAX_PATCHES, ROW_BLOCK,
+                          EmbeddingMatrix, WsiBag)
 from slipmil.errors import (
     BadMagicError,
     CorruptHeaderError,
@@ -70,8 +71,7 @@ class TestDatasetRoundTrip:
             assert np.array_equal(a.patches.data, b.patches.data)
             assert b.patches.data.T.flags.c_contiguous
 
-    @pytest.mark.parametrize("n", [1, io_formats.ROW_BLOCK,
-                                   io_formats.ROW_BLOCK + 1, 1000])
+    @pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1, 1000])
     def test_read_is_feature_major(self, tmp_path, n):
         # each bag's patches are the transpose of a C-contiguous d_v x N
         # array, copied in row blocks that may end mid-bag, holding the
@@ -289,6 +289,31 @@ class TestDatasetCorruption:
         bad.write_bytes(bytes(blob))
         with pytest.raises(CorruptHeaderError):
             read_dataset(bad)
+
+    @pytest.mark.parametrize("offset, value, message", [
+        (20, struct.pack("<I", 0), "class count must be >= 1"),
+        (24, struct.pack("<I", 0), "bag 0: patch count 0 out of range"),
+        (24, struct.pack("<I", MAX_PATCHES + 1),
+         f"bag 0: patch count {MAX_PATCHES + 1} out of range"),
+        (28, struct.pack("<I", 3), "bag 0: label 3 >= class count 3"),
+        (34, b"\xff", "bag 0: patient id not UTF-8"),
+    ], ids=["no-classes", "no-patches", "too-many-patches", "label",
+            "patient-id"])
+    def test_bad_header_field(self, dataset_file, tmp_path, offset, value,
+                              message):
+        # the file header (magic, version, d_v, bag count, class count) is
+        # 24 bytes; bag 0's patch count, label and patient id length and
+        # bytes follow
+        path, bags = dataset_file
+        blob = bytearray(path.read_bytes())
+        assert struct.unpack_from("<IIIH", blob, 20) == (
+            3, bags[0].num_patches, bags[0].label, len(bags[0].patient_id))
+        blob[offset:offset + len(value)] = value
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(bytes(blob))
+        with pytest.raises(CorruptHeaderError) as error:
+            read_dataset(bad)
+        assert str(error.value) == message
 
     @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_embedding(self, dataset_file, tmp_path, capsys,

@@ -179,10 +179,21 @@ class TestBenchmarkSurface:
         assert sorted(f"{m}.{a}" for m, a in read
                       if not hasattr(modules[m], a)) == []
 
-    def test_large_bag_scoring_runs_in_process(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("group", [None, 256], ids=["default", "256"])
+    def test_large_bag_scoring_runs_in_process(self, tmp_path, monkeypatch,
+                                               group):
         # one tiny pass of the workload's own code, its checks included:
         # they walk accessor chains such as pooling_classes().embeddings
-        # .data and slide_feature(bag).columns that the names above miss
+        # .data and slide_feature(bag).columns that the names above miss.
+        # At 256 patches a pass, its larger bags are streamed in blocks,
+        # spread over the helper threads.
+        from slipmil import pooling
+        if group is not None:
+            monkeypatch.setattr(pooling, "GROUP_PATCHES", group)
+        streamed = []
+        stream = pooling._streamed_slip
+        monkeypatch.setattr(pooling, "_streamed_slip", lambda p, *a: (
+            streamed.append(len(p)) or stream(p, *a)))
         monkeypatch.syspath_prepend(str(PERFBENCH))
         import workloads
         wl = workloads.LargeBagScoring(tmp_path, 0, True)
@@ -197,6 +208,7 @@ class TestBenchmarkSurface:
         wl.final_check(records)
         assert [r.error for r in records] == [None] * len(records)
         assert wl.problems == [] and wl.checks_run > 0
+        assert bool(streamed) == (group is not None)
 
 
 class TestTestOnlyDependencies:

@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 
 from slipmil import pooling
-from slipmil.core import EmbeddingMatrix, WsiBag
+from slipmil.core import EmbeddingMatrix, WsiBag, feature_major
+from slipmil.encoder import encode_texts
 from slipmil.errors import (
     DimensionMismatchError,
     InvalidSettingError,
     ZeroVectorError,
 )
+from slipmil.io_formats import read_dataset, write_dataset
 from slipmil.pooling import (
     average_features,
     classify,
@@ -26,6 +28,8 @@ from slipmil.pooling import (
     topk_features,
     zero_shot_probabilities,
 )
+from slipmil.synth import generate, preset_spec
+from slipmil.trainer import TrainConfig
 
 from conftest import random_bag, unit_rows
 from oracles import (
@@ -415,15 +419,38 @@ def test_oracle_equivalence_random_sweep():
 RAGGED_SIZES = (1, 5, 1, 12, 3, 1, 30, 7)  # 60 patches
 
 
-def layouts(bag):
-    """The bag as made, row-major, and a feature-major copy, as
-    read_dataset returns bags: patches that are the transpose of a
-    C-contiguous d_v x N array."""
+def feature_major_bag(bag):
+    """A feature-major copy of a row-major bag, as read_dataset returns
+    bags: patches that are the transpose of a C-contiguous d_v x N array."""
     copy = WsiBag(EmbeddingMatrix(np.ascontiguousarray(bag.patches.data.T).T),
                   bag.grid, bag.label, bag.patient_id)
     assert bag.patches.data.flags.c_contiguous
     assert copy.patches.data.T.flags.c_contiguous
-    return bag, copy
+    return copy
+
+
+def spy_layout_copies(monkeypatch):
+    """Record (rows, copy) for each copy pooling makes into its layout."""
+    copies = []
+
+    def spy(rows):
+        out = feature_major(rows)
+        if out is not rows:
+            copies.append((rows, out))
+        return out
+
+    monkeypatch.setattr(pooling, "feature_major", spy)
+    return copies
+
+
+def assert_copied_once(copies, bag):
+    """The row-major bag's patches were copied once, into the layout."""
+    assert len(copies) == 1 and copies[0][0] is bag.patches.data
+    copy = copies[0][1]
+    assert copy.T.flags.c_contiguous
+    assert not np.shares_memory(copy, bag.patches.data)
+    assert np.array_equal(copy, bag.patches.data)
+    return copy
 
 
 def pool_list(pooling, bags, tissues, classes, lw, tau, k):
@@ -458,28 +485,26 @@ def test_list_matches_each_bag_alone(variant, tau, group, monkeypatch):
     # 30-patch bags are pooled alone
     monkeypatch.setattr(pooling, "GROUP_PATCHES", group)
     rng = np.random.default_rng(int(-np.log10(tau)) + 10 * group)
-    made = [layouts(random_bag(rng, n, 8, patient_id=f"p{i}"))
+    bags = [random_bag(rng, n, 8, patient_id=f"p{i}")
             for i, n in enumerate(RAGGED_SIZES)]
     tissues = tissue_set(unit_rows(rng, 4, 8))
     classes = class_set(unit_rows(rng, 3, 8))
     scoring = class_set(unit_rows(rng, 3, 8))
     lw = log_tissue_wsi_similarity(classes, tissues, tau)
     args = (tissues, classes, lw, tau, 4)
-    for bags in zip(*made):  # row-major, then feature-major
-        groups = len(list(pooling._groups(bags, 8)))
-        assert groups == (1 if group > 60 else 5)
+    groups = len(list(pooling._groups(bags, 8)))
+    assert groups == (1 if group > 60 else 5)
 
-        got = pool_list(variant, bags, *args)
-        alone = np.stack([pool_list(variant, [bag], *args)[0]
+    got = pool_list(variant, bags, *args)
+    alone = np.stack([pool_list(variant, [bag], *args)[0] for bag in bags])
+    reference = np.stack([pool_reference(variant, bag, *args)
                           for bag in bags])
-        reference = np.stack([pool_reference(variant, bag, *args)
-                              for bag in bags])
-        assert got.shape == alone.shape == reference.shape
-        assert np.max(np.abs(got - alone)) <= 1e-12
-        assert np.max(np.abs(got - reference)) <= 1e-12
-        assert (labels_of(variant, got, scoring)
-                == labels_of(variant, alone, scoring)
-                == labels_of(variant, reference, scoring))
+    assert got.shape == alone.shape == reference.shape
+    assert np.max(np.abs(got - alone)) <= 1e-12
+    assert np.max(np.abs(got - reference)) <= 1e-12
+    assert (labels_of(variant, got, scoring)
+            == labels_of(variant, alone, scoring)
+            == labels_of(variant, reference, scoring))
 
 
 def test_log_space_fallback_recomputes_only_its_bag(monkeypatch):
@@ -516,22 +541,63 @@ def test_log_space_fallback_recomputes_only_its_bag(monkeypatch):
 
 def test_single_bag_is_not_copied(monkeypatch):
     rng = np.random.default_rng(31)
-    big = random_bag(rng, 40, 8)
+    made = random_bag(rng, 40, 8)
+    big = feature_major_bag(made)
     bags = [random_bag(rng, 3, 8), big, random_bag(rng, 2, 8)]
     tissues, lw, _ = make_similarities(rng, big, 3, 2)
     seen = []
     correlation = pooling.slip_correlation
     monkeypatch.setattr(pooling, "slip_correlation",
                         lambda p, *a: seen.append(p) or correlation(p, *a))
+    copies = spy_layout_copies(monkeypatch)
     alone = slip_features([big], tissues, lw, 0.1)
-    assert len(seen) == 1 and seen[0] is big.patches.data
+    assert len(seen) == 1 and seen[0] is big.patches.data and not copies
     # and it is pooled with exactly the per-bag arithmetic
     assert np.array_equal(alone[0], slip_pool(big, tissues, lw, 0.1).columns.T)
+    # the bag as made, row-major, is copied once into the layout, and
+    # pools to the same bits
+    seen.clear()
+    assert np.array_equal(slip_features([made], tissues, lw, 0.1), alone)
+    copy = assert_copied_once(copies, made)
+    assert len(seen) == 1 and seen[0] is copy
     # a bag that reaches the limit is pooled alone, in place
     monkeypatch.setattr(pooling, "GROUP_PATCHES", 40)
     seen.clear()
     slip_features(bags, tissues, lw, 0.1)
     assert [p is big.patches.data for p in seen] == [False, True, False]
+
+
+def test_bags_pool_the_same_bits_in_memory_as_read_back(tmp_path):
+    # needle seed 0 and a bag spread over helper threads, float32-exact
+    # and row-major as made, against the same bags after a file round
+    # trip, which reads them feature-major
+    ds = generate(preset_spec("needle", seed=0))
+    d_v = ds.bags[0].patches.cols
+    big = random_bag(np.random.default_rng(46), pooling.SPREAD_BLOCKS
+                     * pooling.GROUP_PATCHES + 5, d_v)
+    made = [WsiBag(EmbeddingMatrix(bag.patches.data.astype(np.float32)
+                                   .astype(np.float64)),
+                   bag.grid, bag.label, bag.patient_id)
+            for bag in ds.bags[:30] + (big,) + ds.bags[30:]]
+    write_dataset(tmp_path / "bags.bin", made)
+    read, _ = read_dataset(tmp_path / "bags.bin")
+    assert all(bag.patches.data.flags.c_contiguous
+               and not bag.patches.data.T.flags.c_contiguous for bag in made)
+    assert all(bag.patches.data.T.flags.c_contiguous for bag in read)
+    pipes = {variant: TrainConfig(pooling=variant).pipeline(
+        d_v, ds.tissue_descriptions, ds.class_names)
+        for variant in pooling.POOLINGS}
+    for variant in pooling.POOLING_VARIANTS:
+        features = pipes[variant].features
+        assert np.array_equal(features(made), features(read))
+    zero = pipes["zero"]
+    assert np.array_equal(zero.predict_bags(made), zero.predict_bags(read))
+    classes = encode_texts(zero.weights, ds.class_names)
+    assert np.array_equal(zero_shot_probabilities(made, classes, zero.tau),
+                          zero_shot_probabilities(read, classes, zero.tau))
+    for a, b in zip(made, read):
+        assert np.array_equal(pipes["slip"].correlation(a),
+                              pipes["slip"].correlation(b))
 
 
 def test_list_rejects_mismatched_patch_width():
@@ -594,13 +660,12 @@ def test_streamed_bag_matches_oracle(tau, monkeypatch):
         bag = random_bag(rng, int(rng.integers(97, 113)), 8)
         tissues, lw, _ = make_similarities(rng, bag, 4, 3, tau=tau)
         want = slip_pool(bag, tissues, lw, tau).columns.T
-        for each in layouts(bag):
-            for cores in (1, 2):
-                monkeypatch.setattr(pooling, "_cores", lambda: cores)
-                seen.clear()
-                got = slip_features([each], tissues, lw, tau)[0]
-                assert len(seen) == 7
-                assert np.max(np.abs(got - want)) <= 1e-12
+        for cores in (1, 2):
+            monkeypatch.setattr(pooling, "_cores", lambda: cores)
+            seen.clear()
+            got = slip_features([bag], tissues, lw, tau)[0]
+            assert len(seen) == 7
+            assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_streamed_bag_is_bitwise_independent_of_cores(monkeypatch):
@@ -612,41 +677,42 @@ def test_streamed_bag_is_bitwise_independent_of_cores(monkeypatch):
     tissues, lw, _ = make_similarities(rng, bag, 5, 3, tau=0.01)
     seen = spy_blocks(monkeypatch)
     start = threading.active_count()
-    by_layout = []
-    for each in layouts(bag):
-        results = []
-        for order in (deque, LastFirst):
-            monkeypatch.setattr(pooling, "deque", order)
-            for cores in (1, 2, 3):
-                monkeypatch.setattr(pooling, "_cores", lambda: cores)
-                counts = []
-                for _ in range(10):
-                    seen.clear()
-                    results.append(slip_features([each], tissues, lw, 0.01))
-                    assert len(seen) == 13
-                    assert len({ident for _, ident in seen}) == cores
-                    counts.append(threading.active_count())
-                assert_threads_settle(counts, start, 3)
-        assert all(np.array_equal(results[0], r) for r in results[1:])
-        by_layout.append(results[0])
-    # the layouts round differently, never by more than the oracle bound
-    assert np.max(np.abs(by_layout[0] - by_layout[1])) <= 1e-12
+    results = []
+    for order in (deque, LastFirst):
+        monkeypatch.setattr(pooling, "deque", order)
+        for cores in (1, 2, 3):
+            monkeypatch.setattr(pooling, "_cores", lambda: cores)
+            counts = []
+            for _ in range(10):
+                seen.clear()
+                results.append(slip_features([bag], tissues, lw, 0.01))
+                assert len(seen) == 13
+                assert len({ident for _, ident in seen}) == cores
+                counts.append(threading.active_count())
+            assert_threads_settle(counts, start, 3)
+    assert all(np.array_equal(results[0], r) for r in results[1:])
 
 
 def test_streamed_blocks_are_views_of_the_bag(monkeypatch):
     monkeypatch.setattr(pooling, "GROUP_PATCHES", 10)
     monkeypatch.setattr(pooling, "_cores", lambda: 2)
     rng = np.random.default_rng(42)
-    bag = random_bag(rng, 61, 8)
+    made = random_bag(rng, 61, 8)
+    bag = feature_major_bag(made)
     tissues, lw, _ = make_similarities(rng, bag, 3, 2)
     seen = spy_blocks(monkeypatch)
-    slip_features([bag], tissues, lw, 0.1)
-    blocks = sorted((p for p, _ in seen), key=lambda p: p.ctypes.data)
-    data = bag.patches.data
-    assert [len(p) for p in blocks] == [8, 9, 9, 8, 9, 9, 9]
-    assert all(np.shares_memory(p, data) for p in blocks)
-    assert blocks[0].ctypes.data == data.ctypes.data
-    assert np.array_equal(np.concatenate(blocks), data)
+    copies = spy_layout_copies(monkeypatch)
+    # the feature-major bag in place; the bag as made, through one copy
+    for each in (bag, made):
+        seen.clear()
+        slip_features([each], tissues, lw, 0.1)
+        blocks = sorted((p for p, _ in seen), key=lambda p: p.ctypes.data)
+        data = (bag.patches.data if each is bag
+                else assert_copied_once(copies, made))
+        assert [len(p) for p in blocks] == [8, 9, 9, 8, 9, 9, 9]
+        assert all(np.shares_memory(p, data) for p in blocks)
+        assert blocks[0].ctypes.data == data.ctypes.data
+        assert np.array_equal(np.concatenate(blocks), data)
 
 
 def test_streamed_underflow_recomputes_only_that_class(monkeypatch):
@@ -657,9 +723,10 @@ def test_streamed_underflow_recomputes_only_that_class(monkeypatch):
     e = np.eye(4)
     patches = np.tile(np.stack([e[0], 0.6 * e[0] + 0.8 * e[2],
                                 0.8 * e[0] + 0.6 * e[3]]), (10, 1))
-    bag = WsiBag(patches=EmbeddingMatrix(patches),
-                 coords=tuple((i, 0) for i in range(30)), label=0,
-                 patient_id="p")
+    made = WsiBag(patches=EmbeddingMatrix(patches),
+                  coords=tuple((i, 0) for i in range(30)), label=0,
+                  patient_id="p")
+    bag = feature_major_bag(made)
     tissues = tissue_set([e[0], -e[0]])
     classes = class_set([e[0], -e[0]])
     lw = log_tissue_wsi_similarity(classes, tissues, 1e-4)
@@ -668,12 +735,18 @@ def test_streamed_underflow_recomputes_only_that_class(monkeypatch):
     monkeypatch.setattr(
         pooling, "_log_space_weights",
         lambda *a: calls.append((a[0], a[-1].tolist())) or log_space(*a))
+    copies = spy_layout_copies(monkeypatch)
     got = slip_features([bag], tissues, lw, 1e-4)[0]
     assert len(calls) == 1
     assert calls[0][0] is bag.patches.data and calls[0][1] == [1]
     want = oracle_slip_columns(patches.tolist(),
                                tissues.tolist(), classes.tolist(), 1e-4)
     assert np.max(np.abs(got - np.array(want))) <= 1e-12
+    # the bag as made, row-major, is copied once and pools to the same bits
+    calls.clear()
+    assert np.array_equal(slip_features([made], tissues, lw, 1e-4)[0], got)
+    copy = assert_copied_once(copies, made)
+    assert len(calls) == 1 and calls[0][0] is copy and calls[0][1] == [1]
 
 
 @pytest.mark.parametrize("tau", [1e-309, 5e-324, math.inf, math.nan])

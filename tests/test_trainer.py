@@ -267,6 +267,21 @@ class TestTrainPrompts:
         with pytest.raises(MissingClassError):
             train_prompts(bags, TISSUES, CLASSES, TrainConfig(seed=0))
 
+    def test_one_class(self):
+        rng = np.random.default_rng(45)
+        bags = [random_bag(rng, 3, 32, label=0, patient_id="a")]
+        with pytest.raises(MissingClassError,
+                           match="training requires at least 2 classes"):
+            train_prompts(bags, TISSUES, CLASSES[:1], TrainConfig(seed=0))
+
+    def test_label_outside_the_classes(self):
+        rng = np.random.default_rng(46)
+        bags = small_dataset(rng) + [random_bag(rng, 3, 32, label=2,
+                                                patient_id="c")]
+        with pytest.raises(LabelOutOfRangeError,
+                           match=r"^label 2 outside \[0, 2\)$"):
+            train_prompts(bags, TISSUES, CLASSES, TrainConfig(seed=0))
+
     def test_deterministic(self):
         rng = np.random.default_rng(44)
         bags = small_dataset(rng)
