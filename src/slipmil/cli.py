@@ -120,8 +120,6 @@ REPORT_SETTINGS = {**GRID_SETTINGS, "shots": ("shots", int_or_all),
 # synth flags that set a SynthSpec field; n_min and n_max make its n_range
 SPEC_FLAGS = ("num_classes", "num_tissues", "n_min", "n_max",
               "bags_per_class", "signal_fraction", "noise_sigma", "d_v", "d_t")
-# eval flags that only --zero-shot reads; --report takes them from the report
-ZERO_SHOT_FLAGS = ("classes", "tau", "d_t", "encoder_seed")
 # the help of each setting flag, by its dest: a report key or a SynthSpec flag
 SETTING_HELP = {
     "encoder_seed": "seed of the frozen text encoder",
@@ -300,20 +298,21 @@ def _read_run(path, data):
 def cmd_eval(args) -> None:
     check_setting(args.zero_shot != bool(args.report),
                   "provide exactly one of --report and --zero-shot")
-    given = _given(args, ZERO_SHOT_FLAGS)
+    # of these, eval declares only the flags that --zero-shot reads
+    given = _given(args, ("classes", *REPORT_SETTINGS))
     check_setting(not (args.report and given), f"--report takes its settings "
                   f"from the report; drop {', '.join(map(_flag, given))}")
     if args.zero_shot:
         check_setting("classes" in given, "--zero-shot requires --classes")
-        cfg, tissue_descriptions, prompts = (
-            _flag_config(args, pooling="zero"), (), None)
+        cfg = _flag_config(args, pooling="zero")
         class_names = read_prompt_lines(args.classes)
         bags = _read_dataset(args.data, class_names, "--classes")
+        pipeline = cfg.pipeline(bags[0].patches.cols, (), class_names)
     else:
         bags, cfg, class_names, tissue_descriptions, prompts = _read_run(
             args.report, args.data)
-    pipeline = cfg.pipeline(bags[0].patches.cols, tissue_descriptions,
-                            class_names, prompts)
+        pipeline = cfg.pipeline(bags[0].patches.cols, tissue_descriptions,
+                                class_names).with_prompts(prompts)
     _, eval_bags = select_few_shot(bags, cfg.shots)
     metrics = evaluate(eval_bags, pipeline)
     print(json.dumps({"mode": "zero-shot" if args.zero_shot else "trained",

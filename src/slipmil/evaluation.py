@@ -13,7 +13,8 @@ from .trainer import TrainConfig, check_label, check_shots, train_prompts
 def select_few_shot(dataset, shots: int | str):
     """Per class, pick the `shots` bags with the most patches (ties by
     dataset order). Returns (training subset, evaluation pool); with shots
-    "all", both are the whole dataset."""
+    "all", both are the whole dataset. A split that leaves no bag to
+    evaluate is refused."""
     check_shots(shots)
     dataset = list(dataset)
     if shots == "all":
@@ -32,6 +33,8 @@ def select_few_shot(dataset, shots: int | str):
         selected.update(ranked[:shots])
     train = [dataset[i] for i in range(len(dataset)) if i in selected]
     pool = [dataset[i] for i in range(len(dataset)) if i not in selected]
+    if not pool:
+        raise InsufficientBagsError(f"shots={shots} leaves no bag to evaluate")
     return train, pool
 
 
@@ -94,18 +97,19 @@ def run_single(dataset, class_names, tissue_descriptions,
 
 def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
                  seeds, base_cfg: TrainConfig):
-    """Full grid sweep; one metrics row per (pooling, shots, tissues, seed).
+    """Full grid sweep; one metrics row per cell, in (pooling, shots,
+    tissues, seed) order. `tissue_sets` is a list of (name, descriptions).
 
-    `tissue_sets` is a list of (name, descriptions). Pooling "zero" skips
-    training and reads no tissues: it scores the whole dataset once, and
-    every zero row carries those metrics. Every row's settings, and each
-    trained row's split, are checked before any row trains.
-    """
+    Every cell's settings, and each trained shots value's split, are
+    checked before any row trains. Pooling "zero" skips training and reads
+    no tissues: it scores the whole dataset once, and every zero row
+    carries those metrics."""
     dataset = list(dataset)
-    cfgs = {(pooling, shots, seed): replace(base_cfg, pooling=pooling,
-                                            shots=int(shots), seed=int(seed))
-            for pooling in poolings for shots in shots_list for seed in seeds}
-    for shots in dict.fromkeys(cfg.shots for cfg in cfgs.values()
+    cells = [(replace(base_cfg, pooling=pooling, shots=int(shots),
+                      seed=int(seed)), tissue_name, descriptions)
+             for pooling in poolings for shots in shots_list
+             for tissue_name, descriptions in tissue_sets for seed in seeds]
+    for shots in dict.fromkeys(cfg.shots for cfg, _, _ in cells
                                if cfg.pooling != "zero"):
         select_few_shot(dataset, shots)
     if "zero" in poolings:
@@ -113,29 +117,17 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
         zero_metrics = evaluate(dataset, zero.pipeline(
             dataset[0].patches.cols, (), class_names))
     rows = []
-    for pooling in poolings:
-        for shots in shots_list:
-            for tissue_name, descriptions in tissue_sets:
-                for seed in seeds:
-                    cfg = cfgs[pooling, shots, seed]
-                    row = {
-                        "pooling": pooling,
-                        "shots": cfg.shots,
-                        "tissue_set": tissue_name,
-                        "num_tissue_types": len(descriptions),
-                        "seed": cfg.seed,
-                    }
-                    if pooling == "zero":
-                        metrics = zero_metrics
-                        row["final_loss"] = 0.0
-                    else:
-                        _, history, metrics = run_single(
-                            dataset, class_names, descriptions, cfg
-                        )
-                        row["final_loss"] = float(history.records[-1][2])
-                    row["class_averaged_accuracy"] = (
-                        metrics["class_averaged_accuracy"]
-                    )
-                    row["bag_accuracy"] = metrics["bag_accuracy"]
-                    rows.append(row)
+    for cfg, tissue_name, descriptions in cells:
+        if cfg.pooling == "zero":
+            metrics, final_loss = zero_metrics, 0.0
+        else:
+            _, history, metrics = run_single(dataset, class_names,
+                                             descriptions, cfg)
+            final_loss = float(history.records[-1][2])
+        rows.append(dict(
+            pooling=cfg.pooling, shots=cfg.shots, tissue_set=tissue_name,
+            num_tissue_types=len(descriptions), seed=cfg.seed,
+            final_loss=final_loss,
+            class_averaged_accuracy=metrics["class_averaged_accuracy"],
+            bag_accuracy=metrics["bag_accuracy"]))
     return rows

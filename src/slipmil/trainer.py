@@ -100,8 +100,8 @@ class TrainConfig:
         check_setting(self.topk_k >= 1, f"topk_k={self.topk_k} must be >= 1")
         check_shots(self.shots)
 
-    def pipeline(self, d_v: int, tissue_descriptions, class_names,
-                 prompts: TrainedPrompts | None = None) -> Pipeline:
+    def pipeline(self, d_v: int, tissue_descriptions,
+                 class_names) -> Pipeline:
         """The Pipeline of these settings for d_v-wide patches, zero-shot
         included: the one place that draws the encoder and encodes tissue
         descriptions, which only slip pooling reads."""
@@ -112,8 +112,7 @@ class TrainConfig:
                    if self.pooling == "slip" else None)
         return Pipeline(weights=weights, tissues=tissues,
                         class_names=tuple(class_names), tau=self.tau,
-                        pooling=self.pooling, topk_k=self.topk_k,
-                        prompts=prompts)
+                        pooling=self.pooling, topk_k=self.topk_k)
 
 
 @dataclass(frozen=True, eq=False)

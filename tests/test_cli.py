@@ -54,6 +54,17 @@ def train_report(synth_paths, capsys):
     return report
 
 
+def spy_training(monkeypatch) -> list:
+    """A list that gains an entry each time a run trains prompts."""
+    import slipmil.evaluation as evaluation
+
+    calls = []
+    real = evaluation.train_prompts
+    monkeypatch.setattr(evaluation, "train_prompts",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
 class TestSynthCommand:
     def test_writes_all_outputs(self, synth_paths, capsys):
         import os
@@ -494,12 +505,7 @@ class TestAblateCommand:
 
     def test_shots_checked_before_training(self, synth_paths, capsys,
                                            monkeypatch):
-        import slipmil.evaluation as evaluation
-
-        calls = []
-        real = evaluation.train_prompts
-        monkeypatch.setattr(evaluation, "train_prompts",
-                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        calls = spy_training(monkeypatch)
         grid = synth_paths["dir"] / "grid.cfg"
         grid.write_text(
             f"data = {synth_paths['data']}\n"
@@ -515,6 +521,99 @@ class TestAblateCommand:
                                 "--out", str(out))
         assert code == 2
         assert "need 99" in err and stdout == ""
+        assert calls == []
+        assert not out.exists()
+
+    def test_pooling_checked_before_training(self, synth_paths, capsys,
+                                             monkeypatch):
+        # the bad name comes last, so the cells before it are valid
+        calls = spy_training(monkeypatch)
+        grid = synth_paths["dir"] / "grid.cfg"
+        grid.write_text(
+            f"data = {synth_paths['data']}\n"
+            f"classes = {synth_paths['classes']}\n"
+            f"tissues = {synth_paths['tissues']}\n"
+            "poolings = avg,bogus\n"
+            "shots = 1\n"
+            "seeds = 0\n"
+            "epochs = 2\n"
+        )
+        out = synth_paths["dir"] / "rows.json"
+        code, stdout, err = run(capsys, "ablate", "--grid", str(grid),
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "'bogus'" in err
+        assert calls == []
+        assert not out.exists()
+
+
+@pytest.fixture
+def one_bag_paths(tmp_path, capsys):
+    """Two classes of one bag each: shots=1 trains on every bag."""
+    out = tmp_path / "one.bin"
+    code, _, err = run(capsys, "synth", "--seed", "0", "--num-classes", "2",
+                       "--num-tissues", "2", "--bags-per-class", "1",
+                       "--out", str(out))
+    assert code == 0, err
+    return {"data": str(out), "tissues": str(out) + ".tissues.txt",
+            "classes": str(out) + ".classes.txt", "dir": tmp_path}
+
+
+class TestEmptyEvaluationPool:
+    """A few-shot split that trains on every bag leaves nothing to score:
+    train, eval --report and ablate refuse it, train and ablate before any
+    training, instead of reporting 0.0 accuracy."""
+
+    def test_train(self, one_bag_paths, capsys, monkeypatch):
+        calls = spy_training(monkeypatch)
+        report = one_bag_paths["dir"] / "r.json"
+        code, stdout, err = run(capsys, "train",
+                                "--data", one_bag_paths["data"],
+                                "--tissues", one_bag_paths["tissues"],
+                                "--classes", one_bag_paths["classes"],
+                                "--shots", "1", "--epochs", "2",
+                                "--seed", "0", "--out", str(report))
+        assert code == 2 and stdout == ""
+        assert "shots=1 leaves no bag to evaluate" in err
+        assert calls == []
+        assert not report.exists()
+
+    def test_eval_report(self, one_bag_paths, capsys):
+        # a shots=1 report of a two-bag-per-class dataset, evaluated on
+        # the one-bag dataset with the same classes and d_v
+        two = one_bag_paths["dir"] / "two.bin"
+        report = one_bag_paths["dir"] / "r.json"
+        assert run(capsys, "synth", "--seed", "0", "--num-classes", "2",
+                   "--num-tissues", "2", "--bags-per-class", "2",
+                   "--out", str(two))[0] == 0
+        code, _, err = run(capsys, "train", "--data", str(two),
+                           "--tissues", str(two) + ".tissues.txt",
+                           "--classes", str(two) + ".classes.txt",
+                           "--shots", "1", "--epochs", "2",
+                           "--seed", "0", "--out", str(report))
+        assert code == 0, err
+        code, stdout, err = run(capsys, "eval", "--data",
+                                one_bag_paths["data"], "--report", str(report))
+        assert code == 2 and stdout == ""
+        assert "shots=1 leaves no bag to evaluate" in err
+
+    def test_ablate(self, one_bag_paths, capsys, monkeypatch):
+        calls = spy_training(monkeypatch)
+        grid = one_bag_paths["dir"] / "grid.cfg"
+        grid.write_text(
+            f"data = {one_bag_paths['data']}\n"
+            f"classes = {one_bag_paths['classes']}\n"
+            f"tissues = {one_bag_paths['tissues']}\n"
+            "poolings = zero,slip\n"
+            "shots = 1\n"
+            "seeds = 0\n"
+            "epochs = 2\n"
+        )
+        out = one_bag_paths["dir"] / "rows.json"
+        code, stdout, err = run(capsys, "ablate", "--grid", str(grid),
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert "shots=1 leaves no bag to evaluate" in err
         assert calls == []
         assert not out.exists()
 

@@ -1,4 +1,6 @@
 from collections import Counter
+from dataclasses import replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -93,8 +95,10 @@ class TestSelectFewShot:
     def test_full_class_selection(self):
         bags = [bag_with_patches(4, 0, "a"), bag_with_patches(5, 0, "b"),
                 bag_with_patches(3, 1, "c"), bag_with_patches(6, 1, "d")]
-        train, pool = select_few_shot(bags, 2)
-        assert len(train) == 4 and pool == []
+        # every bag trains, so none is left to evaluate
+        with pytest.raises(InsufficientBagsError,
+                           match="shots=2 leaves no bag to evaluate"):
+            select_few_shot(bags, 2)
         # "all" trains and evaluates on the whole dataset
         assert select_few_shot(bags, "all") == (bags, bags)
 
@@ -441,6 +445,44 @@ class TestRunAblation:
         assert len(zero) == 8
         assert len({r["class_averaged_accuracy"] for r in zero}) == 1
         assert sorted({r["num_tissue_types"] for r in zero}) == [2, 3]
+
+    def grid(self):
+        ds = generate(preset_spec("separable-easy", seed=3))
+        descriptions = list(ds.tissue_descriptions)
+        tissue_sets = [("all", descriptions), ("two", descriptions[:2])]
+        base = TrainConfig(epochs=2, tau=0.05)
+        rows = run_ablation(list(ds.bags), ds.class_names,
+                            ["slip", "zero", "avg"], [2, 1], tissue_sets,
+                            [4, 0], base)
+        return ds, tissue_sets, base, rows
+
+    def test_rows_in_cell_order(self):
+        # pooling outermost, then shots, tissue set and seed, each in the
+        # order given
+        _, _, _, rows = self.grid()
+        assert [(r["pooling"], r["shots"], r["tissue_set"], r["seed"])
+                for r in rows] == list(product(["slip", "zero", "avg"], [2, 1],
+                                               ["all", "two"], [4, 0]))
+        assert [r["num_tissue_types"] for r in rows] == [3, 3, 2, 2] * 6
+
+    def test_trained_rows_match_run_single(self):
+        # each trained row is run_single on its cell's TrainConfig and
+        # tissue descriptions
+        ds, tissue_sets, base, rows = self.grid()
+        tissues = dict(tissue_sets)
+        trained = [r for r in rows if r["pooling"] != "zero"]
+        assert len(trained) == 16
+        for row in trained:
+            cfg = replace(base, pooling=row["pooling"], shots=row["shots"],
+                          seed=row["seed"])
+            _, history, metrics = run_single(
+                ds.bags, ds.class_names, tissues[row["tissue_set"]], cfg)
+            assert row["final_loss"] == float(history.records[-1][2])
+            for key in ("class_averaged_accuracy", "bag_accuracy"):
+                assert row[key] == metrics[key]
+        # slip reads the tissue set, so its two sets train apart
+        slip = [r["final_loss"] for r in rows if r["pooling"] == "slip"]
+        assert slip[0] != slip[2]
 
     def test_grid_shape_and_determinism(self):
         ds = generate(preset_spec("separable-easy", seed=3))
