@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_D_T, NORM_EPS
-from .errors import EmptySequenceError, ZeroVectorError, check_setting
+from .errors import (EmptySequenceError, ZeroVectorError, check_integer,
+                     check_setting)
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -32,6 +33,7 @@ DEFAULT_HASH_BUCKETS = 4096
 DEFAULT_D_T = 16
 DEFAULT_D_V = 32
 DEFAULT_ENCODER_SEED = 42
+_LAST_DRAWN: dict = {}  # (seed, d_t, d_v) -> FrozenEncoderWeights, one entry
 
 
 @dataclass(frozen=True)
@@ -58,25 +60,24 @@ class FrozenEncoderWeights:
     vocab: Vocabulary
 
     @classmethod
-    def create(
-        cls,
-        seed: int,
-        d_t: int = DEFAULT_D_T,
-        d_v: int = DEFAULT_D_V,
-    ) -> "FrozenEncoderWeights":
+    def create(cls, seed: int, d_t: int = DEFAULT_D_T,
+               d_v: int = DEFAULT_D_V) -> "FrozenEncoderWeights":
+        """Read-only weights of (seed, d_t, d_v). Only the last draw is kept
+        (one 4096 x d_t table); equal arguments return it undrawn."""
+        seed, d_t, d_v = key = tuple(map(check_integer, (seed, d_t, d_v),
+                                         ("seed", "d_t", "d_v")))
         check_setting(min(d_t, d_v) >= 1, "embedding dimensions must be >= 1, "
                       f"got d_t={d_t}, d_v={d_v}")
         check_setting(d_t <= MAX_D_T, f"d_t={d_t} must be <= {MAX_D_T}")
-        rng = np.random.default_rng(seed)
-        scale = 1.0 / np.sqrt(d_t)
-        token_table = rng.uniform(-scale, scale,
-                                  size=(DEFAULT_HASH_BUCKETS, d_t))
-        projection = rng.uniform(-scale, scale, size=(d_t, d_v))
-        return cls(
-            token_table=token_table,
-            projection=projection,
-            vocab=Vocabulary(seed=seed),
-        )
+        if key not in _LAST_DRAWN:
+            rng = np.random.default_rng(seed)
+            scale = 1.0 / np.sqrt(d_t)
+            table = rng.uniform(-scale, scale, (DEFAULT_HASH_BUCKETS, d_t))
+            projection = rng.uniform(-scale, scale, (d_t, d_v))
+            table.flags.writeable = projection.flags.writeable = False
+            _LAST_DRAWN.clear()
+            _LAST_DRAWN[key] = cls(table, projection, Vocabulary(seed=seed))
+        return _LAST_DRAWN[key]
 
     @property
     def d_t(self) -> int:

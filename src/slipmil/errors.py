@@ -3,6 +3,8 @@
 Anything raised on bad user input or malformed files derives from SlipError,
 so the CLI can map it to exit code 2. FormatError covers every on-disk issue.
 """
+from numbers import Real
+from operator import index
 
 
 class SlipError(Exception):
@@ -16,6 +18,20 @@ class InvalidSettingError(SlipError, ValueError):
 def check_setting(ok: bool, message: str) -> None:
     if not ok:
         raise InvalidSettingError(message)
+
+
+def check_integer(value, name: str) -> int:
+    """The setting as an int: anything operator.index takes, else refused."""
+    try:
+        return index(value)
+    except TypeError:
+        raise InvalidSettingError(f"{name} must be an integer, got "
+                                  f"{value!r}") from None
+
+
+def check_number(value, name: str) -> None:
+    check_setting(isinstance(value, Real),
+                  f"{name} must be a real number, got {value!r}")
 
 
 class ZeroVectorError(SlipError):

@@ -30,7 +30,8 @@ import numpy as np
 
 from .core import EmbeddingMatrix, WsiBag, NORM_EPS, feature_major
 from .encoder import FrozenEncoderWeights, encode_texts
-from .errors import DimensionMismatchError, ZeroVectorError, check_setting
+from .errors import (DimensionMismatchError, ZeroVectorError, check_number,
+                     check_setting)
 
 if TYPE_CHECKING:
     from .trainer import TrainedPrompts
@@ -54,6 +55,7 @@ def check_tau(tau: float) -> None:
     _patch_logits adds it to cosines over tau, then takes off each patch's
     largest logit, 1/tau + 2/tau + 1/tau. The 1e-9 covers cosines of unit
     vectors that round a little above 1."""
+    check_number(tau, "tau")
     span = 4 * (1 + 1e-9)
     check_setting(0 < tau < inf and span / float(tau) < inf,
                   f"tau={tau} must be in (0, inf) with a finite {span!r}/tau")

@@ -16,7 +16,7 @@ from .core import MAX_BAGS, MAX_D_V, MAX_PATCHES, EmbeddingMatrix, WsiBag
 from .encoder import DEFAULT_D_T, DEFAULT_D_V, DEFAULT_ENCODER_SEED, \
     FrozenEncoderWeights, encode_text
 from .errors import (InvalidSettingError, RejectionExhaustedError,
-                     check_setting)
+                     check_integer, check_number, check_setting)
 
 MAX_SEPARATION_COSINE = 0.3
 _REJECTION_TRIES = 200
@@ -55,6 +55,12 @@ class SynthSpec:
     encoder_seed: int = DEFAULT_ENCODER_SEED
 
     def __post_init__(self):
+        lo, hi = (check_integer(v, "n_range") for v in self.n_range)
+        for name in ("num_classes", "num_tissues", "bags_per_class", "d_v",
+                     "d_t", "seed", "encoder_seed"):
+            check_integer(getattr(self, name), name)
+        for name in ("signal_fraction", "noise_sigma"):
+            check_number(getattr(self, name), name)
         for name in ("num_classes", "bags_per_class"):
             check_setting(getattr(self, name) >= 1, f"{name} must be >= 1")
         # a bag's distractor is a tissue other than its class's
@@ -70,7 +76,6 @@ class SynthSpec:
             check_setting(getattr(self, name) >= 0, f"{name} must be >= 0")
         check_setting(1 <= self.d_v <= MAX_D_V,
                       f"d_v={self.d_v} must be in [1, {MAX_D_V}]")
-        lo, hi = self.n_range
         check_setting(1 <= lo <= hi <= MAX_PATCHES, "n_range must satisfy "
                       f"1 <= min <= max <= {MAX_PATCHES}")
 

@@ -27,31 +27,24 @@ each context row receives is
 Every row moves by -lr grad_s, so the loop carries s and forms the
 M x d_t context once at the end. The per-container references that this
 loop matches to rounding (`infonce_loss`, `infonce_grad`,
-`encode_text_grad`) live with the tests, in `tests/oracles.py`.
+`encode_text_grad`) live with the tests, in `tests/oracles.py`, with the
+comprehension form of the step that it matches bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from math import exp, inf, log, log1p, sqrt
-from operator import index, mul
+from operator import add, index, mul
 
 import numpy as np
 
 from .core import MAX_CONTEXT_LENGTH, NORM_EPS
-from .encoder import (
-    DEFAULT_D_T,
-    DEFAULT_ENCODER_SEED,
-    FrozenEncoderWeights,
-    PromptContext,
-    token_sums,
-)
-from .errors import (
-    EmptyDatasetError,
-    LabelOutOfRangeError,
-    MissingClassError,
-    ZeroVectorError,
-    check_setting,
-)
+from .encoder import (DEFAULT_D_T, DEFAULT_ENCODER_SEED, FrozenEncoderWeights,
+                      PromptContext, token_sums)
+from .errors import (EmptyDatasetError, LabelOutOfRangeError,
+                     MissingClassError, ZeroVectorError, check_integer,
+                     check_number, check_setting)
 from .pooling import (DEFAULT_TOPK, POOLINGS, Pipeline, TissuePromptSet,
                       check_tau)
 
@@ -86,7 +79,11 @@ class TrainConfig:
     topk_k: int = DEFAULT_TOPK
 
     def __post_init__(self):
+        for name in ("epochs", "seed", "context_length", "d_t",
+                     "encoder_seed", "topk_k"):
+            check_integer(getattr(self, name), name)
         check_tau(self.tau)
+        check_number(self.learning_rate, "learning rate")
         check_setting(0 <= self.learning_rate < inf, f"learning rate "
                       f"{self.learning_rate} must be in [0, inf)")
         check_setting(self.epochs >= 1, f"epochs={self.epochs} must be >= 1")
@@ -183,21 +180,21 @@ def train_prompts(dataset, tissue_descriptions, class_names,
 
     history = TrainHistory()
     # names bound once; each step writes h, h G and the products in place
-    append, dot, add, tau = history.records.append, np.dot, np.add, cfg.tau
+    append, dot, np_add, tau = history.records.append, np.dot, np.add, cfg.tau
     h = np.empty_like(tok_sums)
     products = np.empty((2 * num_classes, num_classes))  # [Q_b; h G] @ h^T
-    flat, h_t = products.ravel(), h.T
-    bag_stacks = [(stack, stack[num_classes:]) for stack in stacks]
+    listed, h_t, h_dot = products.ravel().tolist, h.T, h.dot
+    bag_stacks = [(stack, stack.dot, stack[num_classes:]) for stack in stacks]
     try:  # an overflow fails its step, not a later norm that reads 0
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(cfg.epochs):
                 for idx in rng.permutation(len(dataset)).tolist():
-                    add(s, tok_sums, out=h)
-                    stack, hg = bag_stacks[idx]
-                    dot(h, gram, out=hg)
-                    dot(stack, h_t, out=products)
+                    np_add(s, tok_sums, h)
+                    stack, stack_dot, hg = bag_stacks[idx]
+                    h_dot(gram, hg)
+                    stack_dot(h_t, products)
                     loss, coef = _infonce_coefficients(
-                        flat.tolist(), labels[idx], tau, rate, lengths)
+                        listed(), labels[idx], tau, rate, lengths)
                     s += dot(coef, stack)
                     append((epoch, idx, loss))
     except FloatingPointError as exc:
@@ -218,41 +215,45 @@ def _infonce_coefficients(products: list, label: int, tau: float,
     u @ [Q_b; h G] = -rate * grad_s, in Python floats.
 
     `products` is [Q_b; h G] @ h^T flattened row-major: Q_b[i] . h_c at
-    i * C + c, and nu_c^2 = h_c G h_c^T at C * C + c * (C + 1).
+    i * C + c, and nu_c^2 = h_c G h_c^T at C * C + c * (C + 1). Sums run
+    left to right from 0, on every Python version (3.12's sum() does not).
     """
     num_classes = len(lengths)
     pairs = num_classes * num_classes
-    # max(q, 0.0) keeps a NaN q, which a BLAS overflow can leave unflagged
-    nus = [sqrt(max(q, 0.0)) for q in products[pairs::num_classes + 1]]
-    for nu, length in zip(nus, lengths):
+    inv, k = [], []  # 1 / nu_c and 1 / (tau nu_c)
+    for c, length in enumerate(lengths):
+        # max(q, 0.0) keeps a NaN q, which a BLAS overflow can leave unflagged
+        nu = sqrt(max(products[pairs + c * (num_classes + 1)], 0.0))
         if not NORM_EPS * length <= nu < inf:
             raise ZeroVectorError(f"embedding norm {nu / length:.3e} not in "
                                   "[1e-12, inf)")
-    inv = [1.0 / nu for nu in nus]
-    k = [v / tau for v in inv] * num_classes  # 1 / (tau nu_c) at i * C + c
-    zs = list(map(mul, products, k))  # z / tau; map stops after C * C
+        inv.append(1.0 / nu)
+        k.append(inv[c] / tau)
+    zs = list(map(mul, products, k * num_classes))  # z / tau; stops at C * C
     top = max(zs)
-    e = [exp(v - top) for v in zs]
-    total = sum(e)
+    # dz = (e / total - [i == c == label]) / tau; the row sums (e k) and
+    # column sums (e z) carry the e / total part, the corrections the rest
+    e, total, rows, cols = [], 0, [], [0] * num_classes
+    for i in range(0, pairs, num_classes):
+        row = 0
+        for c, z in enumerate(zs[i:i + num_classes]):
+            v = exp(z - top)
+            e.append(v)
+            total += v
+            row += v * k[c]
+            cols[c] += v * z
+        rows.append(row)
     diag = label * (num_classes + 1)
     # label pair at the maximum: e[diag] is 1; log1p keeps a tiny loss precise
-    loss = (log1p(sum(e[:diag]) + sum(e[diag + 1:])) if zs[diag] == top
-            else log(total) - (zs[diag] - top))
-    # dz = (e / total - [i == c == label]) / tau; the sums below carry the
-    # e / total part and the two corrections after them the label part.
+    loss = (log1p(reduce(add, e[:diag], 0) + reduce(add, e[diag + 1:], 0))
+            if zs[diag] == top else log(total) - (zs[diag] - top))
     g = rate / total
-    row_sums = map(sum, _rows(map(mul, e, k), num_classes))
-    col_sums = map(sum, zip(*_rows(map(mul, e, zs), num_classes)))
-    coef = [-g * v for v in row_sums]
-    coef += [g * v * w * w for v, w in zip(col_sums, inv)]
+    coef = list(map(mul, [-g] * num_classes, rows))
+    for v, w in zip(cols, inv):
+        coef.append(g * v * w * w)
     coef[label] += rate * k[label]
     coef[num_classes + label] -= rate * zs[diag] * inv[label] ** 2
     return loss, coef
-
-
-def _rows(values, width: int):
-    """The rows, as tuples, of a row-major matrix given as a flat iterable."""
-    return zip(*[iter(values)] * width)
 
 
 def check_label(label: int, num_classes: int) -> int:

@@ -12,12 +12,17 @@ and pooling one bag at a time into a `SlideFeature`. Like the package's
 pooling functions, they take tissues and classes as arrays of unit rows.
 The training loop in `slipmil.trainer` and the list poolings in
 `slipmil.pooling` match them to rounding, and the finite-difference tests
-check them.
+check them. `infonce_coefficients` is the training step's Python-float
+loss and coefficients in comprehension form, which the loop's explicit
+version matches bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
+from math import exp, log, log1p, sqrt
+from operator import add, mul
 
 import mpmath
 import numpy as np
@@ -290,6 +295,52 @@ def _infonce_step(z: np.ndarray, label: int, tau: float):
     dz[label, label] -= 1.0
     dz /= tau
     return math.log(total) - float(zs[label, label] - m), dz
+
+
+def _left_sum(values):
+    """sum() as Python 3.11 takes it over floats: left to right from 0.
+    Python 3.12's sum() compensates float rounding, so it is not used here."""
+    return reduce(add, values, 0)
+
+
+def infonce_coefficients(products: list, label: int, tau: float,
+                         rate: float, lengths: list):
+    """The training loop's per-step loss and coefficients as it took them
+    in comprehensions, `_rows` and sum(); `slipmil.trainer`'s explicit loops
+    must return the same bits (see `trainer._infonce_coefficients`)."""
+    num_classes = len(lengths)
+    pairs = num_classes * num_classes
+    # max(q, 0.0) keeps a NaN q, which a BLAS overflow can leave unflagged
+    nus = [sqrt(max(q, 0.0)) for q in products[pairs::num_classes + 1]]
+    for nu, length in zip(nus, lengths):
+        if not NORM_EPS * length <= nu < math.inf:
+            raise ZeroVectorError(f"embedding norm {nu / length:.3e} not in "
+                                  "[1e-12, inf)")
+    inv = [1.0 / nu for nu in nus]
+    k = [v / tau for v in inv] * num_classes  # 1 / (tau nu_c) at i * C + c
+    zs = list(map(mul, products, k))  # z / tau; map stops after C * C
+    top = max(zs)
+    e = [exp(v - top) for v in zs]
+    total = _left_sum(e)
+    diag = label * (num_classes + 1)
+    # label pair at the maximum: e[diag] is 1; log1p keeps a tiny loss precise
+    loss = (log1p(_left_sum(e[:diag]) + _left_sum(e[diag + 1:]))
+            if zs[diag] == top else log(total) - (zs[diag] - top))
+    # dz = (e / total - [i == c == label]) / tau; the sums below carry the
+    # e / total part and the two corrections after them the label part.
+    g = rate / total
+    row_sums = map(_left_sum, _rows(map(mul, e, k), num_classes))
+    col_sums = map(_left_sum, zip(*_rows(map(mul, e, zs), num_classes)))
+    coef = [-g * v for v in row_sums]
+    coef += [g * v * w * w for v, w in zip(col_sums, inv)]
+    coef[label] += rate * k[label]
+    coef[num_classes + label] -= rate * zs[diag] * inv[label] ** 2
+    return loss, coef
+
+
+def _rows(values, width: int):
+    """The rows, as tuples, of a row-major matrix given as a flat iterable."""
+    return zip(*[iter(values)] * width)
 
 
 def infonce_loss(f_wsi, classes, label: int, tau: float) -> float:

@@ -15,7 +15,10 @@ from slipmil.encoder import (
     encode_texts,
     token_sums,
 )
-from slipmil.errors import EmptySequenceError, ZeroVectorError
+from slipmil import encoder
+from slipmil.core import MAX_D_T
+from slipmil.errors import (EmptySequenceError, InvalidSettingError,
+                            ZeroVectorError)
 
 from oracles import context_sum_grad, encode_context_sums, encode_text_grad
 
@@ -62,6 +65,58 @@ class TestTokenize:
         ids = Vocabulary().tokenize(
             "lepidic acinar solid papillary micropapillary")
         assert all(0 <= i < DEFAULT_HASH_BUCKETS for i in ids)
+
+
+class TestFrozenWeights:
+    """`create` draws the weights of one (seed, d_t, d_v) once per process,
+    keeps only the last draw and hands out read-only arrays."""
+
+    def test_equal_arguments_return_the_same_weights(self):
+        first = FrozenEncoderWeights.create(7, d_t=4, d_v=6)
+        assert FrozenEncoderWeights.create(7, d_t=4, d_v=6) is first
+        assert FrozenEncoderWeights.create(np.int64(7), 4, 6) is first
+
+    def test_arrays_cannot_be_written(self):
+        w = FrozenEncoderWeights.create(7, d_t=4, d_v=6)
+        for array in (w.token_table, w.projection):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                array += 1.0
+
+    @pytest.mark.parametrize("seed, d_t, d_v", [(0, 1, 1), (42, 16, 32),
+                                                (2 ** 63, 5, 3)])
+    def test_bits_are_a_direct_draw(self, seed, d_t, d_v):
+        w = FrozenEncoderWeights.create(seed, d_t=d_t, d_v=d_v)
+        rng = np.random.default_rng(seed)
+        scale = 1.0 / np.sqrt(d_t)
+        table = rng.uniform(-scale, scale, (DEFAULT_HASH_BUCKETS, d_t))
+        projection = rng.uniform(-scale, scale, (d_t, d_v))
+        assert w.token_table.tobytes() == table.tobytes()
+        assert w.projection.tobytes() == projection.tobytes()
+        assert w.vocab == Vocabulary(seed=seed)
+
+    def test_a_new_key_replaces_the_kept_weights(self):
+        first = FrozenEncoderWeights.create(7, d_t=4, d_v=6)
+        for seed, d_t, d_v in ((8, 4, 6), (7, 5, 6), (7, 4, 7)):
+            other = FrozenEncoderWeights.create(seed, d_t=d_t, d_v=d_v)
+            assert other is not first
+            assert list(encoder._LAST_DRAWN.values()) == [other]
+        again = FrozenEncoderWeights.create(7, d_t=4, d_v=6)
+        assert again is not first
+        assert again.token_table.tobytes() == first.token_table.tobytes()
+        assert again.projection.tobytes() == first.projection.tobytes()
+
+    @pytest.mark.parametrize("kwargs", [
+        {"d_t": 0}, {"d_v": 0}, {"d_t": MAX_D_T + 1}, {"d_t": 2.5},
+        {"d_v": "6"}, {"seed": 1.5},
+    ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+    def test_bad_arguments_raise_on_every_call(self, kwargs):
+        args = {"seed": 7, "d_t": 4, "d_v": 6, **kwargs}
+        for _ in range(2):  # before and after a good draw of the others
+            with pytest.raises(InvalidSettingError):
+                FrozenEncoderWeights.create(**args)
+            FrozenEncoderWeights.create(7, d_t=4, d_v=6)
 
 
 class TestEncodeText:

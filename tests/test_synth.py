@@ -177,6 +177,11 @@ class TestSpecRange:
     @pytest.mark.parametrize("kwargs", [
         {"seed": -1}, {"encoder_seed": -3}, {"noise_sigma": math.inf},
         {"noise_sigma": math.nan}, {"noise_sigma": -1.0},
+        # wrong types: integers are what operator.index takes
+        {"n_range": (2.5, 4)}, {"n_range": (2, 4.0)}, {"num_classes": 2.5},
+        {"num_tissues": 3.5}, {"bags_per_class": 1.5}, {"d_v": 2.5},
+        {"d_t": 2.5}, {"seed": 1.5}, {"encoder_seed": "42"},
+        {"signal_fraction": "0.5"}, {"noise_sigma": None},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_out_of_range_spec(self, kwargs):
         with pytest.raises(InvalidSettingError):

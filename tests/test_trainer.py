@@ -1,6 +1,10 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from slipmil.core import NORM_EPS
 from slipmil.encoder import (FrozenEncoderWeights, PromptContext,
                              encode_texts, token_sums)
 from slipmil.errors import (
@@ -18,6 +22,7 @@ from slipmil.synth import generate, preset_spec
 from conftest import random_bag, unit_rows
 from oracles import (
     encode_context_sums,
+    infonce_coefficients,
     infonce_grad,
     infonce_loss,
     oracle_infonce,
@@ -125,6 +130,88 @@ class TestInfonceLoss:
             assert abs(loss - want) <= 1e-12 * want
 
 
+@st.composite
+def coefficient_steps(draw):
+    """One step's inputs to `_infonce_coefficients`: C from 2 to 6, any
+    label, pair products in [-1, 1] and nu_c^2 in [0.25, 4] or out of
+    range. On half the draws the label pair's product is 10, which puts
+    it at the maximum."""
+    c = draw(st.integers(2, 6))
+    label = draw(st.integers(0, c - 1))
+    products = draw(st.lists(st.floats(-1, 1), min_size=c * c,
+                             max_size=c * c))
+    if draw(st.booleans()):  # z = products / (tau nu) with nu in [0.5, 2]
+        products[label * (c + 1)] = 10.0
+    lengths = [float(v) for v in draw(st.lists(st.integers(1, 9),
+                                               min_size=c, max_size=c))]
+    gram = [[draw(st.floats(-1, 1)) for _ in range(c)] for _ in range(c)]
+    for i in range(c):
+        gram[i][i] = draw(st.floats(0.25, 4) | st.sampled_from([
+            math.nan, -1.0, -5e-324, 0.0,
+            # nu just below and at NORM_EPS * L
+            (0.99 * NORM_EPS * lengths[i]) ** 2,
+            (NORM_EPS * lengths[i]) ** 2, math.inf]))
+    tau = draw(st.sampled_from([0.5, 0.05, 0.01, 0.001]))
+    rate = draw(st.sampled_from([0.0, 2e-4, 8e-4, 2e-2]))
+    return products + [v for row in gram for v in row], label, tau, rate, \
+        lengths
+
+
+STEPS = settings(max_examples=400, derandomize=True, database=None,
+                 deadline=None)
+
+
+class TestCoefficientsBitForBit:
+    """The step's explicit loops against the comprehension form they
+    replaced, kept in `oracles.infonce_coefficients`: equal, not close."""
+
+    @STEPS
+    @given(coefficient_steps())
+    @example(([1.0, 0.75, 0.75, 0.75, 0.7, 0.74, 0.74, 0.73, 0.75]
+              + [1.0] * 9, 0, 0.01, 0.0, [1.0, 1.0, 1.0]))
+    def test_same_bits_as_the_comprehension_form(self, step):
+        try:
+            want = infonce_coefficients(*step)
+        except ZeroVectorError as exc:
+            with pytest.raises(ZeroVectorError) as error:
+                trainer._infonce_coefficients(*step)
+            assert str(error.value) == str(exc)
+        else:
+            assert trainer._infonce_coefficients(*step) == want
+
+    def test_steps_reach_both_losses_and_every_refusal(self):
+        # the draws above, the same strategy and settings, cover every C,
+        # the log1p and log branches and each kind of refused nu_c
+        seen = set()
+
+        @STEPS
+        @given(coefficient_steps())
+        def classify(step):
+            products, label, tau, _, lengths = step
+            c = len(lengths)
+            squares = products[c * c::c + 1]
+            seen.add(f"C={c}")
+            if any(map(math.isnan, squares)):
+                seen.add("nan")
+            elif min(squares) < 0:
+                seen.add("negative")
+            elif max(squares) == math.inf:
+                seen.add("inf")
+            elif any(math.sqrt(q) < NORM_EPS * n
+                     for q, n in zip(squares, lengths)):
+                seen.add("below NORM_EPS * L")
+            else:
+                k = [1 / math.sqrt(q) / tau for q in squares]
+                zs = [products[j] * k[j % c] for j in range(c * c)]
+                top = zs[label * (c + 1)] == max(zs)
+                seen.add("log1p" if top else "log")
+
+        classify()
+        assert seen == {"log1p", "log", "nan", "negative", "inf",
+                        "below NORM_EPS * L",
+                        *(f"C={c}" for c in range(2, 7))}
+
+
 class TestInfonceGrad:
     def test_single_class_zero_gradient(self, weights):
         rng = np.random.default_rng(35)
@@ -184,6 +271,11 @@ class TestSettings:
         {"learning_rate": float("nan")}, {"epochs": 0}, {"pooling": "bogus"},
         {"context_length": -1}, {"topk_k": 0}, {"shots": 0}, {"seed": -1},
         {"encoder_seed": -3},
+        # wrong types: integers are what operator.index takes
+        {"epochs": 2.5}, {"seed": 1.5}, {"context_length": 1.5},
+        {"topk_k": 2.5}, {"d_t": 2.5}, {"encoder_seed": 1.5},
+        {"epochs": "3"}, {"tau": "0.01"}, {"tau": None},
+        {"learning_rate": "2e-4"},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_out_of_range_config(self, kwargs):
         # one error type, still a ValueError for callers that catch that
