@@ -14,7 +14,8 @@ import sys
 import numpy as np
 
 from .encoder import PromptContext
-from .errors import InvalidSettingError, SchemaError, SlipError, check_setting
+from .errors import (InvalidSettingError, SchemaError, SlipError,
+                     check_setting, check_value)
 from .evaluation import evaluate, run_ablation, run_single, select_few_shot
 from .io_formats import (
     export_heatmap,
@@ -31,15 +32,18 @@ from .trainer import TrainConfig, TrainedPrompts
 
 
 def _load_config_file(path) -> dict:
-    """Flat key = value lines mirroring the command-line flags."""
-    values = {}
+    """Flat key = value lines mirroring the command-line flags, one per key."""
+    values, lines = {}, {}
     for lineno, raw in enumerate(read_text(path).split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         check_setting("=" in line, f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
-        values[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        check_setting(key not in lines, f"{path}: key {key!r} is given twice, "
+                      f"on lines {lines.get(key)} and {lineno}")
+        values[key], lines[key] = value.strip(), lineno
     return values
 
 
@@ -107,16 +111,16 @@ def _write_prompt_file(path, lines, header):
             fh.write(line + "\n")
 
 
-# optional grid key -> (TrainConfig field, type); a key left out of the grid
-# takes the TrainConfig default
-GRID_SETTINGS = {"tau": ("tau", float), "lr": ("learning_rate", float),
-                 "epochs": ("epochs", int), "d_t": ("d_t", int),
-                 "context_length": ("context_length", int),
-                 "encoder_seed": ("encoder_seed", int),
-                 "topk_k": ("topk_k", int)}
-# the settings block of a report: train writes every key, eval reads it back
-REPORT_SETTINGS = {**GRID_SETTINGS, "shots": ("shots", int_or_all),
-                   "seed": ("seed", int), "pooling": ("pooling", str)}
+# report key -> TrainConfig field, every field: train writes each key, eval
+# reads it back
+REPORT_SETTINGS = {"lr" if field == "learning_rate" else field: field
+                   for field in (*TrainConfig.SETTINGS, "pooling")}
+# the optional grid keys; one left out of the grid takes its default
+GRID_SETTINGS = {key: field for key, field in REPORT_SETTINGS.items()
+                 if key not in ("shots", "seed", "pooling")}
+# a setting's parse type is its kind in TrainConfig.SETTINGS or
+# SynthSpec.SETTINGS, but for these fields
+PARSE_TYPES = {"shots": int_or_all, "pooling": str, "n_range": int}
 # synth flags that set a SynthSpec field; n_min and n_max make its n_range
 SPEC_FLAGS = ("num_classes", "num_tissues", "n_min", "n_max",
               "bags_per_class", "signal_fraction", "noise_sigma", "d_v", "d_t")
@@ -158,14 +162,14 @@ def _given(args, keys) -> dict:
 def _add_settings(sub, spec, *keys) -> None:
     """Flags for the settings `keys` of `spec` (TrainConfig or SynthSpec),
     each stored under its key and only when given: `spec` supplies the
-    default, which the help names. The type is the report's, or else the
-    default's."""
+    default, which the help names."""
     defaults = dict(zip(("n_min", "n_max"), SynthSpec.n_range))
     for key in keys:
-        field, cast = REPORT_SETTINGS.get(key, (key, None))
+        field = "n_range" if key in defaults else REPORT_SETTINGS.get(key, key)
         default = defaults[key] if key in defaults else getattr(spec, field)
         sub.add_argument(
-            _flag(key), dest=key, type=cast or type(default),
+            _flag(key), dest=key,
+            type=PARSE_TYPES.get(field) or spec.SETTINGS[field][0],
             default=argparse.SUPPRESS,
             choices=POOLING_VARIANTS if key == "pooling" else None,
             metavar=SHORT_FLAGS[key].upper() if key in SHORT_FLAGS else None,
@@ -184,11 +188,13 @@ def _setting(source, key, raw: str, cast, error=InvalidSettingError):
 
 
 def _train_config(source, values, settings, error=InvalidSettingError):
-    """A TrainConfig from the `settings` (key -> (field, type)) in `values`,
-    each parsed from its text as a flag is, so an int of 2.5 fails; a key left
+    """A TrainConfig from the `settings` (key -> field) in `values`, each
+    parsed from its text as a flag is, so an int of 2.5 fails; a key left
     out takes its default. A bad value is an `error` naming `source`, once."""
-    fields = {field: _setting(source, key, str(values[key]), cast, error)
-              for key, (field, cast) in settings.items() if key in values}
+    table = TrainConfig.SETTINGS
+    fields = {field: _setting(source, key, str(values[key]),
+                              PARSE_TYPES.get(field) or table[field][0], error)
+              for key, field in settings.items() if key in values}
     try:
         return TrainConfig(**fields)
     except InvalidSettingError as exc:
@@ -197,7 +203,7 @@ def _train_config(source, values, settings, error=InvalidSettingError):
 
 def _flag_config(args, **fixed) -> TrainConfig:
     """The TrainConfig of the setting flags given; `fixed` overrides."""
-    return TrainConfig(**{REPORT_SETTINGS[key][0]: value for key, value
+    return TrainConfig(**{REPORT_SETTINGS[key]: value for key, value
                           in _given(args, REPORT_SETTINGS).items()} | fixed)
 
 
@@ -242,7 +248,7 @@ def cmd_train(args) -> None:
         bags, class_names, tissue_descriptions, cfg
     )
     config = {key: getattr(cfg, field)
-              for key, (field, _) in REPORT_SETTINGS.items()}
+              for key, field in REPORT_SETTINGS.items()}
     config.update(d_v=bags[0].patches.cols, eval_pool_size=metrics["num_bags"],
                   data=os.path.basename(args.data))
     context = {"shared": prompts.shared,
@@ -371,9 +377,7 @@ def cmd_ablate(args) -> None:
 def cmd_heatmap(args) -> None:
     class_names = read_prompt_lines(args.classes)
     bags = _read_dataset(args.data, class_names, "--classes")
-    check_setting(0 <= args.bag < len(bags),
-                  f"--bag {args.bag} outside [0, {len(bags)})")
-    bag = bags[args.bag]
+    bag = bags[check_value("--bag", args.bag, int, f"[0, {len(bags)})")]
     cfg = _flag_config(args)
     corr = cfg.pipeline(bag.patches.cols, read_prompt_lines(args.tissues),
                         class_names).correlation(bag)

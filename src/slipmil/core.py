@@ -6,13 +6,12 @@ is a plain dot product.
 """
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatchError
+from .errors import DimensionMismatchError, check_value
 
 NORM_EPS = 1e-12
 COORD_MAX = 0xFFFFFFFF  # grid coordinates are stored as uint32 on disk
@@ -100,15 +99,7 @@ class WsiBag:
             raise ValueError("grid coordinates must be non-negative")
         if xy.max() > COORD_MAX:
             raise ValueError(f"grid coordinate {xy.max()} exceeds {COORD_MAX}")
-        try:
-            label = operator.index(label)
-        except TypeError:
-            raise ValueError(
-                f"label must be an integer, got {label!r}") from None
-        if label < 0:
-            raise ValueError("label must be non-negative")
-        if label > LABEL_MAX:
-            raise ValueError(f"label {label} exceeds {LABEL_MAX}")
+        label = check_value("label", label, int, f"[0, {LABEL_MAX}]")
         if not isinstance(patient_id, str):
             raise ValueError(f"patient id must be a str, got {patient_id!r}")
         try:  # the container stores it as UTF-8

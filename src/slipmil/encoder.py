@@ -24,8 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_D_T, NORM_EPS
-from .errors import (EmptySequenceError, ZeroVectorError, check_integer,
-                     check_setting)
+from .errors import EmptySequenceError, ZeroVectorError, check_value
 
 _TOKEN_RE = re.compile(r"[0-9a-z]+")
 
@@ -34,6 +33,9 @@ DEFAULT_D_T = 16
 DEFAULT_D_V = 32
 DEFAULT_ENCODER_SEED = 42
 _LAST_DRAWN: dict = {}  # (seed, d_t, d_v) -> FrozenEncoderWeights, one entry
+# kind and range of `create`'s seed and d_t, which the settings classes share
+SEED = (int, "[0, inf)")
+D_T = (int, f"[1, {MAX_D_T}]")
 
 
 @dataclass(frozen=True)
@@ -64,11 +66,9 @@ class FrozenEncoderWeights:
                d_v: int = DEFAULT_D_V) -> "FrozenEncoderWeights":
         """Read-only weights of (seed, d_t, d_v). Only the last draw is kept
         (one 4096 x d_t table); equal arguments return it undrawn."""
-        seed, d_t, d_v = key = tuple(map(check_integer, (seed, d_t, d_v),
-                                         ("seed", "d_t", "d_v")))
-        check_setting(min(d_t, d_v) >= 1, "embedding dimensions must be >= 1, "
-                      f"got d_t={d_t}, d_v={d_v}")
-        check_setting(d_t <= MAX_D_T, f"d_t={d_t} must be <= {MAX_D_T}")
+        seed, d_t, d_v = key = (check_value("seed", seed, *SEED),
+                                check_value("d_t", d_t, *D_T),
+                                check_value("d_v", d_v, int, "[1, inf)"))
         if key not in _LAST_DRAWN:
             rng = np.random.default_rng(seed)
             scale = 1.0 / np.sqrt(d_t)

@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from .errors import EmptyDatasetError, InsufficientBagsError
+from .errors import EmptyDatasetError, InsufficientBagsError, check_value
 from .pooling import Pipeline
-from .trainer import TrainConfig, check_label, check_shots, train_prompts
+from .trainer import TrainConfig, check_label, train_prompts
 
 
 def select_few_shot(dataset, shots: int | str):
@@ -15,11 +15,10 @@ def select_few_shot(dataset, shots: int | str):
     dataset order). Returns (training subset, evaluation pool); with shots
     "all", both are the whole dataset. A split that leaves no bag to
     evaluate is refused."""
-    check_shots(shots)
+    shots = check_value("shots", shots, *TrainConfig.SETTINGS["shots"])
     dataset = list(dataset)
     if shots == "all":
         return dataset, dataset
-    shots = int(shots)
     by_class: dict[int, list[int]] = {}
     for i, bag in enumerate(dataset):
         by_class.setdefault(bag.label, []).append(i)
@@ -105,8 +104,8 @@ def run_ablation(dataset, class_names, poolings, shots_list, tissue_sets,
     no tissues: it scores the whole dataset once, and every zero row
     carries those metrics."""
     dataset = list(dataset)
-    cells = [(replace(base_cfg, pooling=pooling, shots=int(shots),
-                      seed=int(seed)), tissue_name, descriptions)
+    cells = [(replace(base_cfg, pooling=pooling, shots=shots, seed=seed),
+              tissue_name, descriptions)
              for pooling in poolings for shots in shots_list
              for tissue_name, descriptions in tissue_sets for seed in seeds]
     for shots in dict.fromkeys(cfg.shots for cfg, _, _ in cells

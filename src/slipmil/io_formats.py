@@ -29,6 +29,7 @@ from .errors import (
     TruncatedFileError,
     VersionUnsupportedError,
     check_setting,
+    check_value,
 )
 
 MAGIC = b"SLIPEMB1"
@@ -177,9 +178,8 @@ def export_heatmap(bag: WsiBag, correlation, class_index: int,
     corr = np.asarray(correlation, dtype=np.float64)
     if corr.ndim != 2 or corr.shape[0] != bag.num_patches:
         raise ValueError("correlation matrix must be N x C")
-    check_setting(0 <= class_index < corr.shape[1],
-                  f"class {class_index} outside [0, {corr.shape[1]})")
-    scores = corr[:, class_index]
+    scores = corr[:, check_value("class_index", class_index, int,
+                                 f"[0, {corr.shape[1]})")]
     xy = bag.grid
     width, height = (int(m) + 1 for m in xy.max(axis=0))
     check_setting(width * height <= MAX_HEATMAP_CELLS, f"heatmap grid "

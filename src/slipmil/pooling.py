@@ -30,8 +30,8 @@ import numpy as np
 
 from .core import EmbeddingMatrix, WsiBag, NORM_EPS, feature_major
 from .encoder import FrozenEncoderWeights, encode_texts
-from .errors import (DimensionMismatchError, ZeroVectorError, check_number,
-                     check_setting)
+from .errors import (DimensionMismatchError, InvalidSettingError,
+                     ZeroVectorError, check_setting, check_value)
 
 if TYPE_CHECKING:
     from .trainer import TrainedPrompts
@@ -40,6 +40,9 @@ DEFAULT_TOPK = 16
 
 POOLING_VARIANTS = ("slip", "topk", "avg")  # the poolings that train
 POOLINGS = POOLING_VARIANTS + ("zero",)
+# kind and range of a temperature and of topk's k, which TrainConfig shares
+TAU = (float, "(0, inf)")
+TOPK_K = (int, "[1, inf)")
 
 GROUP_PATCHES = 4096  # most patches pooled in one array pass
 # Fewest row blocks of a streamed bag worth spreading over threads: the
@@ -55,10 +58,10 @@ def check_tau(tau: float) -> None:
     _patch_logits adds it to cosines over tau, then takes off each patch's
     largest logit, 1/tau + 2/tau + 1/tau. The 1e-9 covers cosines of unit
     vectors that round a little above 1."""
-    check_number(tau, "tau")
     span = 4 * (1 + 1e-9)
-    check_setting(0 < tau < inf and span / float(tau) < inf,
-                  f"tau={tau} must be in (0, inf) with a finite {span!r}/tau")
+    if span / check_value("tau", tau, *TAU) == inf:
+        raise InvalidSettingError(f"tau must be a finite real in {TAU[1]} "
+                                  f"with a finite {span!r}/tau, got {tau!r}")
 
 
 # The pooling functions take the text side as plain K x d_v tissue and
@@ -343,7 +346,7 @@ def topk_features(bags, classes: np.ndarray, k: int) -> np.ndarray:
     """Per bag and class, the unit-normalized mean of the min(k, n_b)
     patches most similar to that class prompt: B x C x d_v. Ties go to the
     lower patch index, and the chosen patches are summed in index order."""
-    check_setting(k >= 1, f"k={k} must be >= 1")
+    k = check_value("k", k, *TOPK_K)
     width = classes.shape[1]
     out = np.empty((len(bags), len(classes), width))
     for group, patches, starts, sizes in _groups(bags, width):

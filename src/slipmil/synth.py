@@ -13,10 +13,10 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import MAX_BAGS, MAX_D_V, MAX_PATCHES, EmbeddingMatrix, WsiBag
-from .encoder import DEFAULT_D_T, DEFAULT_D_V, DEFAULT_ENCODER_SEED, \
-    FrozenEncoderWeights, encode_text
+from .encoder import D_T, DEFAULT_D_T, DEFAULT_D_V, DEFAULT_ENCODER_SEED, \
+    SEED, FrozenEncoderWeights, encode_text
 from .errors import (InvalidSettingError, RejectionExhaustedError,
-                     check_integer, check_number, check_setting)
+                     check_fields, check_setting)
 
 MAX_SEPARATION_COSINE = 0.3
 _REJECTION_TRIES = 200
@@ -54,30 +54,26 @@ class SynthSpec:
     seed: int = 0
     encoder_seed: int = DEFAULT_ENCODER_SEED
 
+    # field -> (kind, range); n_range is (n_min, n_max)
+    SETTINGS = {
+        # a bag's distractor is a tissue other than its class's, so 2
+        "num_classes": (int, "[1, inf)"), "num_tissues": (int, "[2, inf)"),
+        "n_range": ((int, int), f"[1, {MAX_PATCHES}]"),
+        "bags_per_class": (int, "[1, inf)"),
+        "signal_fraction": (float, "(0, 1]"),
+        "noise_sigma": (float, "[0, inf)"), "d_v": (int, f"[1, {MAX_D_V}]"),
+        "d_t": D_T, "seed": SEED, "encoder_seed": SEED,
+    }
+
     def __post_init__(self):
-        lo, hi = (check_integer(v, "n_range") for v in self.n_range)
-        for name in ("num_classes", "num_tissues", "bags_per_class", "d_v",
-                     "d_t", "seed", "encoder_seed"):
-            check_integer(getattr(self, name), name)
-        for name in ("signal_fraction", "noise_sigma"):
-            check_number(getattr(self, name), name)
-        for name in ("num_classes", "bags_per_class"):
-            check_setting(getattr(self, name) >= 1, f"{name} must be >= 1")
-        # a bag's distractor is a tissue other than its class's
-        check_setting(self.num_tissues >= max(self.num_classes, 2),
-                      "need at least one tissue per class, and two tissues")
+        check_fields(self, self.SETTINGS)
+        check_setting(self.num_tissues >= self.num_classes, "num_tissues must "
+                      f"be at least num_classes = {self.num_classes}, got "
+                      f"{self.num_tissues}")
         check_setting(self.num_classes * self.bags_per_class <= MAX_BAGS,
                       f"num_classes x bags_per_class must be <= {MAX_BAGS}")
-        check_setting(0 < self.signal_fraction <= 1,
-                      "signal_fraction must be in (0, 1]")
-        check_setting(0 <= self.noise_sigma < math.inf,
-                      "noise_sigma must be in [0, inf)")
-        for name in ("seed", "encoder_seed"):
-            check_setting(getattr(self, name) >= 0, f"{name} must be >= 0")
-        check_setting(1 <= self.d_v <= MAX_D_V,
-                      f"d_v={self.d_v} must be in [1, {MAX_D_V}]")
-        check_setting(1 <= lo <= hi <= MAX_PATCHES, "n_range must satisfy "
-                      f"1 <= min <= max <= {MAX_PATCHES}")
+        check_setting(self.n_range[0] <= self.n_range[1],
+                      f"n_range must have n_min <= n_max, got {self.n_range}")
 
 
 # Free knobs (bag sizes, bag counts, tissue count) chosen so that

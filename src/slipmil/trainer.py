@@ -35,31 +35,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import reduce
 from math import exp, inf, log, log1p, sqrt
-from operator import add, index, mul
+from operator import add, mul
 
 import numpy as np
 
 from .core import MAX_CONTEXT_LENGTH, NORM_EPS
-from .encoder import (DEFAULT_D_T, DEFAULT_ENCODER_SEED, FrozenEncoderWeights,
-                      PromptContext, token_sums)
+from .encoder import (D_T, DEFAULT_D_T, DEFAULT_ENCODER_SEED, SEED,
+                      FrozenEncoderWeights, PromptContext, token_sums)
 from .errors import (EmptyDatasetError, LabelOutOfRangeError,
-                     MissingClassError, ZeroVectorError, check_integer,
-                     check_number, check_setting)
-from .pooling import (DEFAULT_TOPK, POOLINGS, Pipeline, TissuePromptSet,
-                      check_tau)
-
-
-def check_shots(shots: int | str) -> None:
-    """Reject a few-shot count that is not an integer >= 1; "all" trains on
-    every bag."""
-    if isinstance(shots, str):
-        ok = shots == "all"
-    else:
-        try:
-            ok = index(shots) >= 1
-        except TypeError:
-            ok = False
-    check_setting(ok, f"shots must be >= 1 or 'all', got {shots!r}")
+                     MissingClassError, ZeroVectorError, check_fields,
+                     check_setting)
+from .pooling import (DEFAULT_TOPK, POOLINGS, TAU, TOPK_K, Pipeline,
+                      TissuePromptSet, check_tau)
 
 
 @dataclass(frozen=True)
@@ -78,24 +65,20 @@ class TrainConfig:
     encoder_seed: int = DEFAULT_ENCODER_SEED
     topk_k: int = DEFAULT_TOPK
 
+    # field -> (kind, range[, a word it may also be]): shots "all" trains on
+    # every bag; pooling is a name of POOLINGS
+    SETTINGS = {
+        "tau": TAU, "learning_rate": (float, "[0, inf)"),
+        "epochs": (int, "[1, inf)"), "shots": (int, "[1, inf)", "all"),
+        "seed": SEED, "context_length": (int, f"[0, {MAX_CONTEXT_LENGTH}]"),
+        "d_t": D_T, "encoder_seed": SEED, "topk_k": TOPK_K,
+    }
+
     def __post_init__(self):
-        for name in ("epochs", "seed", "context_length", "d_t",
-                     "encoder_seed", "topk_k"):
-            check_integer(getattr(self, name), name)
+        check_fields(self, self.SETTINGS)
         check_tau(self.tau)
-        check_number(self.learning_rate, "learning rate")
-        check_setting(0 <= self.learning_rate < inf, f"learning rate "
-                      f"{self.learning_rate} must be in [0, inf)")
-        check_setting(self.epochs >= 1, f"epochs={self.epochs} must be >= 1")
         check_setting(self.pooling in POOLINGS, f"pooling {self.pooling!r} "
                       f"must be one of {', '.join(POOLINGS)}")
-        for name in ("seed", "encoder_seed"):
-            check_setting(getattr(self, name) >= 0, f"{name} must be >= 0")
-        check_setting(0 <= self.context_length <= MAX_CONTEXT_LENGTH,
-                      f"context_length={self.context_length} must be in "
-                      f"[0, {MAX_CONTEXT_LENGTH}]")
-        check_setting(self.topk_k >= 1, f"topk_k={self.topk_k} must be >= 1")
-        check_shots(self.shots)
 
     def pipeline(self, d_v: int, tissue_descriptions,
                  class_names) -> Pipeline:
@@ -257,8 +240,7 @@ def _infonce_coefficients(products: list, label: int, tau: float,
 
 
 def check_label(label: int, num_classes: int) -> int:
-    """The label as an int, refused unless it names one of the classes."""
-    label = int(label)
+    """The label, refused unless it names one of the classes."""
     if not 0 <= label < num_classes:
         raise LabelOutOfRangeError(f"label {label} outside [0, {num_classes})")
     return label

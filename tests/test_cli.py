@@ -260,6 +260,27 @@ class TestTrainCommand:
         assert "'epoch'" in err and "'sede'" in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("command, lines, message", [
+        ("train", "epochs = 3\n# one more\nepochs = 1\n",
+         "key 'epochs' is given twice, on lines 1 and 3"),
+        ("synth", "n-min = 3\nn_min = 4\n",
+         "key 'n_min' is given twice, on lines 1 and 2"),
+    ], ids=["train", "synth-spellings"])
+    def test_config_file_repeated_key(self, synth_paths, capsys, command,
+                                      lines, message):
+        # the last of two values used to win silently
+        cfg = synth_paths["dir"] / "twice.cfg"
+        cfg.write_text(lines)
+        out = synth_paths["dir"] / "twice.out"
+        files = (["--data", synth_paths["data"], "--tissues",
+                  synth_paths["tissues"], "--classes", synth_paths["classes"]]
+                 if command == "train" else [])
+        code, stdout, err = run(capsys, command, "--config", str(cfg), *files,
+                                "--seed", "1", "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert f"error: {cfg}: {message}" in err
+        assert not out.exists()
+
     def test_config_key_of_other_command(self, synth_paths, capsys):
         # a synth flag means nothing to train
         cfg = synth_paths["dir"] / "other.cfg"
@@ -352,7 +373,8 @@ class TestEvalCommand:
         (("config", "d_v"), DROP, "d_v"),
         (("config", "tau"), "abc", "tau = 'abc'"),
         (("config", "epochs"), 2.5, "epochs = '2.5'"),
-        (("config", "shots"), 0, "shots must be >= 1"),
+        (("config", "shots"), 0,
+         "shots must be an integer in [1, inf) or 'all', got 0"),
         (("config", "d_v"), 24, "d_v=24"),
         (("class_names",), "abc", "class_names must be"),
         (("class_names",), [1, 2, 3], "class_names must be"),
@@ -484,6 +506,22 @@ class TestAblateCommand:
         code, _, err = run(capsys, "ablate", "--grid", str(grid))
         assert code == 2
         assert "grid file missing" in err
+
+    def test_repeated_key(self, synth_paths, capsys, monkeypatch):
+        # seeds = 0 then seeds = 1 used to run seed 1 alone and exit 0
+        grid = synth_paths["dir"] / "grid.cfg"
+        grid.write_text(
+            f"data = {synth_paths['data']}\n"
+            f"classes = {synth_paths['classes']}\n"
+            f"tissues = {synth_paths['tissues']}\n"
+            "poolings = avg\nshots = 1\nseeds = 0\nepochs = 1\nseeds = 1\n")
+        calls = spy_training(monkeypatch)
+        out = synth_paths["dir"] / "rows.json"
+        code, stdout, err = run(capsys, "ablate", "--grid", str(grid),
+                                "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert f"{grid}: key 'seeds' is given twice, on lines 6 and 8" in err
+        assert calls == [] and not out.exists()
 
     def test_unknown_key(self, synth_paths, capsys):
         grid = synth_paths["dir"] / "grid.cfg"
@@ -688,7 +726,8 @@ def test_tau_floor(needle_paths, tmp_path, capsys, command, tau, code):
     assert got == code, err
     assert (stdout == "") == (code == 2) and "internal error" not in err
     if code == 2:
-        assert f"tau={tau!r} must be in (0, inf)" in err
+        assert (f"tau must be a finite real in (0, inf) with a finite "
+                f"4.000000004/tau, got {tau!r}") in err
     else:
         assert err == ""
 
@@ -1044,7 +1083,7 @@ class TestParserKeepsNoState:
         config = read_report(report)["config"]
         assert {key: config[key] for key in REPORT_SETTINGS} == {
             key: getattr(default, field)
-            for key, (field, _) in REPORT_SETTINGS.items()}
+            for key, field in REPORT_SETTINGS.items()}
 
     def test_synth_after_config(self, tmp_path, capsys):
         cfg = tmp_path / "synth.cfg"
@@ -1226,7 +1265,9 @@ class TestOutOfRangeSettings:
         ("epochs = 2.5", "epochs = '2.5'"),
         ("poolings = slip,bogus", "bogus"),
         ("seeds = 0,x", "seeds = 'x'"),
-        ("shots = 0", "shots must be >= 1"),
+        pytest.param("shots = 0",
+                     "shots must be an integer in [1, inf) or 'all', got 0",
+                     id="shots = 0-shots below 1"),
         ("poolings = ", "grid.cfg: poolings lists no value"),
         ("poolings = ,", "grid.cfg: poolings lists no value"),
         ("shots = ", "grid.cfg: shots lists no value"),

@@ -120,7 +120,8 @@ class TestContainers:
                    coords=((-1, 0),), label=0, patient_id="p")
 
     def test_negative_label_rejected(self):
-        with pytest.raises(ValueError, match="label must be non-negative"):
+        with pytest.raises(ValueError, match=r"^label must be an integer in "
+                                             r"\[0, 4294967294\], got -1$"):
             WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
                    label=-1)
 
@@ -132,14 +133,17 @@ class TestContainers:
 
     @pytest.mark.parametrize("label", [2 ** 32 - 1, 2 ** 32])
     def test_label_above_bound_rejected(self, label):
-        with pytest.raises(ValueError, match=f"label {label} exceeds "
-                                             f"{LABEL_MAX}"):
+        with pytest.raises(ValueError, match=rf"label must be an integer in "
+                                             rf"\[0, {LABEL_MAX}\], "
+                                             rf"got {label}"):
             WsiBag(patches=EmbeddingMatrix([[1.0, 0.0]]), coords=((0, 0),),
                    label=label)
 
     @pytest.mark.parametrize("field, value, match", [
-        ("label", 1.5, "label must be an integer, got 1.5"),
-        ("label", "1", "label must be an integer, got '1'"),
+        ("label", 1.5, r"label must be an integer in \[0, 4294967294\], "
+                       r"got 1\.5"),
+        ("label", "1", r"label must be an integer in \[0, 4294967294\], "
+                       r"got '1'"),
         ("patient_id", 5, "patient id must be a str, got 5"),
         ("patient_id", b"p", "patient id must be a str, got b'p'"),
         ("patient_id", "p\ud800", "patient id 'p\\\\ud800' is not "

@@ -427,7 +427,8 @@ class TestHeatmap:
 
     def test_class_out_of_range(self, tmp_path):
         bag = grid_bag(2)
-        with pytest.raises(InvalidSettingError, match=r"class 1 outside"):
+        with pytest.raises(InvalidSettingError, match=r"^class_index must be "
+                           r"an integer in \[0, 1\), got 1$"):
             export_heatmap(bag, np.zeros((2, 1)), 1,
                            tmp_path / "x.csv", tmp_path / "x.pgm")
 

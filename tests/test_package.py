@@ -259,7 +259,7 @@ class TestTrainSettingsReachCli:
         from slipmil.cli import REPORT_SETTINGS
         from slipmil.trainer import TrainConfig
         fields = {f.name for f in dataclasses.fields(TrainConfig)}
-        stored = {field for field, _ in REPORT_SETTINGS.values()}
+        stored = set(REPORT_SETTINGS.values())
         assert sorted(fields - stored) == []
 
 

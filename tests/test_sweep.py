@@ -7,8 +7,12 @@ error; it never exits 1 with an internal error.
 Settings that drive allocation (patches per bag, bags, d_v, d_t,
 context_length, epochs) are drawn small; their caps are reached only with
 values that validation rejects before anything is allocated.
+
+A second sweep builds TrainConfig and SynthSpec directly, with every field
+drawn at once from plausible, wrong and odd values.
 """
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -21,8 +25,11 @@ from hypothesis import example, given, settings, strategies as st
 from slipmil.cli import REPORT_SETTINGS, SPEC_FLAGS, _flag, main
 from slipmil.core import (MAX_BAGS, MAX_CONTEXT_LENGTH, MAX_D_T, MAX_D_V,
                           MAX_PATCHES)
+from slipmil.errors import InvalidSettingError
 from slipmil.io_formats import read_dataset
-from slipmil.pooling import POOLING_VARIANTS
+from slipmil.pooling import POOLING_VARIANTS, POOLINGS
+from slipmil.synth import SynthSpec
+from slipmil.trainer import TrainConfig
 
 SWEEP = settings(max_examples=300, derandomize=True, database=None,
                  deadline=None)
@@ -208,3 +215,121 @@ def test_zero_shot_and_heatmap(tiny, setting):
     if code == 0:
         rows = (prefix.parent / "heatmap.csv").read_text().splitlines()[1:]
         assert all(math.isfinite(float(row.split(",")[2])) for row in rows)
+
+
+# Every field of a settings class drawn at once from wrong and edge values:
+# a draw builds an object whose fields are plain numbers inside its table's
+# ranges, or raises InvalidSettingError; any other outcome fails.
+NUMBERS = (st.integers(-3, 40) | st.integers()
+           | st.integers(2 ** 64, 2 ** 9999) | st.floats()
+           | st.sampled_from([-0.0, 5e-324, 2.2e-308, math.nan, math.inf,
+                              -math.inf])
+           | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+           | st.integers(0, 255).map(np.uint8) | st.floats().map(np.float64)
+           | st.floats(width=32).map(np.float32))
+ODD = (st.text(max_size=3) | st.none() | st.booleans()
+       | st.booleans().map(np.bool_) | st.sampled_from(["all", *POOLINGS])
+       | st.tuples(NUMBERS) | st.tuples(NUMBERS, NUMBERS)
+       | st.tuples(NUMBERS, NUMBERS, NUMBERS)
+       | st.lists(st.integers(1, 40), min_size=2, max_size=2))
+SETTINGS_SWEEP = settings(max_examples=250, derandomize=True, database=None,
+                          deadline=None)
+
+
+def plausible(kind, *words):
+    """Values of `kind` near the usual ranges, numpy scalars included."""
+    if isinstance(kind, tuple):
+        return st.tuples(*map(plausible, kind))
+    small = (st.integers(0, 64) if kind is int else st.floats(0, 2))
+    return (small | small.map(np.int64 if kind is int else np.float32)
+            | st.sampled_from(words or [0]))
+
+
+def settings_draw(cls):
+    """Every field of `cls`, each left out, plausible or wrong and odd."""
+    def field(name):
+        good = (plausible(*cls.SETTINGS[name]) if name in cls.SETTINGS
+                else st.sampled_from(POOLINGS))
+        return st.integers(0, 3).flatmap(
+            lambda i: good if i else NUMBERS | ODD)
+    return st.fixed_dictionaries({}, optional={
+        f.name: field(f.name) for f in dataclasses.fields(cls)})
+
+
+def within(value, interval: str) -> bool:
+    """`value` lies in `interval`, written "[lo, hi]" with "(" or ")" at an
+    open end."""
+    lo, hi = (float(end) for end in interval[1:-1].split(", "))
+    return ((lo < value if interval[0] == "(" else lo <= value)
+            and (value < hi if interval[-1] == ")" else value <= hi))
+
+
+def built_or_refused(cls, kwargs):
+    """cls(**kwargs), or None when it raises InvalidSettingError; each
+    field in cls.SETTINGS is then a plain value of its kind in its range,
+    equal to the value given, which was no bool."""
+    try:
+        obj = cls(**kwargs)
+    except InvalidSettingError:
+        return None
+    for name, (kind, interval, *words) in cls.SETTINGS.items():
+        value = getattr(obj, name)
+        if type(value) is str and value in words:
+            continue
+        items = value if isinstance(kind, tuple) else (value,)
+        kinds = kind if isinstance(kind, tuple) else (kind,)
+        assert type(items) is tuple and len(items) == len(kinds), name
+        for item, item_kind in zip(items, kinds):
+            assert type(item) is item_kind, (name, value)
+            assert within(item, interval), (name, value)
+        given = kwargs.get(name, value)
+        given = tuple(given) if isinstance(kind, tuple) else (given,)
+        assert given == items and bool not in map(type, given), (name, value)
+    return obj
+
+
+@SETTINGS_SWEEP
+@given(settings_draw(TrainConfig))
+# the wrong types test_out_of_range_config holds, each alone
+@example({"epochs": 2.5})
+@example({"seed": 1.5})
+@example({"topk_k": 2.5})
+@example({"tau": "0.01"})
+@example({"tau": None})
+@example({"learning_rate": "2e-4"})
+@example({"epochs": "3"})
+# a bool is not 1, and a numpy integer is stored as an int
+@example({"seed": True})
+@example({"shots": True})
+@example({"tau": True})
+@example({"epochs": np.int64(3)})
+@example({"shots": np.uint8(2)})
+def test_train_config_fields(kwargs):
+    cfg = built_or_refused(TrainConfig, kwargs)
+    if cfg is not None:
+        assert cfg.pooling in POOLINGS
+        assert 4 * (1 + 1e-9) / cfg.tau < math.inf
+
+
+@SETTINGS_SWEEP
+@given(settings_draw(SynthSpec))
+# the wrong types test_out_of_range_spec holds, each alone
+@example({"n_range": (2.5, 4)})
+@example({"n_range": (2, 4.0)})
+@example({"num_classes": 2.5})
+@example({"encoder_seed": "42"})
+@example({"signal_fraction": "0.5"})
+@example({"noise_sigma": None})
+# n_range that is no pair, and bools
+@example({"n_range": 5})
+@example({"n_range": None})
+@example({"n_range": (4,)})
+@example({"n_range": (1, 2, 3)})
+@example({"d_v": True})
+@example({"n_range": [np.int64(2), 3]})
+def test_synth_spec_fields(kwargs):
+    spec = built_or_refused(SynthSpec, kwargs)
+    if spec is not None:
+        assert spec.num_tissues >= spec.num_classes
+        assert spec.num_classes * spec.bags_per_class <= MAX_BAGS
+        assert spec.n_range[0] <= spec.n_range[1]

@@ -182,6 +182,11 @@ class TestSpecRange:
         {"num_tissues": 3.5}, {"bags_per_class": 1.5}, {"d_v": 2.5},
         {"d_t": 2.5}, {"seed": 1.5}, {"encoder_seed": "42"},
         {"signal_fraction": "0.5"}, {"noise_sigma": None},
+        # n_range is a pair: never a bare TypeError or ValueError
+        {"n_range": 5}, {"n_range": None}, {"n_range": (4,)},
+        {"n_range": (1, 2, 3)}, {"n_range": "48"},
+        # a bool is neither an integer nor a real: True is not read as 1
+        {"d_v": True}, {"n_range": (True, 4)}, {"signal_fraction": True},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_out_of_range_spec(self, kwargs):
         with pytest.raises(InvalidSettingError):

@@ -276,12 +276,23 @@ class TestSettings:
         {"topk_k": 2.5}, {"d_t": 2.5}, {"encoder_seed": 1.5},
         {"epochs": "3"}, {"tau": "0.01"}, {"tau": None},
         {"learning_rate": "2e-4"},
+        # a bool is neither an integer nor a real: True is not read as 1
+        {"seed": True}, {"shots": True}, {"tau": True},
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_out_of_range_config(self, kwargs):
         # one error type, still a ValueError for callers that catch that
         with pytest.raises(InvalidSettingError):
             TrainConfig(**kwargs)
         assert issubclass(InvalidSettingError, ValueError)
+
+    def test_numpy_scalars_are_stored_as_plain_numbers(self):
+        cfg = TrainConfig(epochs=np.int64(3), shots=np.uint8(2),
+                          tau=np.float32(0.5), learning_rate=np.float64(0))
+        assert (cfg.epochs, cfg.shots, cfg.tau, cfg.learning_rate) == (
+            3, 2, 0.5, 0.0)
+        assert [type(v) for v in (cfg.epochs, cfg.shots, cfg.tau,
+                                  cfg.learning_rate)] == [int, int, float,
+                                                          float]
 
     @pytest.mark.parametrize("kwargs", [
         {"pooling": "zero"}, {"seed": 0, "encoder_seed": 0},
