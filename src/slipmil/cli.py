@@ -267,9 +267,13 @@ def _read_run(path, data):
     block = doc["config"]
     if not isinstance(block, dict):
         raise SchemaError(f"{source}: config must be a JSON object")
-    for key in (*REPORT_SETTINGS, "d_v"):
+    for key, field in (*REPORT_SETTINGS.items(), ("d_v", "d_v")):
         if key not in block:
             raise SchemaError(f"{source}: config has no {key!r}")
+        v, words = block[key], TrainConfig.SETTINGS.get(field, ())[2:]
+        if field != "pooling" and isinstance(v, str) and v not in words:
+            raise SchemaError(f"{source}: {key} = {v!r} is a JSON string, "
+                              f"not a number")
     cfg = _train_config(source, block, REPORT_SETTINGS, SchemaError)
     if cfg.pooling not in POOLING_VARIANTS:
         raise SchemaError(f"{source}: pooling {cfg.pooling!r} trains no "

@@ -95,9 +95,11 @@ class WsiBag:
         if xy.dtype.kind not in "iu":
             raise ValueError(
                 f"grid coordinates must be integers, got {xy.dtype}")
-        if xy.min() < 0:
+        # unsigned ints of 32 bits or fewer, a file reader's, are in range
+        scan = xy.dtype.kind == "i" or xy.dtype.itemsize > 4
+        if scan and xy.min() < 0:
             raise ValueError("grid coordinates must be non-negative")
-        if xy.max() > COORD_MAX:
+        if scan and xy.max() > COORD_MAX:
             raise ValueError(f"grid coordinate {xy.max()} exceeds {COORD_MAX}")
         label = check_value("label", label, int, f"[0, {LABEL_MAX}]")
         if not isinstance(patient_id, str):

@@ -46,8 +46,10 @@ def check_value(name: str, value, kind, bounds: str, *words):
     alternatives = "".join(f" or {word!r}" for word in words)
     what = {int: "an integer", float: "a finite real"}.get(
         kind, "a pair of integers")
+    got = (f"an integer of {value.bit_length()} bits" if isinstance(value, int)
+           and value.bit_length() > 2000 else repr(value))  # str() may refuse
     raise InvalidSettingError(f"{name} must be {what} in {bounds}"
-                              f"{alternatives}, got {value!r}")
+                              f"{alternatives}, got {got}")
 
 
 def check_fields(obj, table: dict) -> None:

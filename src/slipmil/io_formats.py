@@ -36,6 +36,7 @@ MAGIC = b"SLIPEMB1"
 DATASET_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 BAG_HEADER = struct.Struct("<IIH")  # patch count, label, patient id bytes
+U4, F4 = np.dtype("<u4"), np.dtype("<f4")  # coordinates, patch values
 F32_MAX = float(np.finfo(np.float32).max)  # widest patch value written
 
 
@@ -44,15 +45,18 @@ class _Reader:
         self.blob = blob
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
+    def take(self, n: int, dtype: np.dtype | None = None):
+        """The next n bytes, or a view of the next n items of dtype."""
+        size = n if dtype is None else n * dtype.itemsize
+        if self.pos + size > len(self.blob):
             raise TruncatedFileError(
-                f"need {n} bytes at offset {self.pos}, "
+                f"need {size} bytes at offset {self.pos}, "
                 f"file has {len(self.blob)}"
             )
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
+        self.pos += size
+        if dtype is None:
+            return self.blob[self.pos - size:self.pos]
+        return np.frombuffer(self.blob, dtype, n, self.pos - size)
 
 
 def write_dataset(path, bags) -> None:
@@ -129,9 +133,9 @@ def read_dataset(path):
             pid = r.take(pid_len).decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CorruptHeaderError(f"bag {b}: patient id not UTF-8") from exc
-        coords = np.frombuffer(r.take(8 * n), dtype="<u4").reshape(n, 2)
-        rows = np.frombuffer(r.take(4 * n * d_v),
-                             dtype="<f4").reshape(n, d_v)
+        coords = r.take(2 * n, U4).reshape(n, 2).copy()  # so that no bag
+        coords.flags.writeable = False  # keeps the file's bytes alive
+        rows = r.take(n * d_v, F4).reshape(n, d_v)
         try:
             bags.append(WsiBag(
                 patches=EmbeddingMatrix(feature_major(rows)),

@@ -33,9 +33,8 @@ comprehension form of the step that it matches bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 from math import exp, inf, log, log1p, sqrt
-from operator import add, mul
+from operator import mul
 
 import numpy as np
 
@@ -172,7 +171,7 @@ def train_prompts(dataset, tissue_descriptions, class_names,
         with np.errstate(over="raise", invalid="raise"):
             for epoch in range(cfg.epochs):
                 for idx in rng.permutation(len(dataset)).tolist():
-                    np_add(s, tok_sums, h)
+                    np_add(tok_sums, s, h)  # the same bits as s + tok_sums
                     stack, stack_dot, hg = bag_stacks[idx]
                     h_dot(gram, hg)
                     stack_dot(h_t, products)
@@ -204,32 +203,36 @@ def _infonce_coefficients(products: list, label: int, tau: float,
     num_classes = len(lengths)
     pairs = num_classes * num_classes
     inv, k = [], []  # 1 / nu_c and 1 / (tau nu_c)
-    for c, length in enumerate(lengths):
-        # max(q, 0.0) keeps a NaN q, which a BLAS overflow can leave unflagged
-        nu = sqrt(max(products[pairs + c * (num_classes + 1)], 0.0))
+    for q, length in zip(products[pairs::num_classes + 1], lengths):
+        # max(q, 0.0), keeping a NaN q, which a BLAS overflow may not flag
+        nu = sqrt(0.0 if q < 0.0 else q)
         if not NORM_EPS * length <= nu < inf:
             raise ZeroVectorError(f"embedding norm {nu / length:.3e} not in "
                                   "[1e-12, inf)")
-        inv.append(1.0 / nu)
-        k.append(inv[c] / tau)
+        w = 1.0 / nu
+        inv.append(w)
+        k.append(w / tau)
     zs = list(map(mul, products, k * num_classes))  # z / tau; stops at C * C
     top = max(zs)
     # dz = (e / total - [i == c == label]) / tau; the row sums (e k) and
     # column sums (e z) carry the e / total part, the corrections the rest
-    e, total, rows, cols = [], 0, [], [0] * num_classes
+    diag = label * (num_classes + 1)
+    total, before, after, rows, cols = 0, 0, 0, [], [0] * num_classes
     for i in range(0, pairs, num_classes):
-        row = 0
+        row, d = 0, diag - i  # the label pair's column, if in this row
         for c, z in enumerate(zs[i:i + num_classes]):
             v = exp(z - top)
-            e.append(v)
             total += v
+            if c < d:  # the e sums before and after the label pair
+                before += v
+            elif c > d:
+                after += v
             row += v * k[c]
             cols[c] += v * z
         rows.append(row)
-    diag = label * (num_classes + 1)
-    # label pair at the maximum: e[diag] is 1; log1p keeps a tiny loss precise
-    loss = (log1p(reduce(add, e[:diag], 0) + reduce(add, e[diag + 1:], 0))
-            if zs[diag] == top else log(total) - (zs[diag] - top))
+    # label pair at the maximum: its e is 1; log1p keeps a tiny loss precise
+    loss = (log1p(before + after) if zs[diag] == top
+            else log(total) - (zs[diag] - top))
     g = rate / total
     coef = list(map(mul, [-g] * num_classes, rows))
     for v, w in zip(cols, inv):

@@ -376,6 +376,12 @@ class TestEvalCommand:
         (("config", "shots"), 0,
          "shots must be an integer in [1, inf) or 'all', got 0"),
         (("config", "d_v"), 24, "d_v=24"),
+        # a number is never read from a JSON string
+        (("config", "epochs"), "1", "epochs = '1' is a JSON string"),
+        (("config", "tau"), "0.01", "tau = '0.01' is a JSON string"),
+        (("config", "lr"), "2e-4", "lr = '2e-4' is a JSON string"),
+        (("config", "shots"), "2", "shots = '2' is a JSON string"),
+        (("config", "d_v"), "32", "d_v = '32' is a JSON string"),
         (("class_names",), "abc", "class_names must be"),
         (("class_names",), [1, 2, 3], "class_names must be"),
         (("class_names",), [], "class_names must be"),
@@ -403,6 +409,7 @@ class TestEvalCommand:
                      marks=OVERFLOWS),
     ], ids=["config-list", "pooling-bogus", "pooling-zero", "no-topk_k",
             "no-d_v", "tau-abc", "epochs-2.5", "shots-0", "d_v-mismatch",
+            "epochs-str", "tau-str", "lr-str", "shots-str", "d_v-str",
             "classes-str", "classes-int", "classes-empty",
             "classes-blank-name", "classes-count", "tissues-int",
             "tissues-str", "no-context", "no-vectors", "no-shared",
@@ -428,6 +435,17 @@ class TestEvalCommand:
         assert code == 2, err
         assert "internal error" not in err and stdout == ""
         assert message in err
+
+    def test_shots_all_is_the_one_string_a_number_may_be(self, synth_paths,
+                                                        capsys):
+        report = train_report(synth_paths, capsys)
+        doc = json.loads(report.read_text())
+        doc["config"]["shots"] = "all"
+        report.write_text(json.dumps(doc))
+        code, stdout, err = run(capsys, "eval", "--data", synth_paths["data"],
+                                "--report", str(report))
+        assert code == 0, err
+        assert json.loads(stdout)["metrics"]["num_bags"] == 24
 
     def test_context_length_zero_round_trip(self, synth_paths, capsys):
         # train stores a 0 x d_t context as [], which eval reads back

@@ -230,6 +230,8 @@ class TestBagCoords:
     def test_array_coords_stored_as_int_pairs(self):
         for xy in (np.array([[3, 4], [5, 6]], dtype=np.uint32),
                    np.array([[3, 4], [5, 6]], dtype=np.int64),
+                   np.array([[3, 4], [5, 6]], dtype=np.uint16),
+                   np.array([[3, 4], [5, 6]], dtype=np.uint64),
                    ((3, 4), (5, 6)), [[3, 4], [5, 6]]):
             bag = two_patch_bag(xy)
             assert bag.coords == ((3, 4), (5, 6))
@@ -242,9 +244,21 @@ class TestBagCoords:
     @pytest.mark.parametrize("coords", [
         ((COORD_MAX + 1, 0), (0, 0)),
         ((0, 0), (0, 2 ** 40)),
+        np.array(((0, 0), (COORD_MAX + 1, 0)), dtype=np.uint64),
+        np.array(((0, 0), (0, 2 ** 63)), dtype=np.uint64),
+        np.array(((0, 0), (0, COORD_MAX + 1)), dtype=np.int64),
     ])
     def test_above_uint32_rejected(self, coords):
         with pytest.raises(ValueError, match="exceeds"):
+            two_patch_bag(coords)
+
+    @pytest.mark.parametrize("coords", [
+        np.array(((0, 0), (0, -1)), dtype=np.int64),
+        np.array(((0, -2 ** 63), (0, 0)), dtype=np.int64),
+        np.array(((0, 0), (-1, 0)), dtype=np.int8),
+    ])
+    def test_negative_rejected(self, coords):
+        with pytest.raises(ValueError, match="non-negative"):
             two_patch_bag(coords)
 
     @pytest.mark.parametrize("coords", [

@@ -59,6 +59,16 @@ class TestDatasetRoundTrip:
             assert a.label == b.label
             assert a.patient_id == b.patient_id
 
+    def test_read_arrays_own_their_memory(self, dataset_file):
+        # a view of the file's bytes would keep the whole file alive for as
+        # long as any one bag lives; each bag's arrays are its own copies
+        path, _ = dataset_file
+        loaded, _ = read_dataset(path)
+        for bag in loaded:
+            assert bag.grid.base is None and bag.grid.flags.owndata
+            assert not bag.grid.flags.writeable
+            assert bag.patches.data.base.flags.owndata
+
     def test_rewrite_is_identical(self, dataset_file, tmp_path):
         # feature-major bags, as read, are written row by row again
         path, _ = dataset_file
@@ -274,11 +284,37 @@ class TestDatasetCorruption:
             with pytest.raises(TruncatedFileError):
                 read_dataset(bad)
 
+    @pytest.mark.parametrize("piece", ["bag header", "patient id",
+                                       "coordinates", "patches"])
+    def test_truncated_message_names_the_piece_cut(self, dataset_file,
+                                                   tmp_path, piece):
+        # a file that ends one byte short of a piece of the first bag names
+        # that piece's size and offset, and the file's length
+        path, bags = dataset_file
+        bag = bags[0]
+        sizes = {"bag header": 10,
+                 "patient id": len(bag.patient_id.encode()),
+                 "coordinates": 8 * bag.num_patches,
+                 "patches": 4 * bag.num_patches * bag.patches.cols}
+        start = len(MAGIC) + 16
+        for name, size in sizes.items():
+            if name == piece:
+                break
+            start += size
+        cut = start + sizes[piece] - 1
+        bad = tmp_path / "cut.bin"
+        bad.write_bytes(path.read_bytes()[:cut])
+        with pytest.raises(TruncatedFileError, match=(
+                f"^need {sizes[piece]} bytes at offset {start}, "
+                f"file has {cut}$")):
+            read_dataset(bad)
+
     def test_trailing_bytes(self, dataset_file, tmp_path):
         path, _ = dataset_file
         bad = tmp_path / "pad.bin"
         bad.write_bytes(path.read_bytes() + b"\x00")
-        with pytest.raises(CorruptHeaderError):
+        with pytest.raises(CorruptHeaderError,
+                           match="^1 trailing bytes after last bag$"):
             read_dataset(bad)
 
     def test_class_count_mismatch(self, dataset_file, tmp_path):

@@ -278,12 +278,21 @@ class TestSettings:
         {"learning_rate": "2e-4"},
         # a bool is neither an integer nor a real: True is not read as 1
         {"seed": True}, {"shots": True}, {"tau": True},
+        # ints too long for str(): the refusal gives their bit length
+        pytest.param({"epochs": -10 ** 5000}, id="epochs=-10**5000"),
+        pytest.param({"tau": 10 ** 5000}, id="tau=10**5000"),
     ], ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
     def test_out_of_range_config(self, kwargs):
         # one error type, still a ValueError for callers that catch that
         with pytest.raises(InvalidSettingError):
             TrainConfig(**kwargs)
         assert issubclass(InvalidSettingError, ValueError)
+
+    def test_int_too_long_to_print_is_named_by_its_bit_length(self):
+        with pytest.raises(InvalidSettingError, match=r"^epochs must be an "
+                           r"integer in \[1, inf\), got an integer of "
+                           r"16610 bits$"):
+            TrainConfig(epochs=-10 ** 5000)
 
     def test_numpy_scalars_are_stored_as_plain_numbers(self):
         cfg = TrainConfig(epochs=np.int64(3), shots=np.uint8(2),
