@@ -262,7 +262,8 @@ def cmd_train(args) -> None:
 def _read_run(path, data):
     """The run a train report stores, and the dataset at `data`, checked
     against it: (bags, TrainConfig, class names, tissue descriptions,
-    TrainedPrompts). Every malformed field is a SchemaError."""
+    TrainedPrompts). Every malformed field is a SchemaError. The report's
+    `data` file name is not checked, so a renamed dataset evaluates."""
     doc, source = read_report(path), f"report {path}"
     block = doc["config"]
     if not isinstance(block, dict):

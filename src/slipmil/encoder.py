@@ -65,7 +65,8 @@ class FrozenEncoderWeights:
     def create(cls, seed: int, d_t: int = DEFAULT_D_T,
                d_v: int = DEFAULT_D_V) -> "FrozenEncoderWeights":
         """Read-only weights of (seed, d_t, d_v). Only the last draw is kept
-        (one 4096 x d_t table); equal arguments return it undrawn."""
+        (one 4096 x d_t table, 128 MiB at d_t 4096); equal arguments return
+        it undrawn, so the runs of one process share one draw."""
         seed, d_t, d_v = key = (check_value("seed", seed, *SEED),
                                 check_value("d_t", d_t, *D_T),
                                 check_value("d_v", d_v, int, "[1, inf)"))

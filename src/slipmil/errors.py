@@ -73,10 +73,6 @@ class EmptySequenceError(SlipError):
     """Text encoder received no tokens and no prompt context."""
 
 
-class LabelOutOfRangeError(SlipError):
-    """Class label outside [0, C)."""
-
-
 class EmptyDatasetError(SlipError):
     """Training requires at least one bag."""
 

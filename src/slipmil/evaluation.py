@@ -7,7 +7,7 @@ import numpy as np
 
 from .errors import EmptyDatasetError, InsufficientBagsError, check_value
 from .pooling import Pipeline
-from .trainer import TrainConfig, check_label, train_prompts
+from .trainer import TrainConfig, train_prompts
 
 
 def select_few_shot(dataset, shots: int | str):
@@ -46,7 +46,9 @@ def evaluate(bags, pipeline: Pipeline) -> dict:
     """
     bags = list(bags)
     c = len(pipeline.class_names)
-    labels = np.array([check_label(b.label, c) for b in bags], dtype=np.int64)
+    labels = [bag.label for bag in bags]  # WsiBag's: ints >= 0
+    check_value("label", max(labels, default=0), int, f"[0, {c})")
+    labels = np.array(labels, dtype=np.int64)
     preds = np.asarray(pipeline.predict_bags(bags), dtype=np.int64)
     confusion = np.bincount(labels * c + preds, minlength=c * c)
 

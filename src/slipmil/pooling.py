@@ -234,7 +234,9 @@ class _Helpers:
     streamed bag beside the caller. They start the first time a bag needs
     them, never more than the cores less one, and are daemons, so no exit
     waits on them. All take jobs from one queue, so a job waits on no
-    particular thread, and one that raised takes the next job."""
+    particular thread, and one that raised takes the next job. They gain
+    most under one BLAS thread; BLAS's own threads contend with them for
+    the cores (ROADMAP item 10)."""
 
     def __init__(self):
         self.lock = threading.Lock()  # one caller at a time starts threads
@@ -474,8 +476,9 @@ class Pipeline:
         return SlideFeature(self.features([bag])[0].T)
 
     def predict_bags(self, bags) -> np.ndarray:
-        """The predicted class of each bag in a list; zero-shot averages
-        each patch's softmax over the raw class names."""
+        """The predicted class of each bag in a list, so one bag's is
+        predict_bags([bag])[0]; zero-shot averages each patch's softmax
+        over the raw class names."""
         if self.pooling == "zero":
             return np.argmax(
                 zero_shot_probabilities(bags, self._frozen, self.tau), axis=1)

@@ -41,9 +41,8 @@ import numpy as np
 from .core import MAX_CONTEXT_LENGTH, NORM_EPS
 from .encoder import (D_T, DEFAULT_D_T, DEFAULT_ENCODER_SEED, SEED,
                       FrozenEncoderWeights, PromptContext, token_sums)
-from .errors import (EmptyDatasetError, LabelOutOfRangeError,
-                     MissingClassError, ZeroVectorError, check_fields,
-                     check_setting)
+from .errors import (EmptyDatasetError, MissingClassError, ZeroVectorError,
+                     check_fields, check_setting, check_value)
 from .pooling import (DEFAULT_TOPK, POOLINGS, TAU, TOPK_K, Pipeline,
                       TissuePromptSet, check_tau)
 
@@ -139,7 +138,8 @@ def train_prompts(dataset, tissue_descriptions, class_names,
     missing = sorted(set(range(num_classes)) - present)
     if missing:
         raise MissingClassError(f"no training bag for classes {missing}")
-    labels = [check_label(bag.label, num_classes) for bag in dataset]
+    labels = [bag.label for bag in dataset]  # WsiBag's: ints >= 0
+    check_value("label", max(labels), int, f"[0, {num_classes})")
 
     if pipeline is None:
         pipeline = cfg.pipeline(dataset[0].patches.cols, tissue_descriptions,
@@ -240,10 +240,3 @@ def _infonce_coefficients(products: list, label: int, tau: float,
     coef[label] += rate * k[label]
     coef[num_classes + label] -= rate * zs[diag] * inv[label] ** 2
     return loss, coef
-
-
-def check_label(label: int, num_classes: int) -> int:
-    """The label, refused unless it names one of the classes."""
-    if not 0 <= label < num_classes:
-        raise LabelOutOfRangeError(f"label {label} outside [0, {num_classes})")
-    return label

@@ -33,8 +33,8 @@ from slipmil.errors import (
     DimensionMismatchError,
     EmptySequenceError,
     InvalidSettingError,
-    LabelOutOfRangeError,
     ZeroVectorError,
+    check_value,
 )
 from slipmil.pooling import (
     POOLING_VARIANTS,
@@ -284,9 +284,7 @@ def _pair_logits(f_wsi, classes) -> np.ndarray:
 
 def _infonce_step(z: np.ndarray, label: int, tau: float):
     """infonce_loss and d loss / d z for pair logits z, in one pass."""
-    label = int(label)
-    if not 0 <= label < z.shape[0]:
-        raise LabelOutOfRangeError(f"label {label} outside [0, {z.shape[0]})")
+    label = check_value("label", int(label), int, f"[0, {z.shape[0]})")
     zs = z / tau
     m = zs.max()
     e = np.exp(zs - m)

@@ -10,8 +10,7 @@ from slipmil import core
 from slipmil import pooling as pooling_module
 from slipmil.core import EmbeddingMatrix, WsiBag
 from slipmil.errors import (DimensionMismatchError, EmptyDatasetError,
-                            InsufficientBagsError, InvalidSettingError,
-                            LabelOutOfRangeError)
+                            InsufficientBagsError, InvalidSettingError)
 from slipmil.evaluation import (evaluate, run_ablation, run_single,
                                 select_few_shot)
 from slipmil.pooling import Pipeline, SlideFeature, TissuePromptSet, classify
@@ -249,8 +248,8 @@ class TestEvaluate:
         bag = random_bag(np.random.default_rng(56), 3, 32, label=5)
         pipeline = Pipeline(weights=weights, tissues=None,
                             class_names=("a", "b", "c"), pooling="avg")
-        with pytest.raises(LabelOutOfRangeError,
-                           match=r"^label 5 outside \[0, 3\)$"):
+        with pytest.raises(InvalidSettingError, match=(
+                r"^label must be an integer in \[0, 3\), got 5$")):
             evaluate([bag], pipeline)
 
     def test_empty_list(self):

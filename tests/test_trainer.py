@@ -10,7 +10,6 @@ from slipmil.encoder import (FrozenEncoderWeights, PromptContext,
 from slipmil.errors import (
     EmptyDatasetError,
     InvalidSettingError,
-    LabelOutOfRangeError,
     MissingClassError,
     ZeroVectorError,
 )
@@ -98,7 +97,8 @@ class TestInfonceLoss:
         f = feature(rng, 8, 2)
         classes = unit_rows(rng, 2, 8)
         for label in (-1, 2):
-            with pytest.raises(LabelOutOfRangeError):
+            with pytest.raises(InvalidSettingError, match=(
+                    rf"^label must be an integer in \[0, 2\), got {label}$")):
                 infonce_loss(f, classes, label, 0.01)
 
     def test_non_negative_and_bounded(self):
@@ -390,8 +390,8 @@ class TestTrainPrompts:
         rng = np.random.default_rng(46)
         bags = small_dataset(rng) + [random_bag(rng, 3, 32, label=2,
                                                 patient_id="c")]
-        with pytest.raises(LabelOutOfRangeError,
-                           match=r"^label 2 outside \[0, 2\)$"):
+        with pytest.raises(InvalidSettingError, match=(
+                r"^label must be an integer in \[0, 2\), got 2$")):
             train_prompts(bags, TISSUES, CLASSES, TrainConfig(seed=0))
 
     def test_deterministic(self):
